@@ -8,26 +8,19 @@ on realism (topN visits, MMD, mutual-information decay) and privacy leakage
 
 from .geogrid import GridSpec, LatLon, encode, decode, curve_position
 from .dataio import Corpus, GridTrace, ingest, simulate_ground_truth
-from .copula import (EmpiricalMargin, KernelPairCopula, VineModel,
-                     margin_fit, pair_fit, vine_fit, h_forward, h_inverse,
-                     vine_conditional_sample)
-from .generators import (Generator, MarkovGenerator, VineGenerator,
-                         markov_fit, vine_fit_generator, external_corpus, generate)
+from .copula import EmpiricalMargin, KernelPairCopula, VineModel, vine_fit
+from .generators import Generator, MarkovGenerator, VineGenerator
 from .metrics import topn_report, mmd_test, mi_decay
-from .privacy import (hide_locations, sequence_attack, membership_attack,
-                      PrivacyResult)
+from .privacy import hide_locations, sequence_attack, membership_attack, battery
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec", "LatLon", "encode", "decode", "curve_position",
     "Corpus", "GridTrace", "ingest", "simulate_ground_truth",
-    "EmpiricalMargin", "KernelPairCopula", "VineModel",
-    "margin_fit", "pair_fit", "vine_fit", "h_forward", "h_inverse",
-    "vine_conditional_sample",
+    "EmpiricalMargin", "KernelPairCopula", "VineModel", "vine_fit",
     "Generator", "MarkovGenerator", "VineGenerator",
-    "markov_fit", "vine_fit_generator", "external_corpus", "generate",
     "topn_report", "mmd_test", "mi_decay",
-    "hide_locations", "sequence_attack", "membership_attack", "PrivacyResult",
+    "hide_locations", "sequence_attack", "membership_attack", "battery",
     "__version__",
 ]

@@ -77,7 +77,9 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 actions[a.dest] = a
     for key, value in config.items():
         action = actions.get(key)
-        if action is None or not hasattr(args, key):
+        if action is None:
+            parser.error(f"config key {key!r} names no option of any command")
+        if not hasattr(args, key):
             continue
         if getattr(args, key) == action.default:
             if isinstance(action.default, bool):
@@ -145,13 +147,13 @@ def cmd_fit(args) -> int:
     corpus = dataio.load_corpus(args.corpus)
     t0 = time.perf_counter()
     if args.model_type == "vine":
-        model = generators.vine_fit_generator(
+        model = generators.VineGenerator.fit(
             corpus, window=args.window, trunc_level=args.trunc_level,
             max_scores=args.max_scores,
             bandwidth_scale=args.bandwidth_scale, max_rows=args.max_rows,
             seed=_require_seed(args))
     elif args.model_type == "markov":
-        model = generators.markov_fit(
+        model = generators.MarkovGenerator.fit(
             corpus, order=args.order, time_buckets=args.time_buckets, alpha=args.alpha)
     else:
         raise DomainError(f"unknown model type {args.model_type!r}")
@@ -182,29 +184,17 @@ def cmd_evaluate(args) -> int:
 
     t0 = time.perf_counter()
     top = metrics.topn_report(real, syn, n=args.topn)
-    mmd = metrics.mmd_test(real, syn, n_permutations=args.n_permutations,
-                           rng=rng, threads=args.threads)
+    mmd = metrics.mmd_test(real, syn, n_permutations=args.n_permutations, rng=rng)
     mi_real = metrics.mi_decay(real, tau_max=args.tau_max)
     mi_syn = metrics.mi_decay(syn, tau_max=args.tau_max)
 
-    prior = generators.markov_fit(syn, order=1, time_buckets=24)
-    seq_acc = privacy.run_sequence_attack(real, prior, args.p_hide, rng)
+    members = nonmembers = None
     if args.targets:
-        member_traces, nonmember_traces = _load_targets(args.targets, real.spec,
-                                                        real.sampling_period)
-        mem = privacy.membership_attack(syn, member_traces, nonmember_traces, rng)
-        membership_block = mem.to_dict()
+        members, nonmembers = dataio.load_targets(args.targets, real.spec,
+                                                  real.sampling_period)
+    priv, mem = privacy.battery(syn, real, args.p_hide, rng, members, nonmembers)
+    if mem is not None:
         _write_membership_csv(os.path.join(outdir, "membership_scores.csv"), mem)
-    else:
-        mem = None
-        membership_block = {"skipped": True}
-    priv = {
-        "sequence_attack_accuracy": seq_acc,
-        "random_baseline_sequence": 1.0 / prior.alphabet.size,
-        "hide_probability": args.p_hide,
-        "membership": membership_block,
-        "random_baseline_membership": 0.5,
-    }
     timings["evaluate_seconds"] = time.perf_counter() - t0
 
     report = {
@@ -234,64 +224,22 @@ def cmd_evaluate(args) -> int:
 def cmd_attack(args) -> int:
     seed = _require_seed(args)
     syn = dataio.load_corpus(args.syn)
-    member_traces, nonmember_traces = _load_targets(args.targets, syn.spec,
-                                                    syn.sampling_period)
-    rng = np.random.default_rng(seed)
-    prior = generators.markov_fit(syn, order=1, time_buckets=24)
-    truth = dataio.Corpus(spec=syn.spec, traces=member_traces + nonmember_traces,
+    members, nonmembers = dataio.load_targets(args.targets, syn.spec, syn.sampling_period)
+    truth = dataio.Corpus(spec=syn.spec, traces=members + nonmembers,
                           sampling_period=syn.sampling_period)
-    seq_acc = privacy.run_sequence_attack(truth, prior, args.p_hide, rng)
-    mem = privacy.membership_attack(syn, member_traces, nonmember_traces, rng)
-    result = privacy.PrivacyResult(
-        sequence_attack_accuracy=seq_acc,
-        membership_accuracy=mem.accuracy,
-        membership_auc=mem.auc,
-        random_baseline_sequence=1.0 / prior.alphabet.size,
-        random_baseline_membership=0.5,
-        hide_probability=args.p_hide,
-    )
-    payload = {"format_version": FORMAT_VERSION, "privacy": result.to_dict()}
+    priv, mem = privacy.battery(syn, truth, args.p_hide, np.random.default_rng(seed),
+                                members, nonmembers)
+    payload = {"format_version": FORMAT_VERSION, "privacy": priv}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
     scores_path = os.path.splitext(args.out)[0] + "_scores.csv"
-    _write_membership_csv(scores_path, mem, member_traces, nonmember_traces)
+    _write_membership_csv(scores_path, mem)
     print(f"privacy result -> {args.out}")
     return EXIT_OK
 
 
-def _load_targets(path, spec, sampling_period):
-    """Targets CSV: ingestion schema plus a trailing is_member column."""
-    members, nonmembers = [], []
-    import io
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        member_flags = {}
-        rows_by_user = {}
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row and row[0].strip().lower() == "user_id":
-                continue
-            if not row:
-                continue
-            if len(row) < 5:
-                raise ParseError("targets file needs user_id,timestamp,lat,lon,is_member",
-                                 line=lineno)
-            member_flags[row[0]] = row[4].strip() in ("1", "true", "yes")
-            rows_by_user.setdefault(row[0], []).append(row[:4])
-    for user, rows in rows_by_user.items():
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(dataio.CSV_HEADER)
-        w.writerows(rows)
-        buf.seek(0)
-        corpus = dataio.ingest(buf, spec, sampling_period)
-        for trace in corpus.traces:
-            (members if member_flags[user] else nonmembers).append(trace)
-    return members, nonmembers
-
-
-def _write_membership_csv(path, mem, member_traces=None, nonmember_traces=None):
+def _write_membership_csv(path, mem):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["target_index", "is_member", "score"])
@@ -328,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mobsynth",
                                      description="copula-based synthetic mobility pipeline")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory where sampling occurs)")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for parallel sections")
     parser.add_argument("--config", default=None, help="flat key=value config file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,6 @@ from .errors import DomainError, InsufficientDataError, NumericalError
 _EPS_U = 1e-9           # clamp for values entering the probit transform
 _H_TOL = 1e-8           # absolute tolerance of h-function inversion
 _H_MAX_ITER = 200
-_CHUNK = 1 << 22        # max elements per kernel-matrix block
 
 DEFAULT_MAX_SCORES = 2000
 
@@ -72,25 +71,6 @@ class EmpiricalMargin:
         idx = np.clip((u_arr * self.n).astype(np.int64), 0, self.n - 1)
         x = self.sorted_sample[idx]
         return x if u_arr.ndim else float(x)
-
-    def logpdf(self, x):
-        """Log-density of the piecewise-linear CDF implied by pit()."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        xs = self.sorted_sample
-        idx = np.clip(np.searchsorted(xs, x_arr, side="right"), 1, self.n - 1)
-        dx = xs[idx] - xs[idx - 1]
-        dp = self._probs[idx] - self._probs[idx - 1]
-        with np.errstate(divide="ignore"):
-            out = np.where(
-                (x_arr < xs[0]) | (x_arr > xs[-1]) | (dx <= 0),
-                -np.inf,
-                np.log(dp) - np.log(np.where(dx > 0, dx, 1.0)),
-            )
-        return out if np.ndim(x) else float(out[0])
-
-
-def margin_fit(sample) -> EmpiricalMargin:
-    return EmpiricalMargin(sample)
 
 
 def pseudo_observations(data):
@@ -169,9 +149,6 @@ class KernelPairCopula:
         kde = np.mean(np.exp(-0.5 * (du * du + dv * dv)), axis=-1) / (2.0 * np.pi * b * b)
         phi = np.exp(-0.5 * (z_u * z_u + z_v * z_v)) / (2.0 * np.pi)
         return kde / phi
-
-    def logdensity(self, u, v):
-        return np.log(self.density(u, v))
 
     # -- h-functions ------------------------------------------------------
 
@@ -392,30 +369,6 @@ def _variance_correct(scores, b):
     return centered @ a.T + mu
 
 
-def pair_fit(u_sample, v_sample, max_scores=DEFAULT_MAX_SCORES,
-             bandwidth_scale=1.0) -> KernelPairCopula:
-    return KernelPairCopula.fit(u_sample, v_sample, max_scores=max_scores,
-                                bandwidth_scale=bandwidth_scale)
-
-
-def h_forward(c: KernelPairCopula, u, v):
-    """P(U <= u | V = v) for a fitted pair copula."""
-    return c.h_u_given_v(u, v)
-
-
-def h_inverse(c: KernelPairCopula, p, v):
-    """Inverse of :func:`h_forward` in its first argument."""
-    return c.h_inverse_u_given_v(p, v)
-
-
-def sklar_logpdf(margin_x: EmpiricalMargin, margin_y: EmpiricalMargin,
-                 cop: KernelPairCopula, x, y):
-    """Joint log-density via the two-step decomposition; the joint density is
-    never evaluated any other way."""
-    return (margin_x.logpdf(x) + margin_y.logpdf(y)
-            + cop.logdensity(margin_x.pit(x), margin_y.pit(y)))
-
-
 class VineModel:
     """D-vine over an ordered variable list with empirical margins.
 
@@ -486,11 +439,11 @@ class VineModel:
 
         return [c_val(target - t, target - 1) for t in range(1, depth + 1)]
 
-    def _conditional_u(self, u_cond, p, target, fast=False):
+    def _conditional_u(self, u_cond, p, target):
         """Inverse-Rosenblatt draw of variable ``target`` on the uniform
-        scale given u_cond (n, target) and uniforms p (n,).  With
-        ``fast=True`` each inversion is replaced by a direct draw from the
-        same conditional mixture (equal in distribution, much cheaper)."""
+        scale given u_cond (n, target) and uniforms p (n,).  Each step draws
+        directly from the conditional mixture (``sample_v_given_u``), which
+        is equal in distribution to the h-inversion and much cheaper."""
         depth = min(self.depth, target)
         if depth == 0:
             return np.asarray(p, dtype=float)
@@ -499,10 +452,7 @@ class VineModel:
         for t in range(depth, 0, -1):
             cop = self._edge(target - t, target)
             if cop is not None:
-                if fast:
-                    q = cop.sample_v_given_u(q, a[t - 1])
-                else:
-                    q = cop.h_inverse_v_given_u(q, a[t - 1])
+                q = cop.sample_v_given_u(q, a[t - 1])
         return q
 
     # -- public sampling ----------------------------------------------------
@@ -526,7 +476,7 @@ class VineModel:
         )
         p = rng.uniform(size=cond.shape[0])
         p = np.clip(p, _EPS_U, 1 - _EPS_U)
-        u = self._conditional_u(u_cond, p, self.dim - 1, fast=True)
+        u = self._conditional_u(u_cond, p, self.dim - 1)
         margin = self.margins[-1]
         x = margin.quantile_atom(u) if atoms else margin.quantile(u)
         return float(x[0]) if scalar else x
@@ -608,8 +558,3 @@ def vine_fit(data, window=None, trunc_level=None, max_scores=1000,
             new_right.append(level[j + 1].h_v_given_u(right[j + 1], left[j + 1]))
         left, right = new_left, new_right
     return VineModel(margins, trees, window=window, var_names=var_names)
-
-
-def vine_conditional_sample(model: VineModel, cond_values, rng, size=None):
-    """Sample the vine's last variable given the others (module-level alias)."""
-    return model.conditional_sample(cond_values, rng, size=size)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import base64
 import csv
-import io
 import json
 import logging
 import os
@@ -92,11 +91,47 @@ def ingest(csv_source, spec: GridSpec, sampling_period: int) -> Corpus:
     else:
         fh = csv_source
     try:
-        per_user = _parse_rows(fh, spec)
+        per_user = _parse_rows(csv.reader(fh), spec)
     finally:
         if close:
             fh.close()
+    return Corpus(spec=spec, traces=_regularize(per_user, sampling_period),
+                  sampling_period=int(sampling_period))
 
+
+def load_targets(path, spec: GridSpec, sampling_period: int):
+    """Labelled targets CSV: the ingestion schema plus an ``is_member``
+    column (1, true or yes for a member).  Each user_id carries one label;
+    a user_id seen with both labels is a ParseError.
+
+    Rows go through the same parsing and regularization as :func:`ingest`.
+    Returns (members, nonmembers), each in order of first appearance.
+    """
+    labels: dict[str, bool] = {}
+
+    def labelled(reader):
+        for lineno, row in enumerate(reader, start=1):
+            if row and not (lineno == 1 and row[0].strip().lower() == "user_id"):
+                if len(row) < 5:
+                    raise ParseError("targets file needs user_id,timestamp,lat,lon,is_member",
+                                     line=lineno)
+                user, is_member = row[0].strip(), row[4].strip() in ("1", "true", "yes")
+                if labels.setdefault(user, is_member) != is_member:
+                    raise ParseError(f"user_id {user!r} is labelled both member and "
+                                     "non-member", line=lineno)
+            yield row
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        per_user = _parse_rows(labelled(csv.reader(fh)), spec)
+    by_user = {t.user_id: t for t in _regularize(per_user, sampling_period)}
+    members, nonmembers = [], []
+    for user, is_member in labels.items():
+        if user in by_user:
+            (members if is_member else nonmembers).append(by_user[user])
+    return members, nonmembers
+
+
+def _regularize(per_user, sampling_period) -> list[GridTrace]:
     traces = []
     n_short = 0
     for user_id, rows in per_user.items():
@@ -116,11 +151,10 @@ def ingest(csv_source, spec: GridSpec, sampling_period: int) -> Corpus:
         traces.append(GridTrace(user_id, cells[idx], grid_ts))
     if n_short:
         logger.warning("dropped %d user(s) with fewer than 2 surviving points", n_short)
-    return Corpus(spec=spec, traces=traces, sampling_period=int(sampling_period))
+    return traces
 
 
-def _parse_rows(fh, spec: GridSpec):
-    reader = csv.reader(fh)
+def _parse_rows(reader, spec: GridSpec):
     per_user: dict[str, list] = {}
     n_oob = 0
     for lineno, row in enumerate(reader, start=1):
@@ -172,6 +206,8 @@ class GroundTruthSimulator:
 
     def __init__(self, spec: GridSpec, n_users: int, n_hotspots: int, seed: int,
                  population_seed=None, params: SimulatorParams | None = None):
+        if n_users < 1:
+            raise DomainError(f"need at least 1 user, got {n_users}")
         if n_hotspots < 2:
             raise DomainError(f"need at least 2 hotspots, got {n_hotspots}")
         if n_hotspots > spec.n_cells:
@@ -319,8 +355,11 @@ def encode_array(a: np.ndarray) -> dict:
 
 
 def decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype=np.dtype(d["dtype"])).reshape(d["shape"]).copy()
+    try:
+        raw = base64.b64decode(d["data"])
+        return np.frombuffer(raw, dtype=np.dtype(d["dtype"])).reshape(d["shape"]).copy()
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed encoded array: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +433,13 @@ def load_model(path):
         except json.JSONDecodeError as exc:
             raise ParseError(f"corrupted model file: {exc}") from exc
     _check_version(envelope)
-    spec = GridSpec.from_dict(envelope["grid_spec"])
-    return generators.generator_from_payload(
-        envelope["model_type"], spec, int(envelope["sampling_period"]),
-        envelope["payload"])
+    try:
+        spec = GridSpec.from_dict(envelope["grid_spec"])
+        return generators.generator_from_payload(
+            envelope["model_type"], spec, int(envelope["sampling_period"]),
+            envelope["payload"])
+    except KeyError as exc:
+        raise ParseError(f"model file is missing key {exc}") from exc
 
 
 REPORT_BLOCKS = ("topn", "mmd", "mi_decay", "privacy")
@@ -443,13 +485,3 @@ def _jsonify(obj):
         return float(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
-
-def corpus_to_csv_string(corpus: Corpus) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_HEADER)
-    for trace in corpus.traces:
-        for cell, ts in zip(trace.cells, trace.timestamps):
-            lat, lon = geogrid.decode(corpus.spec, int(cell))
-            writer.writerow([trace.user_id, int(ts), repr(lat), repr(lon)])
-    return buf.getvalue()

@@ -1,5 +1,5 @@
-"""Trajectory generators behind one interface: vine copula, k-order Markov
-with time-of-day buckets, and an adapter replaying an external corpus.
+"""Trajectory generators behind one interface: vine copula and k-order
+Markov with time-of-day buckets.
 
 Generation is autoregressive on the sampling grid: the model conditions on
 time-of-day but never generates timestamps; cells map back to coordinates
@@ -8,16 +8,12 @@ only on export.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
-from . import copula, dataio, geogrid
+from . import copula, dataio
 from .dataio import Corpus, GridTrace, hour_of_day
 from .errors import DomainError, IncompatibilityError, InsufficientDataError
 from .geogrid import GridSpec
-
-logger = logging.getLogger(__name__)
 
 HOURS_PER_DAY = 24
 
@@ -36,10 +32,6 @@ class Generator:
 
     def to_payload(self) -> dict:
         raise NotImplementedError
-
-
-def generate(g: Generator, n_traces: int, trace_len: int, start_time: int, seed: int) -> Corpus:
-    return g.generate(n_traces, trace_len, start_time, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +109,11 @@ class MarkovGenerator(Generator):
         return self._distribution((), bucket)
 
     def generate(self, n_traces, trace_len, start_time, seed) -> Corpus:
+        if n_traces < 1:
+            raise DomainError(f"n_traces must be >= 1, got {n_traces}")
         if trace_len < 1:
             raise DomainError("trace_len must be >= 1")
+        v = self.alphabet.size
         timestamps = start_time + self.sampling_period * np.arange(trace_len, dtype=np.int64)
         buckets = _bucket_of(timestamps, self.time_buckets)
         traces = []
@@ -128,9 +123,9 @@ class MarkovGenerator(Generator):
             for t in range(trace_len):
                 ctx = tuple(int(x) for x in sym[max(0, t - self.order):t])
                 dist = self._distribution(ctx, int(buckets[t]))
-                sym[t] = np.searchsorted(np.cumsum(dist), rng.uniform())
-            traces.append(GridTrace(f"syn_{i}", self.alphabet[np.minimum(sym, self.alphabet.size - 1)],
-                                    timestamps))
+                # rounding can leave cumsum(dist)[-1] below the uniform draw
+                sym[t] = min(np.searchsorted(np.cumsum(dist), rng.uniform()), v - 1)
+            traces.append(GridTrace(f"syn_{i}", self.alphabet[sym], timestamps))
         return Corpus(spec=self.spec, traces=traces, sampling_period=self.sampling_period)
 
     def to_payload(self) -> dict:
@@ -161,11 +156,6 @@ class MarkovGenerator(Generator):
         return cls(spec, sampling_period, payload["order"], payload["time_buckets"],
                    payload["alpha"], dataio.decode_array(payload["alphabet"]),
                    counts, dataio.decode_array(payload["global_counts"]))
-
-
-def markov_fit(corpus: Corpus, order: int = 1, time_buckets: int = 24,
-               alpha: float = 0.01) -> MarkovGenerator:
-    return MarkovGenerator.fit(corpus, order=order, time_buckets=time_buckets, alpha=alpha)
 
 
 def _bucket_of(timestamps, time_buckets) -> np.ndarray:
@@ -262,6 +252,8 @@ class VineGenerator(Generator):
         return pool[idx, :-1]
 
     def generate(self, n_traces, trace_len, start_time, seed) -> Corpus:
+        if n_traces < 1:
+            raise DomainError(f"n_traces must be >= 1, got {n_traces}")
         w = self.window
         if trace_len < w + 1:
             raise DomainError(f"trace_len must be >= window+1 = {w + 1}, got {trace_len}")
@@ -324,47 +316,6 @@ class VineGenerator(Generator):
                                 var_names=payload["var_names"])
         return cls(spec, sampling_period, payload["window"], vine,
                    dataio.decode_array(payload["start_windows"]))
-
-
-def vine_fit_generator(corpus: Corpus, window: int = 4, trunc_level=2,
-                       max_scores: int = 25000, bandwidth_scale: float = 0.00625,
-                       max_rows: int = 25000, seed: int = 0) -> VineGenerator:
-    return VineGenerator.fit(corpus, window=window, trunc_level=trunc_level,
-                             max_scores=max_scores, bandwidth_scale=bandwidth_scale,
-                             max_rows=max_rows, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# external corpus adapter
-# ---------------------------------------------------------------------------
-
-class ExternalCorpusGenerator(Generator):
-    """Replays a corpus produced elsewhere so the evaluation battery can
-    score third-party synthetic data through the same interface."""
-
-    model_type = "external"
-
-    def __init__(self, corpus: Corpus, path=None):
-        super().__init__(corpus.spec, corpus.sampling_period)
-        self.corpus = corpus
-        self.path = path
-
-    @classmethod
-    def from_file(cls, path, expected_spec: GridSpec | None = None) -> "ExternalCorpusGenerator":
-        corpus = dataio.load_corpus(path, expected_spec=expected_spec)
-        return cls(corpus, path=path)
-
-    def generate(self, n_traces, trace_len, start_time, seed) -> Corpus:
-        if n_traces != len(self.corpus.traces) or any(len(t) != trace_len for t in self.corpus.traces):
-            logger.warning("external corpus shape differs from requested (n_traces, trace_len); replaying as stored")
-        return self.corpus
-
-    def to_payload(self) -> dict:
-        raise DomainError("external corpora are stored as corpus files, not model files")
-
-
-def external_corpus(path, expected_spec: GridSpec | None = None) -> ExternalCorpusGenerator:
-    return ExternalCorpusGenerator.from_file(path, expected_spec=expected_spec)
 
 
 def generator_from_payload(model_type, spec, sampling_period, payload) -> Generator:

@@ -5,7 +5,6 @@ on time-aligned trace embeddings, and mutual-information decay over lags.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,7 +173,7 @@ def _mmd_stats(k: np.ndarray, n: int, m: int):
 
 
 def mmd_test(real: Corpus, syn: Corpus, n_permutations: int = 500,
-             rng=None, threads: int = 1) -> MmdResult:
+             rng=None) -> MmdResult:
     """RBF-kernel MMD with median-heuristic bandwidth and a permutation null.
 
     Traces are truncated to the common minimum length so the embeddings are
@@ -206,16 +205,8 @@ def mmd_test(real: Corpus, syn: Corpus, n_permutations: int = 500,
     if rng is None:
         rng = np.random.default_rng(0)
     perms = [rng.permutation(n + m) for _ in range(n_permutations)]
-
-    def _one(perm):
-        kp = k[np.ix_(perm, perm)]
-        return _mmd_stats(kp, n, m)[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            perm_stats = np.fromiter(pool.map(_one, perms), dtype=float, count=n_permutations)
-    else:
-        perm_stats = np.fromiter((_one(p) for p in perms), dtype=float, count=n_permutations)
+    perm_stats = np.fromiter((_mmd_stats(k[np.ix_(p, p)], n, m)[0] for p in perms),
+                             dtype=float, count=n_permutations)
     p_value = (1.0 + float(np.sum(perm_stats >= unbiased))) / (n_permutations + 1.0)
     return MmdResult(unbiased, biased, p_value, n_permutations, sigma, perm_stats)
 

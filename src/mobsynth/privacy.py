@@ -8,7 +8,6 @@ individuals behind it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +15,6 @@ import numpy as np
 from .dataio import Corpus, GridTrace
 from .errors import DomainError
 from .generators import MarkovGenerator, _bucket_of
-
-logger = logging.getLogger(__name__)
 
 HIDDEN = -1
 
@@ -254,21 +251,26 @@ def _best_threshold(member: np.ndarray, nonmember: np.ndarray) -> float:
     return float(best_t)
 
 
-@dataclass
-class PrivacyResult:
-    sequence_attack_accuracy: float
-    membership_accuracy: float
-    membership_auc: float
-    random_baseline_sequence: float
-    random_baseline_membership: float
-    hide_probability: float
+def battery(syn: Corpus, truth: Corpus, p_hide: float, rng,
+            members: list[GridTrace] | None = None,
+            nonmembers: list[GridTrace] | None = None):
+    """The privacy battery against a published synthetic corpus.
 
-    def to_dict(self) -> dict:
-        return {
-            "sequence_attack_accuracy": self.sequence_attack_accuracy,
-            "membership_accuracy": self.membership_accuracy,
-            "membership_auc": self.membership_auc,
-            "random_baseline_sequence": self.random_baseline_sequence,
-            "random_baseline_membership": self.random_baseline_membership,
-            "hide_probability": self.hide_probability,
-        }
+    Fits the adversary's order-1, 24-bucket Markov prior on ``syn``, hides
+    and reconstructs the points of ``truth``, and runs the membership attack
+    when targets are given.  ``rng`` is drawn from in that order.  Returns
+    the report block and the MembershipResult (None without targets).
+    """
+    prior = MarkovGenerator.fit(syn, order=1, time_buckets=24)
+    block = {
+        "sequence_attack_accuracy": run_sequence_attack(truth, prior, p_hide, rng),
+        "random_baseline_sequence": 1.0 / prior.alphabet.size,
+        "hide_probability": p_hide,
+        "random_baseline_membership": 0.5,
+        "membership": {"skipped": True},
+    }
+    mem = None
+    if members is not None or nonmembers is not None:
+        mem = membership_attack(syn, members, nonmembers, rng)
+        block["membership"] = mem.to_dict()
+    return block, mem

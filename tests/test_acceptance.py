@@ -19,9 +19,9 @@ from scipy.special import ndtr
 from scipy.stats import kstest, ttest_1samp
 
 import mobsynth
-from mobsynth.copula import pair_fit
+from mobsynth.copula import KernelPairCopula
 from mobsynth.dataio import Corpus, GridTrace, SimulatorParams, simulate_ground_truth
-from mobsynth.generators import markov_fit, vine_fit_generator
+from mobsynth.generators import MarkovGenerator, VineGenerator
 from mobsynth.geogrid import GridSpec
 from mobsynth.metrics import mi_decay, mmd_test, topn_report, visit_runs
 from mobsynth.privacy import membership_attack, run_sequence_attack
@@ -63,9 +63,9 @@ def fidelity_runs():
     for rep in range(N_REPS):
         train = _sim(1000 + rep)
         held = _sim(2000 + rep)
-        vine = vine_fit_generator(train, seed=0, **VINE_KW)
+        vine = VineGenerator.fit(train, seed=0, **VINE_KW)
         vine_syn = vine.generate(SIM_USERS, SIM_STEPS, 0, seed=3000 + rep)
-        markov = markov_fit(train, order=0)
+        markov = MarkovGenerator.fit(train, order=0)
         markov_syn = markov.generate(SIM_USERS, SIM_STEPS, 0, seed=3000 + rep)
         tv_vine = topn_report(held, vine_syn, n=50).tv_visit
         tv_markov = topn_report(held, markov_syn, n=50).tv_visit
@@ -87,7 +87,7 @@ class TestCriterion1CopulaCorrectness:
             cov = np.array([[1.0, rho], [rho, 1.0]])
             z = rng.multivariate_normal([0.0, 0.0], cov, size=4000)
             u, v = ndtr(z[:, 0]), ndtr(z[:, 1])
-            c = pair_fit(u, v)
+            c = KernelPairCopula.fit(u, v)
             tau_hat = c.kendall_tau(4000, np.random.default_rng(7))
             tau_true = (2.0 / math.pi) * math.asin(rho)
             tau_errs.append(abs(tau_hat - tau_true))
@@ -198,7 +198,7 @@ class TestCriterion5Privacy:
                       np.arange(400, dtype=np.int64) * 600)
             for i in range(10)]
         truth = Corpus(spec=SPEC, traces=uniform_traces, sampling_period=600)
-        prior = markov_fit(truth, order=0, time_buckets=1, alpha=100.0)
+        prior = MarkovGenerator.fit(truth, order=0, time_buckets=1, alpha=100.0)
         accuracy = run_sequence_attack(truth, prior, p_hide=1.0,
                                        rng=np.random.default_rng(6))
         seq_err = abs(accuracy - 1.0 / m)
@@ -217,8 +217,8 @@ class TestCriterion5Privacy:
         for rep in range(N_REPS):
             mem = _sim(7100 + rep).traces
             non = _sim(7200 + rep).traces
-            gen = markov_fit(Corpus(spec=SPEC, traces=mem,
-                                    sampling_period=600), order=1)
+            gen = MarkovGenerator.fit(Corpus(spec=SPEC, traces=mem,
+                                             sampling_period=600), order=1)
             syn = gen.generate(len(mem), SIM_STEPS, 0, seed=rep)
             aucs.append(membership_attack(syn, mem, non,
                                           rng=np.random.default_rng(rep)).auc)
@@ -237,7 +237,7 @@ class TestCriterion6Efficiency:
     def test_fit_generate_runtime(self, capfd):
         corpus = _sim(8000, users=100, steps=1000, hotspots=286)
         t0 = time.time()
-        gen = vine_fit_generator(corpus, seed=0, **VINE_KW)
+        gen = VineGenerator.fit(corpus, seed=0, **VINE_KW)
         gen.generate(100, 1000, 0, seed=1)
         elapsed = time.time() - t0
         ok = elapsed < 60.0
@@ -251,8 +251,8 @@ class TestCriterion6Efficiency:
             steps = rows // users + 4
             corpus = _sim(8100, users=users, steps=steps, hotspots=286)
             t0 = time.time()
-            vine_fit_generator(corpus, window=4, max_scores=1000,
-                               bandwidth_scale=0.1, max_rows=None, seed=0)
+            VineGenerator.fit(corpus, window=4, max_scores=1000,
+                              bandwidth_scale=0.1, max_rows=None, seed=0)
             times.append(time.time() - t0)
         slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
         ok = slope < 2.0

@@ -7,8 +7,9 @@ import pytest
 
 from mobsynth import cli, dataio
 from mobsynth.cli import (EXIT_DOMAIN, EXIT_INCOMPATIBLE, EXIT_NOT_FOUND,
-                          EXIT_OK, EXIT_PARSE, main, read_config)
+                          EXIT_OK, EXIT_PARSE, EXIT_USAGE, main, read_config)
 from mobsynth.errors import ParseError
+from mobsynth.geogrid import decode
 
 
 def run(*argv):
@@ -41,6 +42,10 @@ class TestSimulate:
 
     def test_seed_required(self, tmp_path):
         assert run("simulate", "--out", str(tmp_path / "x.csv")) == EXIT_DOMAIN
+
+    def test_no_users_is_domain_error(self, tmp_path):
+        assert run("--seed", "1", "simulate", "--out", str(tmp_path / "x.csv"),
+                   "--users", "0") == EXIT_DOMAIN
 
 
 class TestIngest:
@@ -98,6 +103,21 @@ class TestFitGenerate:
                 "--out", str(out), "--n-traces", "3", "--trace-len", "50")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("damage", ["missing_key", "short_array"])
+    def test_malformed_model_is_parse_error(self, tmp_path, corpus_file, damage):
+        model = tmp_path / "m.json"
+        run("fit", "--corpus", str(corpus_file), "--model-type", "markov",
+            "--out", str(model))
+        envelope = json.loads(model.read_text())
+        if damage == "missing_key":
+            del envelope["payload"]["alphabet"]
+        else:
+            envelope["payload"]["alphabet"]["shape"][0] += 1
+        model.write_text(json.dumps(envelope))
+        assert run("--seed", "1", "generate", "--model", str(model),
+                   "--out", str(tmp_path / "s.csv"), "--n-traces", "2",
+                   "--trace-len", "10") == EXIT_PARSE
+
     def test_model_not_found(self, tmp_path):
         assert run("--seed", "1", "generate", "--model",
                    str(tmp_path / "nope.json"), "--out",
@@ -124,7 +144,6 @@ def _targets_file(tmp_path, member_corpus, nonmember_corpus):
             loaded = dataio.load_corpus(corpus)
             for trace in loaded.traces:
                 for cell, ts in zip(trace.cells, trace.timestamps):
-                    from mobsynth.geogrid import decode
                     lat, lon = decode(loaded.spec, int(cell))
                     w.writerow([f"{flag}_{trace.user_id}", int(ts),
                                 repr(lat), repr(lon), flag])
@@ -193,9 +212,46 @@ class TestAttack:
                    str(targets), "--out", str(out)) == EXIT_OK
         result = json.loads(out.read_text())
         priv = result["privacy"]
-        assert 0.0 <= priv["membership_auc"] <= 1.0
+        assert 0.0 <= priv["membership"]["auc"] <= 1.0
         assert 0.0 <= priv["sequence_attack_accuracy"] <= 1.0
         assert (tmp_path / "privacy_scores.csv").exists()
+
+    def test_privacy_schema_matches_evaluate(self, tmp_path, corpus_file, monkeypatch):
+        syn = _make_syn(tmp_path, corpus_file)
+        other = tmp_path / "other.csv"
+        run("--seed", "7", "simulate", "--out", str(other), "--users", "5",
+            "--steps", "150", "--hotspots", "10")
+        targets = _targets_file(tmp_path, corpus_file, other)
+        outdir = tmp_path / "report"
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        assert run("--seed", "8", "evaluate", "--real", str(corpus_file),
+                   "--syn", str(syn), "--outdir", str(outdir),
+                   "--tau-max", "4", "--n-permutations", "10",
+                   "--targets", str(targets)) == EXIT_OK
+        out = tmp_path / "priv.json"
+        assert run("--seed", "9", "attack", "--syn", str(syn), "--targets",
+                   str(targets), "--out", str(out)) == EXIT_OK
+        report = json.loads((outdir / "report.json").read_text())["privacy"]
+        priv = json.loads(out.read_text())["privacy"]
+        assert set(report) == set(priv)
+        assert set(report["membership"]) == set(priv["membership"])
+
+    def test_target_id_with_both_labels_is_parse_error(self, tmp_path, corpus_file,
+                                                       capsys):
+        syn = _make_syn(tmp_path, corpus_file)
+        targets = tmp_path / "targets.csv"
+        loaded = dataio.load_corpus(corpus_file)
+        with open(targets, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["user_id", "timestamp", "lat", "lon", "is_member"])
+            for trace, flag in zip(loaded.traces[:2], (1, 0)):
+                for cell, ts in zip(trace.cells, trace.timestamps):
+                    lat, lon = decode(loaded.spec, int(cell))
+                    w.writerow(["shared", int(ts), repr(lat), repr(lon), flag])
+        first_nonmember_line = 2 + len(loaded.traces[0])
+        assert run("--seed", "9", "attack", "--syn", str(syn), "--targets",
+                   str(targets), "--out", str(tmp_path / "p.json")) == EXIT_PARSE
+        assert f"line {first_nonmember_line}:" in capsys.readouterr().err
 
 
 class TestConfig:
@@ -219,6 +275,19 @@ class TestConfig:
         corpus = dataio.load_corpus(out)
         assert len(corpus) == 7                      # from config
         assert len(corpus.traces[0]) == 60           # flag beats config
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("users=7\ntrace_lenn=30\n")
+        with pytest.raises(SystemExit) as err:
+            run("--seed", "1", "--config", str(cfg), "simulate",
+                "--out", str(tmp_path / "c.csv"))
+        assert err.value.code == EXIT_USAGE
+        assert "trace_lenn" in capsys.readouterr().err
+        # a key of another command is accepted
+        cfg.write_text("users=7\nn_traces=30\n")
+        assert run("--seed", "1", "--config", str(cfg), "simulate",
+                   "--out", str(tmp_path / "c.csv"), "--steps", "20") == EXIT_OK
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

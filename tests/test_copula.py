@@ -6,9 +6,8 @@ from scipy.special import ndtr
 from scipy.stats import kendalltau, kstest
 
 from mobsynth.copula import (EmpiricalMargin, KernelPairCopula, VineModel,
-                             default_trunc_level, h_forward, h_inverse,
-                             margin_fit, pair_fit, pseudo_observations,
-                             sklar_logpdf, vine_fit)
+                             default_trunc_level, pseudo_observations,
+                             vine_fit)
 from mobsynth.errors import DomainError, InsufficientDataError
 
 
@@ -34,7 +33,7 @@ class TestEmpiricalMargin:
     def test_quantile_inverts_pit(self):
         rng = np.random.default_rng(0)
         sample = rng.normal(size=400)
-        m = margin_fit(sample)
+        m = EmpiricalMargin(sample)
         x = np.linspace(sample.min(), sample.max(), 101)
         back = m.quantile(m.pit(x))
         assert np.allclose(back, x, atol=1e-12)
@@ -57,7 +56,7 @@ class TestEmpiricalMargin:
     def test_pit_is_uniform_on_continuous_data(self):
         rng = np.random.default_rng(1)
         sample = rng.gamma(2.0, size=3000)
-        m = margin_fit(sample)
+        m = EmpiricalMargin(sample)
         p = kstest(m.pit(sample), "uniform").pvalue
         assert p > 0.01
 
@@ -87,7 +86,7 @@ class TestKernelPairCopula:
 
     def test_independence_density_near_one(self):
         u, v = gaussian_copula_sample(0.0, 4000, seed=3)
-        c = pair_fit(u, v)
+        c = KernelPairCopula.fit(u, v)
         grid = np.linspace(0.15, 0.85, 7)
         uu, vv = np.meshgrid(grid, grid)
         dens = c.density(uu.ravel(), vv.ravel())
@@ -95,7 +94,7 @@ class TestKernelPairCopula:
 
     def test_independence_h_is_identity(self):
         u, v = gaussian_copula_sample(0.0, 4000, seed=4)
-        c = pair_fit(u, v)
+        c = KernelPairCopula.fit(u, v)
         grid = np.linspace(0.1, 0.9, 9)
         uu, vv = np.meshgrid(grid, grid)
         h = c.h_u_given_v(uu.ravel(), vv.ravel())
@@ -104,14 +103,14 @@ class TestKernelPairCopula:
     @pytest.mark.parametrize("rho", [0.3, 0.8])
     def test_kendall_tau_matches_gaussian(self, rho):
         u, v = gaussian_copula_sample(rho, 8000, seed=5)
-        c = pair_fit(u, v)
+        c = KernelPairCopula.fit(u, v)
         tau_target = 2.0 / math.pi * math.asin(rho)
         tau = c.kendall_tau(4000, np.random.default_rng(6))
         assert abs(tau - tau_target) < 0.05
 
     def test_h_inverse_roundtrip(self):
         u, v = gaussian_copula_sample(0.8, 3000, seed=7)
-        c = pair_fit(u, v)
+        c = KernelPairCopula.fit(u, v)
         rng = np.random.default_rng(8)
         p = rng.uniform(0.001, 0.999, size=500)
         cond = rng.uniform(0.01, 0.99, size=500)
@@ -122,7 +121,7 @@ class TestKernelPairCopula:
 
     def test_h_is_monotone(self):
         u, v = gaussian_copula_sample(0.5, 2000, seed=9)
-        c = pair_fit(u, v)
+        c = KernelPairCopula.fit(u, v)
         us = np.linspace(0.01, 0.99, 50)
         h = c.h_u_given_v(us, np.full(50, 0.3))
         assert np.all(np.diff(h) > 0)
@@ -130,7 +129,7 @@ class TestKernelPairCopula:
     def test_density_integrates_to_one_in_u(self):
         # integral over u of c(u, v) is the conditional total mass, i.e. 1
         u, v = gaussian_copula_sample(0.6, 3000, seed=10)
-        c = pair_fit(u, v)
+        c = KernelPairCopula.fit(u, v)
         us = np.linspace(0.0005, 0.9995, 2001)
         for cond in (0.25, 0.5, 0.8):
             total = np.trapezoid(c.density(us, np.full_like(us, cond)), us)
@@ -138,27 +137,18 @@ class TestKernelPairCopula:
 
     def test_sample_pit_uniform(self):
         u, v = gaussian_copula_sample(0.8, 3000, seed=11)
-        c = pair_fit(u, v)
+        c = KernelPairCopula.fit(u, v)
         us, vs = c.sample(3000, np.random.default_rng(12))
         assert kstest(vs, "uniform").pvalue > 0.01
         assert kstest(us, "uniform").pvalue > 0.01
 
     def test_module_level_h_helpers(self):
         u, v = gaussian_copula_sample(0.4, 1500, seed=13)
-        c = pair_fit(u, v)
+        c = KernelPairCopula.fit(u, v)
         p = np.array([0.2, 0.6])
         cond = np.array([0.3, 0.7])
-        uu = h_inverse(c, p, cond)
-        assert np.allclose(h_forward(c, uu, cond), p, atol=1e-8)
-
-    def test_sklar_logpdf_finite_inside_support(self):
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=1500)
-        y = 0.7 * x + 0.3 * rng.normal(size=1500)
-        mx, my = margin_fit(x), margin_fit(y)
-        c = pair_fit(*pseudo_observations(np.column_stack([x, y])).T)
-        lp = sklar_logpdf(mx, my, c, x[:50], y[:50])
-        assert np.all(np.isfinite(lp))
+        uu = c.h_inverse_u_given_v(p, cond)
+        assert np.allclose(c.h_u_given_v(uu, cond), p, atol=1e-8)
 
 
 class TestVine:
@@ -209,7 +199,7 @@ class TestVine:
         # last margin exactly, whatever the conditioning point
         rng = np.random.default_rng(19)
         data = rng.normal(size=(500, 3))
-        margins = [margin_fit(data[:, j]) for j in range(3)]
+        margins = [EmpiricalMargin(data[:, j]) for j in range(3)]
         model = VineModel(margins, trees=[])
         draws = model.conditional_sample([2.0, -2.0], np.random.default_rng(20), size=2000)
         p = kstest(margins[2].pit(draws), "uniform").pvalue

@@ -5,9 +5,7 @@ from mobsynth import dataio, generators
 from mobsynth.dataio import Corpus, GridTrace, simulate_ground_truth
 from mobsynth.errors import (DomainError, IncompatibilityError,
                              InsufficientDataError)
-from mobsynth.generators import (ExternalCorpusGenerator, MarkovGenerator,
-                                 VineGenerator, markov_fit,
-                                 vine_fit_generator)
+from mobsynth.generators import MarkovGenerator, VineGenerator
 from mobsynth.geogrid import GridSpec
 
 SPEC = GridSpec(45.8, 47.8, 5.9, 10.5, level=8)
@@ -28,15 +26,15 @@ def _same_corpus(a: Corpus, b: Corpus) -> bool:
 class TestMarkovGenerator:
     def test_fit_validation(self):
         with pytest.raises(InsufficientDataError):
-            markov_fit(Corpus(spec=SPEC))
+            MarkovGenerator.fit(Corpus(spec=SPEC))
         corpus = _small_corpus()
         with pytest.raises(DomainError):
-            markov_fit(corpus, order=-1)
+            MarkovGenerator.fit(corpus, order=-1)
         with pytest.raises(DomainError):
-            markov_fit(corpus, alpha=0.0)
+            MarkovGenerator.fit(corpus, alpha=0.0)
 
     def test_deterministic_generation(self):
-        model = markov_fit(_small_corpus(), order=1)
+        model = MarkovGenerator.fit(_small_corpus(), order=1)
         a = model.generate(4, 50, 0, seed=5)
         b = model.generate(4, 50, 0, seed=5)
         c = model.generate(4, 50, 0, seed=6)
@@ -47,7 +45,7 @@ class TestMarkovGenerator:
         # order-0 rows are i.i.d. per time bucket, so generated frequencies
         # must match the per-bucket training distribution
         corpus = _small_corpus(users=10, steps=400)
-        model = markov_fit(corpus, order=0)
+        model = MarkovGenerator.fit(corpus, order=0)
         syn = model.generate(200, 144, 0, seed=7)
         train_counts = {}
         for trace in corpus.traces:
@@ -69,7 +67,7 @@ class TestMarkovGenerator:
         assert tv < 0.05
 
     def test_transition_matrix_rows_normalized(self):
-        model = markov_fit(_small_corpus(), order=1)
+        model = MarkovGenerator.fit(_small_corpus(), order=1)
         mat = model.transition_matrix(bucket=3)
         assert np.allclose(mat.sum(axis=1), 1.0)
         assert np.all(mat > 0)          # smoothing leaves no zero entries
@@ -80,19 +78,19 @@ class TestMarkovGenerator:
         cells = np.tile([11, 22], 200)
         trace = GridTrace("u", cells, np.arange(cells.size) * 600)
         corpus = Corpus(spec=SPEC, traces=[trace], sampling_period=600)
-        model = markov_fit(corpus, order=1, time_buckets=1)
+        model = MarkovGenerator.fit(corpus, order=1, time_buckets=1)
         mat = model.transition_matrix(bucket=0)
         i, j = model.alphabet.tolist().index(11), model.alphabet.tolist().index(22)
         assert mat[i, j] > 0.99
         assert mat[j, i] > 0.99
 
     def test_backoff_handles_unseen_context(self):
-        model = markov_fit(_small_corpus(), order=2)
+        model = MarkovGenerator.fit(_small_corpus(), order=2)
         dist = model._distribution((99999,), bucket=0)
         assert dist.sum() == pytest.approx(1.0)
 
     def test_payload_roundtrip(self, tmp_path):
-        model = markov_fit(_small_corpus(), order=1)
+        model = MarkovGenerator.fit(_small_corpus(), order=1)
         path = tmp_path / "markov.json"
         dataio.save_model(model, path)
         loaded = dataio.load_model(path)
@@ -101,27 +99,49 @@ class TestMarkovGenerator:
                             loaded.generate(3, 40, 0, seed=2))
 
     def test_trace_len_validation(self):
-        model = markov_fit(_small_corpus(), order=0)
+        model = MarkovGenerator.fit(_small_corpus(), order=0)
         with pytest.raises(DomainError):
             model.generate(1, 0, 0, seed=1)
+
+    def test_n_traces_validation(self):
+        model = MarkovGenerator.fit(_small_corpus(), order=0)
+        with pytest.raises(DomainError):
+            model.generate(0, 10, 0, seed=1)
+
+    def test_draw_stays_inside_alphabet(self, monkeypatch):
+        # a distribution that sums below 1 stands in for rounding in cumsum:
+        # a uniform draw above the total must not become symbol index V
+        model = MarkovGenerator.fit(_small_corpus(), order=1)
+        v = model.alphabet.size
+        exact = model._distribution
+        contexts = []
+
+        def short(context, bucket):
+            contexts.append(context)
+            return 0.5 * exact(context, bucket)
+
+        monkeypatch.setattr(model, "_distribution", short)
+        syn = model.generate(3, 40, 0, seed=1)
+        assert all(s < v for ctx in contexts for s in ctx)
+        assert all(np.isin(t.cells, model.alphabet).all() for t in syn.traces)
 
 
 @pytest.fixture(scope="module")
 def fitted():
     corpus = simulate_ground_truth(SPEC, 8, 250, 10, seed=3)
-    return vine_fit_generator(corpus, window=4, max_scores=200, seed=0)
+    return VineGenerator.fit(corpus, window=4, max_scores=200, seed=0)
 
 
 class TestVineGenerator:
 
     def test_fit_validation(self):
         with pytest.raises(DomainError):
-            vine_fit_generator(_small_corpus(), window=0)
+            VineGenerator.fit(_small_corpus(), window=0)
         tiny = Corpus(spec=SPEC,
                       traces=[GridTrace("u", [1, 2], [0, 600])],
                       sampling_period=600)
         with pytest.raises(InsufficientDataError):
-            vine_fit_generator(tiny, window=4)
+            VineGenerator.fit(tiny, window=4)
 
     def test_generated_corpus_shape(self, fitted):
         syn = fitted.generate(5, 60, 0, seed=4)
@@ -142,6 +162,10 @@ class TestVineGenerator:
     def test_trace_len_must_exceed_window(self, fitted):
         with pytest.raises(DomainError):
             fitted.generate(2, 4, 0, seed=1)
+
+    def test_n_traces_validation(self, fitted):
+        with pytest.raises(DomainError):
+            fitted.generate(0, 10, 0, seed=1)
 
     def test_payload_roundtrip(self, fitted, tmp_path):
         path = tmp_path / "vine.json"
@@ -175,24 +199,6 @@ class TestVineGenerator:
             total += len(t)
             known += sum(int(c) in train_cells for c in t.cells)
         assert known / total > 0.8
-
-
-class TestExternalCorpus:
-    def test_replay(self, tmp_path):
-        corpus = _small_corpus()
-        path = tmp_path / "ext.csv"
-        dataio.save_corpus(corpus, path)
-        gen = ExternalCorpusGenerator.from_file(path)
-        out = gen.generate(len(corpus), len(corpus.traces[0]), 0, seed=0)
-        assert _same_corpus(out, corpus)
-
-    def test_not_persistable_as_model(self, tmp_path):
-        corpus = _small_corpus()
-        path = tmp_path / "ext.csv"
-        dataio.save_corpus(corpus, path)
-        gen = ExternalCorpusGenerator.from_file(path)
-        with pytest.raises(DomainError):
-            gen.to_payload()
 
 
 class TestPayloadDispatch:

@@ -91,15 +91,6 @@ class TestMmd:
         res = mmd_test(a, b, n_permutations=200)
         assert res.p_value > 0.05
 
-    def test_threading_matches_serial(self):
-        a = simulate_ground_truth(SPEC, 8, 80, 12, seed=7, population_seed=3)
-        b = simulate_ground_truth(SPEC, 8, 80, 12, seed=8, population_seed=3)
-        r1 = mmd_test(a, b, n_permutations=50, rng=np.random.default_rng(9))
-        r2 = mmd_test(a, b, n_permutations=50, rng=np.random.default_rng(9),
-                      threads=4)
-        assert r1.p_value == r2.p_value
-        assert np.array_equal(r1.perm_stats, r2.perm_stats)
-
     def test_validations(self):
         small = _corpus([_trace([1, 2])] * 3)
         big = _corpus([_trace([1, 2])] * 6)

@@ -3,7 +3,7 @@ import pytest
 
 from mobsynth.dataio import Corpus, GridTrace, simulate_ground_truth
 from mobsynth.errors import DomainError
-from mobsynth.generators import markov_fit
+from mobsynth.generators import MarkovGenerator
 from mobsynth.geogrid import GridSpec
 from mobsynth.privacy import (HIDDEN, ObfuscatedTrace, hide_locations,
                               membership_attack, membership_scores,
@@ -61,8 +61,8 @@ class TestSequenceAttack:
     def test_uniform_prior_hits_random_floor(self):
         # with everything hidden and a flat prior the attack cannot beat 1/m
         m = 8
-        prior = markov_fit(_uniform_corpus(m, 10, 500, seed=3), order=1,
-                           time_buckets=1)
+        prior = MarkovGenerator.fit(_uniform_corpus(m, 10, 500, seed=3), order=1,
+                                    time_buckets=1)
         truth = _uniform_corpus(m, 10, 500, seed=4)
         rng = np.random.default_rng(5)
         acc = run_sequence_attack(truth, prior, p_hide=1.0, rng=rng)
@@ -71,14 +71,14 @@ class TestSequenceAttack:
     def test_deterministic_pattern_fully_recovered(self):
         pattern = np.tile([7, 9], 100)
         corpus = _corpus([_trace(pattern)])
-        prior = markov_fit(corpus, order=1, time_buckets=1)
+        prior = MarkovGenerator.fit(corpus, order=1, time_buckets=1)
         obf = hide_locations(corpus.traces[0], 0.4, np.random.default_rng(6))
         recovered = reconstruct_trace(obf, prior)
         assert np.array_equal(recovered, pattern)
 
     def test_informative_prior_beats_floor(self):
         corpus = simulate_ground_truth(SPEC, 6, 300, 12, seed=7)
-        prior = markov_fit(corpus, order=1)
+        prior = MarkovGenerator.fit(corpus, order=1)
         m = len(np.unique(np.concatenate([t.cells for t in corpus.traces])))
         rng = np.random.default_rng(8)
         acc = run_sequence_attack(corpus, prior, p_hide=0.3, rng=rng)
@@ -89,7 +89,7 @@ class TestSequenceAttack:
 
     def test_nothing_hidden_raises(self):
         corpus = _corpus([_trace([1, 2, 3])])
-        prior = markov_fit(corpus, order=1)
+        prior = MarkovGenerator.fit(corpus, order=1)
         obf = [hide_locations(t, 0.0, np.random.default_rng(0))
                for t in corpus.traces]
         with pytest.raises(DomainError):
@@ -97,13 +97,13 @@ class TestSequenceAttack:
 
     def test_alignment_checked(self):
         corpus = _corpus([_trace([1, 2, 3])])
-        prior = markov_fit(corpus, order=1)
+        prior = MarkovGenerator.fit(corpus, order=1)
         with pytest.raises(DomainError):
             sequence_attack(corpus, [], prior)
 
     def test_unknown_observed_cells_tolerated(self):
         corpus = _corpus([_trace([1, 2, 1, 2, 1, 2])])
-        prior = markov_fit(corpus, order=1, time_buckets=1)
+        prior = MarkovGenerator.fit(corpus, order=1, time_buckets=1)
         stranger = _trace([1, 5, 1, 2, 1, 2])  # cell 5 unknown to the prior
         obf = hide_locations(stranger, 0.5, np.random.default_rng(10))
         recovered = reconstruct_trace(obf, prior)
