@@ -18,6 +18,7 @@ from .errors import DomainError, InsufficientDataError, NumericalError
 _EPS_U = 1e-9           # clamp for values entering the probit transform
 _H_TOL = 1e-8           # absolute tolerance of h-function inversion
 _H_MAX_ITER = 200
+_ZERO_WEIGHT = 800.0    # exp(-x) is exactly 0.0 in float64 for x > 745.2
 
 DEFAULT_MAX_SCORES = 2000
 
@@ -168,13 +169,19 @@ class KernelPairCopula:
         return self._h_inverse(p, u, cond_axis=0)
 
     def _weight_groups(self, flat_cond, cond_axis, group_size=8, tail=1e-10):
-        """Yield (rows, target_centers, weights) for batches of similar rows.
+        """Yield (rows, other, cols, weights) for batches of similar rows.
 
         Rows are sorted by conditioning value and processed in small groups,
-        so each group only touches the kernel centers whose posterior weight
-        given the group's conditioning values exceeds roughly ``tail`` of
-        the total.  That keeps the per-group kernel matrix narrow without
-        changing any h value beyond the inversion tolerance.
+        so each group only touches a window of kernel centers: those whose
+        posterior weight given the group's conditioning values exceeds
+        roughly ``tail`` of the total.  ``other`` holds the window's centers
+        along the non-conditioning axis.  A row's weight underflows to
+        exactly 0 far from its own conditioning value, so each row is
+        evaluated on a band of window columns only: ``cols[r]`` are the
+        band's window columns and ``weights[r]`` the normalised weights
+        there; every other window column has weight exactly 0.  Sums over
+        the window go through :func:`_window_sum`, which keeps them
+        bit-identical to sums over the whole window.
         """
         z = _to_scores(np.asarray(flat_cond, dtype=float).reshape(-1))
         b = self.bandwidth
@@ -187,26 +194,38 @@ class KernelPairCopula:
         m = c_sorted.size
         # distance to the nearest center along the conditioning axis bounds
         # how far relevant components can sit: anything beyond
-        # sqrt(d_min^2 + 2 b^2 log(m / tail)) holds < tail relative weight
+        # sqrt(d_min^2 + 2 b^2 log(m / tail)) holds < tail relative weight,
+        # and anything beyond sqrt(d_min^2 + 2 b^2 _ZERO_WEIGHT) holds none
         pos = np.searchsorted(c_sorted, z)
         left = c_sorted[np.clip(pos - 1, 0, m - 1)]
         right = c_sorted[np.clip(pos, 0, m - 1)]
         d_min = np.minimum(np.abs(z - left), np.abs(z - right))
         reach = np.sqrt(d_min * d_min + 2.0 * b * b * np.log(m / tail))
+        radius = np.sqrt(d_min * d_min + 2.0 * b * b * _ZERO_WEIGHT)
         row_order = np.argsort(z, kind="stable")
-        for start in range(0, z.size, group_size):
-            rows = row_order[start:start + group_size]
-            zg = z[rows]
-            rg = reach[rows]
-            lo = int(np.searchsorted(c_sorted, np.min(zg - rg)))
-            hi = int(np.searchsorted(c_sorted, np.max(zg + rg)))
-            lo, hi = max(lo, 0), min(max(hi, lo + 1), m)
-            d = (zg[:, None] - c_sorted[None, lo:hi]) / b
+        zs, rs, ds = z[row_order], reach[row_order], radius[row_order]
+        starts = np.arange(0, z.size, group_size)
+        lo = np.searchsorted(c_sorted, np.minimum.reduceat(zs - rs, starts))
+        hi = np.searchsorted(c_sorted, np.maximum.reduceat(zs + rs, starts))
+        hi = np.minimum(np.maximum(hi, lo + 1), m)
+        sizes = np.diff(np.append(starts, z.size))
+        row_lo, row_hi = np.repeat(lo, sizes), np.repeat(hi, sizes)
+        band_lo = np.clip(np.searchsorted(c_sorted, zs - ds), row_lo, row_hi)
+        band_hi = np.clip(np.searchsorted(c_sorted, zs + ds, side="right"),
+                          row_lo, row_hi)
+        band_w = np.maximum(np.maximum.reduceat(band_hi - band_lo, starts), 1)
+        # every band of a group is band_w wide and stays inside the window
+        band_lo = np.minimum(band_lo, np.repeat(hi - band_w, sizes)) - row_lo
+        for g, start in enumerate(starts):
+            stop = start + group_size
+            lo_g, hi_g = int(lo[g]), int(hi[g])
+            cols = band_lo[start:stop, None] + np.arange(band_w[g])
+            d = (zs[start:stop, None] - c_sorted[lo_g:hi_g][cols]) / b
             d2 = d * d
             d2 -= d2.min(axis=1, keepdims=True)  # keep exp() from underflowing
             w = np.exp(-0.5 * d2)
-            w /= w.sum(axis=1, keepdims=True)
-            yield rows, t_sorted[lo:hi], w
+            w /= _window_sum(w, cols, hi_g - lo_g)[:, None]
+            yield row_order[start:stop], t_sorted[lo_g:hi_g], cols, w
 
     def _h(self, x, cond, cond_axis):
         x_arr = np.asarray(x, dtype=float)
@@ -215,9 +234,10 @@ class KernelPairCopula:
         flat_cond = np.broadcast_to(np.asarray(cond, dtype=float), shape).reshape(-1)
         out = np.empty(flat_x.size)
         b = self.bandwidth
-        for rows, cen, w in self._weight_groups(flat_cond, cond_axis):
-            z = _to_scores(flat_x[rows])
-            out[rows] = np.sum(w * ndtr((z[:, None] - cen[None, :]) / b), axis=1)
+        z = _to_scores(flat_x)
+        for rows, other, cols, w in self._weight_groups(flat_cond, cond_axis):
+            out[rows] = _window_sum(
+                w * ndtr((z[rows, None] - other[cols]) / b), cols, other.size)
         out = np.clip(out, 1e-12, 1.0 - 1e-12)
         return out.reshape(shape) if shape else float(out[0])
 
@@ -229,8 +249,10 @@ class KernelPairCopula:
         if np.any(flat_p <= 0) or np.any(flat_p >= 1):
             raise DomainError("h_inverse target must lie strictly inside (0, 1)")
         out = np.empty(flat_p.size)
-        for rows, cen, w in self._weight_groups(flat_cond, cond_axis):
-            out[rows] = _invert_mixture(flat_p[rows], cen, w, self.bandwidth)
+        for rows, other, cols, w in self._weight_groups(flat_cond, cond_axis):
+            out[rows] = _invert_mixture(flat_p[rows], other,
+                                        _to_window(w, cols, other.size),
+                                        self.bandwidth)
         out = np.clip(out, 1e-12, 1.0 - 1e-12)
         return out.reshape(shape) if shape else float(out[0])
 
@@ -259,20 +281,23 @@ class KernelPairCopula:
         out = np.empty(flat_q.size)
         b = self.bandwidth
         # a 1e-5 relative tail is far below sampling noise
-        for rows, cen, w in self._weight_groups(flat_cond, cond_axis,
-                                                tail=1e-5):
+        for rows, other, cols, w in self._weight_groups(flat_cond, cond_axis,
+                                                        tail=1e-5):
+            # the window's cumulative weights, pinned to 1 at its last
+            # column, are 0 before the band and the band's total after it
+            width, band_w = other.size, w.shape[1]
             cum = np.cumsum(w, axis=1)
-            cum[:, -1] = 1.0
+            cum[cols[:, -1] == width - 1, -1] = 1.0
             qr = flat_q[rows]
-            k = np.minimum((cum < qr[:, None]).sum(axis=1), w.shape[1] - 1)
-            prev = np.where(
-                k > 0,
-                np.take_along_axis(cum, np.maximum(k - 1, 0)[:, None], 1)[:, 0],
-                0.0,
-            )
-            wk = np.take_along_axis(w, k[:, None], 1)[:, 0]
+            after = np.where(cum[:, -1] < qr, width - 2 - cols[:, -1], 0)
+            k = np.minimum(cols[:, 0] + (cum < qr[:, None]).sum(axis=1) + after,
+                           width - 1)
+            j = k - cols[:, 0]
+            at = np.arange(j.size)
+            prev = np.where(j > 0, cum[at, np.clip(j - 1, 0, band_w - 1)], 0.0)
+            wk = np.where(j < band_w, w[at, np.minimum(j, band_w - 1)], 0.0)
             r = np.clip((qr - prev) / np.maximum(wk, 1e-300), 1e-12, 1.0 - 1e-12)
-            out[rows] = ndtr(cen[k] + b * ndtri(r))
+            out[rows] = ndtr(other[k] + b * ndtri(r))
         out = np.clip(out, 1e-12, 1.0 - 1e-12)
         return out.reshape(shape) if shape else float(out[0])
 
@@ -293,6 +318,26 @@ class KernelPairCopula:
 
     def to_payload(self) -> dict:
         return {"scores": self.scores, "bandwidth": self.bandwidth}
+
+
+def _to_window(vals, cols, width):
+    """Scatter band values to their window columns, with 0 everywhere else."""
+    band_w = vals.shape[1]
+    if band_w == width:
+        return vals
+    full = np.zeros((vals.shape[0], width))
+    for r, start in enumerate(cols[:, 0].tolist()):
+        full[r, start:start + band_w] = vals[r]
+    return full
+
+
+def _window_sum(vals, cols, width):
+    """Row sums of band values in the rounding order of the whole window.
+
+    numpy sums pairwise, so a sum over the band alone may round
+    differently from the same values padded with the window's zeros.
+    """
+    return _to_window(vals, cols, width).sum(axis=1)
 
 
 def _invert_mixture(p, centers, w, b):

@@ -12,6 +12,7 @@ import base64
 import csv
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -173,6 +174,9 @@ def _parse_rows(reader, spec: GridSpec):
             raise ParseError(str(exc), line=lineno) from exc
         if ts < 0:
             raise ParseError(f"negative timestamp {ts}", line=lineno)
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise ParseError(f"non-finite coordinate ({row[2].strip()}, {row[3].strip()})",
+                             line=lineno)
         if not (spec.lat_min <= lat <= spec.lat_max and spec.lon_min <= lon <= spec.lon_max):
             n_oob += 1
             continue
@@ -309,6 +313,8 @@ class GroundTruthSimulator:
     def simulate(self, trace_len: int, sampling_period: int, start_time: int = 0) -> Corpus:
         if trace_len < 1:
             raise DomainError("trace_len must be >= 1")
+        if sampling_period <= 0:
+            raise DomainError(f"sampling_period must be positive, got {sampling_period}")
         timestamps = start_time + sampling_period * np.arange(trace_len, dtype=np.int64)
         hours = hour_of_day(timestamps)
         p = self.params

@@ -12,10 +12,13 @@ import numpy as np
 
 from . import copula, dataio
 from .dataio import Corpus, GridTrace, hour_of_day
-from .errors import DomainError, IncompatibilityError, InsufficientDataError
+from .errors import (DomainError, IncompatibilityError, InsufficientDataError,
+                     ParseError)
 from .geogrid import GridSpec
 
 HOURS_PER_DAY = 24
+# cells of one (traces x alphabet) block of Markov draws, about 32 MB
+_CHUNK_CELLS = 1 << 22
 
 
 class Generator:
@@ -39,8 +42,9 @@ class Generator:
 # ---------------------------------------------------------------------------
 
 class MarkovGenerator(Generator):
-    """k-order Markov chain over cells, bucketed by time of day, with
-    additive smoothing and back-off to shorter contexts down to order 0."""
+    """k-order Markov chain over cells, bucketed by time of day, with additive
+    smoothing and back-off down to order 0.  ``counts[k]`` has one sorted row
+    (bucket, ctx_1..ctx_k, next, count) per observed order-k transition."""
 
     model_type = "markov"
 
@@ -55,58 +59,53 @@ class MarkovGenerator(Generator):
         self.time_buckets = int(time_buckets)
         self.alpha = float(alpha)
         self.alphabet = np.asarray(alphabet, dtype=np.int64)
-        self._index = {int(c): i for i, c in enumerate(self.alphabet)}
-        # counts[k][(bucket, ctx_tuple)] -> count vector over the alphabet
-        self.counts = counts
-        self.global_counts = np.asarray(global_counts, dtype=float)
+        # column-major, so the column slices _prefix_rows searches are contiguous
+        self.counts = [np.asfortranarray(table, dtype=np.int64) for table in counts]
+        self.global_counts = np.asarray(global_counts, dtype=np.int64)
 
     @classmethod
     def fit(cls, corpus: Corpus, order: int = 1, time_buckets: int = 24,
             alpha: float = 0.01) -> "MarkovGenerator":
         if not corpus.traces:
             raise InsufficientDataError("corpus is empty")
-        alphabet = np.unique(np.concatenate([t.cells for t in corpus.traces]))
-        index = {int(c): i for i, c in enumerate(alphabet)}
-        v = alphabet.size
-        counts = [dict() for _ in range(order + 1)]
-        global_counts = np.zeros(v)
-        for trace in corpus.traces:
-            sym = np.array([index[int(c)] for c in trace.cells])
-            buckets = _bucket_of(trace.timestamps, time_buckets)
-            np.add.at(global_counts, sym, 1.0)
-            for t in range(1, len(sym)):
-                b = int(buckets[t])
-                s = int(sym[t])
-                for k in range(0, order + 1):
-                    if t - k < 0:
-                        break
-                    ctx = tuple(int(x) for x in sym[t - k:t])
-                    key = (b, ctx)
-                    vec = counts[k].get(key)
-                    if vec is None:
-                        vec = np.zeros(v)
-                        counts[k][key] = vec
-                    vec[s] += 1.0
+        alphabet, sym = np.unique(np.concatenate([t.cells for t in corpus.traces]),
+                                  return_inverse=True)
+        buckets = _bucket_of(np.concatenate([t.timestamps for t in corpus.traces]),
+                             time_buckets)
+        pos = np.concatenate([np.arange(len(t)) for t in corpus.traces])
+        counts = []
+        for k in range(order + 1):
+            # a trace's first point is no transition, so even order 0 skips it
+            at = np.flatnonzero(pos >= max(k, 1))
+            steps = np.column_stack([buckets[at]] + [sym[at - j] for j in range(k, -1, -1)])
+            rows, n = np.unique(steps, axis=0, return_counts=True)
+            counts.append(np.column_stack([rows, n]))
         return cls(corpus.spec, corpus.sampling_period, order, time_buckets,
-                   alpha, alphabet, counts, global_counts)
+                   alpha, alphabet, counts, np.bincount(sym, minlength=alphabet.size))
 
-    def _distribution(self, context: tuple, bucket: int) -> np.ndarray:
-        """Smoothed next-symbol distribution with back-off k, k-1, ..., 0."""
-        v = self.alphabet.size
-        for k in range(min(self.order, len(context)), -1, -1):
-            ctx = context[len(context) - k:]
-            vec = self.counts[k].get((bucket, ctx))
-            if vec is not None:
-                return (vec + self.alpha) / (vec.sum() + self.alpha * v)
-        return (self.global_counts + self.alpha) / (self.global_counts.sum() + self.alpha * v)
+    def _distributions(self, contexts, bucket: int) -> np.ndarray:
+        """Smoothed next-symbol distribution of each context, backing off
+        k, k-1, ..., 0 to its longest suffix seen in ``bucket``."""
+        blocks = [_prefix_rows(table, (bucket,))[:, 1:] for table in self.counts]
+        counts = np.zeros((len(contexts), self.alphabet.size))
+        for i, context in enumerate(contexts):
+            for k in range(min(self.order, len(context)), -1, -1):
+                rows = _prefix_rows(blocks[k], context[len(context) - k:])
+                if rows.size:
+                    counts[i, rows[:, -2]] = rows[:, -1]
+                    break
+            else:
+                counts[i] = self.global_counts
+        total = counts.sum(axis=1, keepdims=True) + self.alpha * self.alphabet.size
+        counts += self.alpha
+        return np.divide(counts, total, out=counts)
 
     def transition_matrix(self, bucket: int) -> np.ndarray:
         """Order-1 reduction: smoothed P(next | current, bucket)."""
-        v = self.alphabet.size
-        return np.stack([self._distribution((j,), bucket) for j in range(v)])
+        return self._distributions([(j,) for j in range(self.alphabet.size)], bucket)
 
     def stationary_distribution(self, bucket: int) -> np.ndarray:
-        return self._distribution((), bucket)
+        return self._distributions([()], bucket)[0]
 
     def generate(self, n_traces, trace_len, start_time, seed) -> Corpus:
         if n_traces < 1:
@@ -116,16 +115,20 @@ class MarkovGenerator(Generator):
         v = self.alphabet.size
         timestamps = start_time + self.sampling_period * np.arange(trace_len, dtype=np.int64)
         buckets = _bucket_of(timestamps, self.time_buckets)
-        traces = []
-        for i in range(n_traces):
-            rng = np.random.default_rng([seed, i])
-            sym = np.empty(trace_len, dtype=np.int64)
+        sym = np.empty((n_traces, trace_len), dtype=np.int64)
+        # trace i draws one uniform per step from its own stream, so the
+        # traces can be drawn in blocks that bound the (traces x V) arrays
+        per_block = max(1, _CHUNK_CELLS // v)
+        for lo in range(0, n_traces, per_block):
+            block = sym[lo:lo + per_block]
+            u = np.stack([np.random.default_rng([seed, i]).uniform(size=trace_len)
+                          for i in range(lo, lo + len(block))])
             for t in range(trace_len):
-                ctx = tuple(int(x) for x in sym[max(0, t - self.order):t])
-                dist = self._distribution(ctx, int(buckets[t]))
-                # rounding can leave cumsum(dist)[-1] below the uniform draw
-                sym[t] = min(np.searchsorted(np.cumsum(dist), rng.uniform()), v - 1)
-            traces.append(GridTrace(f"syn_{i}", self.alphabet[sym], timestamps))
+                contexts = block[:, max(0, t - self.order):t].tolist()
+                cdf = np.cumsum(self._distributions(contexts, int(buckets[t])), axis=1)
+                # rounding can leave cdf[:, -1] below the uniform draw
+                block[:, t] = np.minimum((cdf < u[:, t, None]).sum(axis=1), v - 1)
+        traces = [GridTrace(f"syn_{i}", self.alphabet[s], timestamps) for i, s in enumerate(sym)]
         return Corpus(spec=self.spec, traces=traces, sampling_period=self.sampling_period)
 
     def to_payload(self) -> dict:
@@ -135,27 +138,63 @@ class MarkovGenerator(Generator):
             "alpha": self.alpha,
             "alphabet": dataio.encode_array(self.alphabet),
             "global_counts": dataio.encode_array(self.global_counts),
-            "counts": [
-                [
-                    {"bucket": b, "context": list(ctx), "counts": dataio.encode_array(vec)}
-                    for (b, ctx), vec in sorted(level.items())
-                ]
-                for level in self.counts
-            ],
+            "counts": [dataio.encode_array(table) for table in self.counts],
         }
 
     @classmethod
     def from_payload(cls, spec, sampling_period, payload) -> "MarkovGenerator":
-        counts = []
-        for level in payload["counts"]:
-            d = {}
-            for entry in level:
-                d[(int(entry["bucket"]), tuple(int(x) for x in entry["context"]))] = \
-                    dataio.decode_array(entry["counts"])
-            counts.append(d)
-        return cls(spec, sampling_period, payload["order"], payload["time_buckets"],
-                   payload["alpha"], dataio.decode_array(payload["alphabet"]),
-                   counts, dataio.decode_array(payload["global_counts"]))
+        order, time_buckets = int(payload["order"]), int(payload["time_buckets"])
+        alphabet = dataio.decode_array(payload["alphabet"])
+        counts, global_counts = _read_counts(payload, order, time_buckets, alphabet.size)
+        return cls(spec, sampling_period, order, time_buckets, payload["alpha"],
+                   alphabet, counts, global_counts)
+
+
+def _prefix_rows(table: np.ndarray, key) -> np.ndarray:
+    """Rows of a sorted count table whose leading columns equal ``key``."""
+    lo, hi = 0, table.shape[0]
+    for j, x in enumerate(key):
+        lo, hi = lo + table[lo:hi, j].searchsorted([x, x + 1])
+    return table[lo:hi]
+
+
+def _read_counts(payload, order: int, time_buckets: int, v: int):
+    """The count tables and global counts of a model file, checked."""
+    tables = payload["counts"]
+    if not isinstance(tables, list) or len(tables) != order + 1:
+        raise ParseError(f"payload.counts: expected a list of order+1 = {order + 1} "
+                         "count tables")
+    counts = []
+    for k, enc in enumerate(tables):
+        where = f"payload.counts[{k}]"
+        if not isinstance(enc, dict):
+            # the earlier layout held a list of per-(bucket, context) entries
+            raise ParseError(f"{where}: expected one encoded count table, "
+                             f"got {type(enc).__name__}")
+        table = dataio.decode_array(enc)
+        if table.ndim != 2 or table.shape[1] != k + 3 or table.dtype.kind not in "iu":
+            raise ParseError(f"{where}: expected an integer table with {k + 3} columns, "
+                             f"got {table.dtype} {table.shape}")
+        table = table.astype(np.int64)
+        bucket, symbols, n = table[:, 0], table[:, 1:-1], table[:, -1]
+        if np.any((bucket < 0) | (bucket >= time_buckets)):
+            raise ParseError(f"{where}: bucket outside [0, {time_buckets})")
+        if np.any((symbols < 0) | (symbols >= v)):
+            raise ParseError(f"{where}: symbol outside [0, {v})")
+        if np.any(n < 1):
+            raise ParseError(f"{where}: count below 1")
+        # strictly increasing keys: sorted, and no repeated (bucket, ctx, next)
+        step = np.diff(table[:, :-1], axis=0)
+        if np.any(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] <= 0):
+            raise ParseError(f"{where}: rows out of order or a repeated "
+                             "(bucket, context, next) row")
+        counts.append(table)
+    global_counts = dataio.decode_array(payload["global_counts"])
+    if (global_counts.shape != (v,) or global_counts.dtype.kind not in "iu"
+            or np.any(global_counts < 0)):
+        raise ParseError(f"payload.global_counts: expected {v} non-negative integer "
+                         f"counts, got {global_counts.dtype} {global_counts.shape}")
+    return counts, global_counts
 
 
 def _bucket_of(timestamps, time_buckets) -> np.ndarray:
@@ -208,8 +247,6 @@ class VineGenerator(Generator):
             tod = (hour_of_day(trace.timestamps)
                    + rng.uniform(0.0, period_hours, size=len(trace))) % HOURS_PER_DAY
             n = len(trace)
-            if n < w + 1:
-                continue
             block = np.column_stack(
                 [pos[k:n - w + k] for k in range(w - 1)]
                 + [tod[w:], pos[w - 1:n - 1], pos[w:]])

@@ -47,6 +47,15 @@ class TestSimulate:
         assert run("--seed", "1", "simulate", "--out", str(tmp_path / "x.csv"),
                    "--users", "0") == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("period", ["0", "-600"])
+    def test_non_positive_period_is_domain_error(self, tmp_path, capsys, period):
+        out = tmp_path / "x.csv"
+        assert run("--seed", "1", "simulate", "--out", str(out),
+                   "--period", period) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "sampling_period" in err and "timestamps" not in err
+        assert not out.exists()
+
 
 class TestIngest:
     def test_roundtrip(self, tmp_path, corpus_file):
@@ -103,20 +112,44 @@ class TestFitGenerate:
                 "--out", str(out), "--n-traces", "3", "--trace-len", "50")
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("damage", ["missing_key", "short_array"])
-    def test_malformed_model_is_parse_error(self, tmp_path, corpus_file, damage):
+    @pytest.mark.parametrize("damage", ["missing_key", "short_array", "wrong_columns",
+                                        "symbol_out_of_range", "zero_count",
+                                        "repeated_row", "unsorted_rows", "old_layout"])
+    def test_malformed_model_is_parse_error(self, tmp_path, corpus_file, damage,
+                                            capsys):
         model = tmp_path / "m.json"
         run("fit", "--corpus", str(corpus_file), "--model-type", "markov",
             "--out", str(model))
         envelope = json.loads(model.read_text())
+        payload = envelope["payload"]
+        order1 = dataio.decode_array(payload["counts"][1])
         if damage == "missing_key":
-            del envelope["payload"]["alphabet"]
+            del payload["alphabet"]
+        elif damage == "short_array":
+            payload["alphabet"]["shape"][0] += 1
+        elif damage == "wrong_columns":
+            payload["counts"][1] = dataio.encode_array(order1[:, :3])
+        elif damage == "symbol_out_of_range":
+            order1[0, 1] = 10 ** 6
+            payload["counts"][1] = dataio.encode_array(order1)
+        elif damage == "zero_count":
+            order1[0, -1] = 0
+            payload["counts"][1] = dataio.encode_array(order1)
+        elif damage == "repeated_row":
+            payload["counts"][1] = dataio.encode_array(order1[[0, 0]])
+        elif damage == "unsorted_rows":
+            payload["counts"][1] = dataio.encode_array(order1[::-1])
         else:
-            envelope["payload"]["alphabet"]["shape"][0] += 1
+            # the per-(bucket, context) entries of the earlier file layout
+            payload["counts"] = [[{"bucket": 0, "context": [0] * k,
+                                   "counts": payload["global_counts"]}]
+                                 for k in range(2)]
         model.write_text(json.dumps(envelope))
         assert run("--seed", "1", "generate", "--model", str(model),
                    "--out", str(tmp_path / "s.csv"), "--n-traces", "2",
                    "--trace-len", "10") == EXIT_PARSE
+        if damage not in ("missing_key", "short_array"):
+            assert "payload.counts" in capsys.readouterr().err
 
     def test_model_not_found(self, tmp_path):
         assert run("--seed", "1", "generate", "--model",

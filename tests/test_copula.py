@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 from scipy.stats import kendalltau, kstest
 
 from mobsynth.copula import (EmpiricalMargin, KernelPairCopula, VineModel,
-                             default_trunc_level, pseudo_observations,
-                             vine_fit)
+                             _invert_mixture, _to_scores, default_trunc_level,
+                             pseudo_observations, vine_fit)
 from mobsynth.errors import DomainError, InsufficientDataError
 
 
@@ -149,6 +151,102 @@ class TestKernelPairCopula:
         cond = np.array([0.3, 0.7])
         uu = c.h_inverse_u_given_v(p, cond)
         assert np.allclose(c.h_u_given_v(uu, cond), p, atol=1e-8)
+
+
+def _dense_groups(cop, flat_cond, cond_axis, tail):
+    """Reference weight groups: every row over its group's whole window."""
+    z = _to_scores(np.asarray(flat_cond, dtype=float).reshape(-1))
+    b = cop.bandwidth
+    order = np.argsort(cop.scores[:, cond_axis], kind="stable")
+    c_sorted = cop.scores[order, cond_axis]
+    t_sorted = cop.scores[order, 1 - cond_axis]
+    m = c_sorted.size
+    pos = np.searchsorted(c_sorted, z)
+    left = c_sorted[np.clip(pos - 1, 0, m - 1)]
+    right = c_sorted[np.clip(pos, 0, m - 1)]
+    d_min = np.minimum(np.abs(z - left), np.abs(z - right))
+    reach = np.sqrt(d_min * d_min + 2.0 * b * b * np.log(m / tail))
+    row_order = np.argsort(z, kind="stable")
+    for start in range(0, z.size, 8):
+        rows = row_order[start:start + 8]
+        zg, rg = z[rows], reach[rows]
+        lo = int(np.searchsorted(c_sorted, np.min(zg - rg)))
+        hi = int(np.searchsorted(c_sorted, np.max(zg + rg)))
+        lo, hi = max(lo, 0), min(max(hi, lo + 1), m)
+        d = (zg[:, None] - c_sorted[None, lo:hi]) / b
+        d2 = d * d
+        d2 -= d2.min(axis=1, keepdims=True)
+        w = np.exp(-0.5 * d2)
+        w /= w.sum(axis=1, keepdims=True)
+        yield rows, t_sorted[lo:hi], w
+
+
+def _dense_h(cop, x, cond, cond_axis):
+    out = np.empty(x.size)
+    for rows, cen, w in _dense_groups(cop, cond, cond_axis, 1e-10):
+        zx = _to_scores(x[rows])
+        out[rows] = np.sum(w * ndtr((zx[:, None] - cen[None, :]) / cop.bandwidth),
+                           axis=1)
+    return np.clip(out, 1e-12, 1.0 - 1e-12)
+
+
+def _dense_h_inverse(cop, p, cond, cond_axis):
+    out = np.empty(p.size)
+    for rows, cen, w in _dense_groups(cop, cond, cond_axis, 1e-10):
+        out[rows] = _invert_mixture(p[rows], cen, w, cop.bandwidth)
+    return np.clip(out, 1e-12, 1.0 - 1e-12)
+
+
+def _dense_sample(cop, q, cond, cond_axis):
+    out = np.empty(q.size)
+    for rows, cen, w in _dense_groups(cop, cond, cond_axis, 1e-5):
+        cum = np.cumsum(w, axis=1)
+        cum[:, -1] = 1.0
+        qr = q[rows]
+        k = np.minimum((cum < qr[:, None]).sum(axis=1), w.shape[1] - 1)
+        prev = np.where(
+            k > 0,
+            np.take_along_axis(cum, np.maximum(k - 1, 0)[:, None], 1)[:, 0],
+            0.0)
+        wk = np.take_along_axis(w, k[:, None], 1)[:, 0]
+        r = np.clip((qr - prev) / np.maximum(wk, 1e-300), 1e-12, 1.0 - 1e-12)
+        out[rows] = ndtr(cen[k] + cop.bandwidth * ndtri(r))
+    return np.clip(out, 1e-12, 1.0 - 1e-12)
+
+
+class TestBandedWeights:
+    """Banded weight groups reproduce the whole-window sums bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           n_scores=st.sampled_from([12, 300, 3000]),
+           atoms=st.sampled_from([0, 5, 60]),
+           bandwidth_scale=st.sampled_from([1.0, 0.05, 0.00625]),
+           n_rows=st.sampled_from([1, 7, 50]),
+           cond_axis=st.sampled_from([0, 1]))
+    def test_matches_dense_window(self, seed, n_scores, atoms, bandwidth_scale,
+                                  n_rows, cond_axis):
+        rng = np.random.default_rng(seed)
+        if atoms:  # jittered hotspots, like the vine's positions
+            u = rng.choice(rng.uniform(size=atoms), n_scores)
+            u = np.clip(u + rng.uniform(-1e-3, 1e-3, n_scores), 1e-6, 1 - 1e-6)
+        else:
+            u = rng.uniform(size=n_scores)
+        v = np.clip(u + rng.normal(0.0, 0.05, n_scores), 1e-6, 1 - 1e-6)
+        cop = KernelPairCopula.fit(u, v, bandwidth_scale=bandwidth_scale)
+        cond = rng.uniform(size=n_rows)
+        cond[::3] = rng.choice(u, cond[::3].size)  # on kernel centers
+        x = rng.uniform(size=n_rows)
+        q = rng.uniform(size=n_rows)
+        q[::2] = rng.choice([1e-300, 1e-17, 1 - 1e-15, 1 - 2.0**-53], q[::2].size)
+        h, h_inv, sample = {
+            0: (cop.h_v_given_u, cop.h_inverse_v_given_u, cop.sample_v_given_u),
+            1: (cop.h_u_given_v, cop.h_inverse_u_given_v, cop.sample_u_given_v),
+        }[cond_axis]
+        assert np.array_equal(h(x, cond), _dense_h(cop, x, cond, cond_axis))
+        assert np.array_equal(sample(q, cond), _dense_sample(cop, q, cond, cond_axis))
+        p = np.clip(x, 1e-6, 1 - 1e-6)
+        assert np.array_equal(h_inv(p, cond), _dense_h_inverse(cop, p, cond, cond_axis))
 
 
 class TestVine:

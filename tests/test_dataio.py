@@ -86,6 +86,20 @@ class TestIngest:
             ingest(_csv([("u1", 0)]), SPEC, 600)
         with pytest.raises(ParseError):
             ingest(_csv([("u1", -5, 46.0, 7.0)]), SPEC, 600)
+        # a non-finite coordinate is malformed, not "outside the bounding box"
+        for bad in [("u1", 600, "nan", 7.0), ("u1", 600, 46.0, "inf"),
+                    ("u1", 600, "-inf", 7.0)]:
+            with pytest.raises(ParseError) as err:
+                ingest(_csv([("u1", 0, 46.0, 7.0), bad]), SPEC, 600)
+            assert err.value.line == 3
+
+    def test_non_finite_target_is_parse_error(self, tmp_path):
+        path = tmp_path / "targets.csv"
+        path.write_text("user_id,timestamp,lat,lon,is_member\n"
+                        "u1,0,46.0,7.0,1\nu1,600,46.0,nan,1\n")
+        with pytest.raises(ParseError) as err:
+            dataio.load_targets(path, SPEC, 600)
+        assert err.value.line == 3
 
     def test_bad_sampling_period(self):
         with pytest.raises(DomainError):

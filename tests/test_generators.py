@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobsynth import dataio, generators
 from mobsynth.dataio import Corpus, GridTrace, simulate_ground_truth
@@ -86,7 +91,7 @@ class TestMarkovGenerator:
 
     def test_backoff_handles_unseen_context(self):
         model = MarkovGenerator.fit(_small_corpus(), order=2)
-        dist = model._distribution((99999,), bucket=0)
+        dist = model._distributions([(99999,)], bucket=0)[0]
         assert dist.sum() == pytest.approx(1.0)
 
     def test_payload_roundtrip(self, tmp_path):
@@ -108,22 +113,121 @@ class TestMarkovGenerator:
         with pytest.raises(DomainError):
             model.generate(0, 10, 0, seed=1)
 
+    def test_chunked_draws_match_one_block(self, monkeypatch):
+        # each trace draws from its own stream, so the chunk size of the
+        # (traces x alphabet) blocks must not change any trace
+        model = MarkovGenerator.fit(_small_corpus(), order=2)
+        whole = model.generate(7, 30, 0, seed=4)
+        monkeypatch.setattr(generators, "_CHUNK_CELLS", 3 * model.alphabet.size)
+        assert _same_corpus(whole, model.generate(7, 30, 0, seed=4))
+
     def test_draw_stays_inside_alphabet(self, monkeypatch):
         # a distribution that sums below 1 stands in for rounding in cumsum:
         # a uniform draw above the total must not become symbol index V
         model = MarkovGenerator.fit(_small_corpus(), order=1)
         v = model.alphabet.size
-        exact = model._distribution
+        exact = model._distributions
         contexts = []
 
-        def short(context, bucket):
-            contexts.append(context)
-            return 0.5 * exact(context, bucket)
+        def short(batch, bucket):
+            contexts.extend(batch)
+            return 0.5 * exact(batch, bucket)
 
-        monkeypatch.setattr(model, "_distribution", short)
+        monkeypatch.setattr(model, "_distributions", short)
         syn = model.generate(3, 40, 0, seed=1)
-        assert all(s < v for ctx in contexts for s in ctx)
+        assert contexts and all(s < v for ctx in contexts for s in ctx)
         assert all(np.isin(t.cells, model.alphabet).all() for t in syn.traces)
+
+
+def _reference_fit(corpus, order, time_buckets):
+    """The earlier fit: one dense count vector per seen (bucket, context)."""
+    alphabet = np.unique(np.concatenate([t.cells for t in corpus.traces]))
+    index = {int(c): i for i, c in enumerate(alphabet)}
+    v = alphabet.size
+    counts = [dict() for _ in range(order + 1)]
+    global_counts = np.zeros(v)
+    for trace in corpus.traces:
+        sym = np.array([index[int(c)] for c in trace.cells])
+        buckets = generators._bucket_of(trace.timestamps, time_buckets)
+        np.add.at(global_counts, sym, 1.0)
+        for t in range(1, len(sym)):
+            b = int(buckets[t])
+            s = int(sym[t])
+            for k in range(0, order + 1):
+                if t - k < 0:
+                    break
+                ctx = tuple(int(x) for x in sym[t - k:t])
+                key = (b, ctx)
+                vec = counts[k].get(key)
+                if vec is None:
+                    vec = np.zeros(v)
+                    counts[k][key] = vec
+                vec[s] += 1.0
+    return alphabet, counts, global_counts
+
+
+def _reference_distribution(ref, order, alpha, context, bucket):
+    """The earlier one-context distribution over _reference_fit's dense vectors."""
+    _, counts, global_counts = ref
+    v = global_counts.size
+    for k in range(min(order, len(context)), -1, -1):
+        ctx = context[len(context) - k:]
+        vec = counts[k].get((bucket, ctx))
+        if vec is not None:
+            return (vec + alpha) / (vec.sum() + alpha * v)
+    return (global_counts + alpha) / (global_counts.sum() + alpha * v)
+
+
+_traces = st.lists(
+    st.tuples(st.integers(0, 2 * 86400),              # start time
+              st.lists(st.integers(0, 5), min_size=1, max_size=25)),
+    min_size=1, max_size=4)
+
+
+class TestCountTableExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(traces=_traces, order=st.sampled_from([0, 1, 2]),
+           time_buckets=st.sampled_from([1, 3, 24]),
+           period=st.sampled_from([600, 3600, 5400]),
+           alpha=st.sampled_from([0.01, 1.0]))
+    def test_matches_dense_reference(self, traces, order, time_buckets, period, alpha):
+        corpus = Corpus(spec=SPEC, sampling_period=period, traces=[
+            GridTrace(f"u{i}", 37 * np.array(cells) + 5,
+                      start + period * np.arange(len(cells)))
+            for i, (start, cells) in enumerate(traces)])
+        model = MarkovGenerator.fit(corpus, order=order, time_buckets=time_buckets,
+                                    alpha=alpha)
+        ref = _reference_fit(corpus, order, time_buckets)
+        assert np.array_equal(model.alphabet, ref[0])
+        v = model.alphabet.size
+
+        def same(context, bucket):
+            return np.array_equal(model._distributions([context], bucket)[0],
+                                  _reference_distribution(ref, order, alpha, context, bucket))
+
+        for k, level in enumerate(ref[1]):
+            for bucket, ctx in level:
+                assert same(ctx, bucket)
+                # an unseen symbol in front backs off to exactly this level
+                assert same((v,) * (order - k) + ctx, bucket)
+        assert same((v,) * order, time_buckets - 1)
+        for bucket in range(time_buckets):
+            assert np.array_equal(model.stationary_distribution(bucket),
+                                  _reference_distribution(ref, order, alpha, (), bucket))
+            assert np.array_equal(model.transition_matrix(bucket), np.stack(
+                [_reference_distribution(ref, order, alpha, (j,), bucket)
+                 for j in range(v)]))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "markov.json")
+            dataio.save_model(model, path)
+            loaded = dataio.load_model(path)
+        assert len(loaded.counts) == order + 1
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.counts, model.counts))
+        assert np.array_equal(loaded.global_counts, model.global_counts)
+        for bucket in range(time_buckets):
+            assert np.array_equal(loaded.transition_matrix(bucket),
+                                  model.transition_matrix(bucket))
 
 
 @pytest.fixture(scope="module")
