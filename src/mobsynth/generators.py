@@ -8,6 +8,8 @@ only on export.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import copula, dataio
@@ -68,6 +70,8 @@ class MarkovGenerator(Generator):
             alpha: float = 0.01) -> "MarkovGenerator":
         if not corpus.traces:
             raise InsufficientDataError("corpus is empty")
+        if time_buckets < 1:
+            raise DomainError(f"time_buckets must be >= 1, got {time_buckets}")
         alphabet, sym = np.unique(np.concatenate([t.cells for t in corpus.traces]),
                                   return_inverse=True)
         buckets = _bucket_of(np.concatenate([t.timestamps for t in corpus.traces]),
@@ -107,6 +111,23 @@ class MarkovGenerator(Generator):
     def stationary_distribution(self, bucket: int) -> np.ndarray:
         return self._distributions([()], bucket)[0]
 
+    def sparse_transitions(self, bucket: int):
+        """``transition_matrix(bucket)`` without the V x V array.
+
+        Returns the contexts seen in the bucket's order-1 rows (ascending),
+        each one's probability off its observed rows, and the observed
+        (context, next, probability) rows sorted by context, then next.
+        Every other row is ``stationary_distribution(bucket)``.  Each
+        probability is the float ``transition_matrix`` holds.
+        """
+        v = self.alphabet.size
+        table = (_prefix_rows(self.counts[1], (bucket,)) if self.order
+                 else np.empty((0, 4), dtype=np.int64))
+        ctx, nxt, n = table[:, 1], table[:, 2], table[:, 3]
+        seen = np.unique(ctx)
+        total = np.bincount(ctx, weights=n, minlength=v) + self.alpha * v
+        return seen, self.alpha / total[seen], ctx, nxt, (n + self.alpha) / total[ctx]
+
     def generate(self, n_traces, trace_len, start_time, seed) -> Corpus:
         if n_traces < 1:
             raise DomainError(f"n_traces must be >= 1, got {n_traces}")
@@ -143,10 +164,14 @@ class MarkovGenerator(Generator):
 
     @classmethod
     def from_payload(cls, spec, sampling_period, payload) -> "MarkovGenerator":
-        order, time_buckets = int(payload["order"]), int(payload["time_buckets"])
+        order = _read_scalar(payload, "order", int, lambda x: x >= 0, "an integer >= 0")
+        time_buckets = _read_scalar(payload, "time_buckets", int, lambda x: x >= 1,
+                                    "an integer >= 1")
+        alpha = _read_scalar(payload, "alpha", (int, float), lambda x: 0 < x < math.inf,
+                             "a finite number > 0")
         alphabet = dataio.decode_array(payload["alphabet"])
         counts, global_counts = _read_counts(payload, order, time_buckets, alphabet.size)
-        return cls(spec, sampling_period, order, time_buckets, payload["alpha"],
+        return cls(spec, sampling_period, order, time_buckets, alpha,
                    alphabet, counts, global_counts)
 
 
@@ -156,6 +181,14 @@ def _prefix_rows(table: np.ndarray, key) -> np.ndarray:
     for j, x in enumerate(key):
         lo, hi = lo + table[lo:hi, j].searchsorted([x, x + 1])
     return table[lo:hi]
+
+
+def _read_scalar(payload, field: str, kinds, valid, expected: str):
+    """One scalar field of a model file, checked (JSON true/false is no number)."""
+    value = payload[field]
+    if isinstance(value, bool) or not isinstance(value, kinds) or not valid(value):
+        raise ParseError(f"payload.{field}: expected {expected}, got {value!r}")
+    return value
 
 
 def _read_counts(payload, order: int, time_buckets: int, v: int):

@@ -49,24 +49,104 @@ def hide_locations(trace: GridTrace, p_hide: float, rng) -> ObfuscatedTrace:
 # ---------------------------------------------------------------------------
 
 class _ViterbiPrior:
-    """Log-space order-1 reduction of a Markov prior, cached per time bucket."""
+    """Log-space order-1 reduction of a Markov prior, one sparse view per
+    time bucket, built on first use."""
 
     def __init__(self, prior: MarkovGenerator):
         self.prior = prior
         self.alphabet = prior.alphabet
         self.index = {int(c): i for i, c in enumerate(prior.alphabet)}
-        self._log_trans: dict[int, np.ndarray] = {}
-        self._log_init: dict[int, np.ndarray] = {}
+        self._views: dict[int, _BucketView] = {}
 
-    def log_trans(self, bucket: int) -> np.ndarray:
-        if bucket not in self._log_trans:
-            self._log_trans[bucket] = np.log(self.prior.transition_matrix(bucket))
-        return self._log_trans[bucket]
+    def view(self, bucket: int) -> "_BucketView":
+        if bucket not in self._views:
+            self._views[bucket] = _BucketView(self.prior, bucket)
+        return self._views[bucket]
 
-    def log_init(self, bucket: int) -> np.ndarray:
-        if bucket not in self._log_init:
-            self._log_init[bucket] = np.log(self.prior.stationary_distribution(bucket))
-        return self._log_init[bucket]
+
+class _BucketView:
+    """log P(j | i) of one time bucket in O(nnz + V) memory.
+
+    Row i of the dense matrix is ``log_seen`` at the observed (i, j) rows
+    and ``log_floor[i]`` elsewhere when i is a context seen in the bucket,
+    and ``log_p0``, the log start distribution, when it is not.  Every
+    value is the one ``np.log(prior.transition_matrix(bucket))`` holds.
+    """
+
+    def __init__(self, prior: MarkovGenerator, bucket: int):
+        self.log_p0 = np.log(prior.stationary_distribution(bucket))
+        self.seen, floor, ctx, self.next, p = prior.sparse_transitions(bucket)
+        self.log_floor, self.log_seen = np.log(floor), np.log(p)
+        self.unseen = np.setdiff1d(np.arange(self.log_p0.size), self.seen)
+        # rows of seen[k] are [row_bounds[k], row_bounds[k + 1])
+        self.row_bounds = np.searchsorted(ctx, np.append(self.seen, self.log_p0.size))
+        # the same rows sorted by (next, context): one group per column
+        by_col = np.lexsort((ctx, self.next))
+        self.col_ctx, self.col_log = ctx[by_col], self.log_seen[by_col]
+        self.cols, self.col_starts = np.unique(self.next[by_col], return_index=True)
+        self.col_bounds = np.append(self.col_starts, ctx.size)
+        # no log value is positive, so this is the largest |log_p0|
+        self.p0_span = -float(self.log_p0.min())
+
+    def row(self, i: int) -> np.ndarray:
+        k = np.searchsorted(self.seen, i)
+        if k == self.seen.size or self.seen[k] != i:
+            return self.log_p0
+        out = np.full(self.log_p0.size, self.log_floor[k])
+        lo, hi = self.row_bounds[k], self.row_bounds[k + 1]
+        out[self.next[lo:hi]] = self.log_seen[lo:hi]
+        return out
+
+    def column(self, j: int) -> np.ndarray:
+        out = np.full(self.log_p0.size, self.log_p0[j])
+        out[self.seen] = self.log_floor
+        k = np.searchsorted(self.cols, j)
+        if k < self.cols.size and self.cols[k] == j:
+            lo, hi = self.col_bounds[k], self.col_bounds[k + 1]
+            out[self.col_ctx[lo:hi]] = self.col_log[lo:hi]
+        return out
+
+    def step(self, score: np.ndarray, back: np.ndarray) -> np.ndarray:
+        """max_i (score_i + log P(j | i)) for every j, with the lowest
+        maximizing i written to ``back``, as a dense column argmax finds it."""
+        v = score.size
+        best = np.full(v, -np.inf)
+        back[:] = 0
+        if self.unseen.size:
+            # every unseen i adds the same log_p0[j], and rounding is
+            # monotone, so the largest score attains each column's max ...
+            s = score[self.unseen]
+            k = int(np.argmax(s))
+            best = s[k] + self.log_p0
+            back[:] = self.unseen[k]
+            # ... and a lower i with a score a few ulps below it can tie
+            tol = 4 * np.finfo(float).eps * (abs(s[k]) + self.p0_span)
+            for i in self.unseen[:k][s[:k] >= s[k] - tol][::-1]:
+                back[score[i] + self.log_p0 == best] = i
+        if self.seen.size:
+            # the floor: a seen row's observed entries exceed its floor, so
+            # the best floor only counts in the columns its row leaves empty
+            floor = score[self.seen] + self.log_floor
+            k = int(np.argmax(floor))
+            off = np.ones(v, dtype=bool)
+            off[self.next[self.row_bounds[k]:self.row_bounds[k + 1]]] = False
+            _merge(best, back, np.flatnonzero(off), floor[k], self.seen[k])
+            # the observed rows, reduced per column; lowest context on ties
+            vals = score[self.col_ctx] + self.col_log
+            top = np.maximum.reduceat(vals, self.col_starts)
+            hit = vals == np.repeat(top, np.diff(self.col_bounds))
+            arg = np.minimum.reduceat(np.where(hit, self.col_ctx, v), self.col_starts)
+            _merge(best, back, self.cols, top, arg)
+        return best
+
+
+def _merge(best, back, cols, val, arg) -> None:
+    """Take (val, arg) in ``cols`` where it beats (best, back): a larger
+    value, or an equal one from a lower index."""
+    cur = best[cols]
+    take = (val > cur) | ((val == cur) & (arg < back[cols]))
+    best[cols] = np.where(take, val, cur)
+    back[cols] = np.where(take, arg, back[cols])
 
 
 def reconstruct_trace(obf: ObfuscatedTrace, prior: MarkovGenerator) -> np.ndarray:
@@ -108,19 +188,14 @@ def _reconstruct(obf: ObfuscatedTrace, vp: _ViterbiPrior) -> np.ndarray:
 def _viterbi_segment(vp: _ViterbiPrior, buckets, i, j, left, right) -> np.ndarray:
     v = vp.alphabet.size
     length = j - i
-    score = vp.log_init(int(buckets[i])) if left is None else vp.log_trans(int(buckets[i]))[left]
-    score = score.copy()
+    first = vp.view(int(buckets[i]))
+    score = first.log_p0 if left is None else first.row(left)
     back = np.empty((length, v), dtype=np.int64)
-    back[0] = -1
     for t in range(1, length):
-        log_a = vp.log_trans(int(buckets[i + t]))
-        cand = score[:, None] + log_a
-        back[t] = np.argmax(cand, axis=0)
-        score = cand[back[t], np.arange(v)]
+        score = vp.view(int(buckets[i + t])).step(score, back[t])
     if right is not None:
         # one more transition into the pinned right anchor
-        log_a = vp.log_trans(int(buckets[j]))
-        final = score + log_a[:, right]
+        final = score + vp.view(int(buckets[j])).column(right)
     else:
         final = score
     states = np.empty(length, dtype=np.int64)

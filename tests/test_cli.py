@@ -112,9 +112,20 @@ class TestFitGenerate:
                 "--out", str(out), "--n-traces", "3", "--trace-len", "50")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("buckets", ["0", "-3"])
+    def test_non_positive_time_buckets_is_domain_error(self, tmp_path, corpus_file,
+                                                        capsys, buckets):
+        model = tmp_path / "m.json"
+        assert run("fit", "--corpus", str(corpus_file), "--model-type", "markov",
+                   "--time-buckets", buckets, "--out", str(model)) == EXIT_DOMAIN
+        assert "time_buckets" in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("damage", ["missing_key", "short_array", "wrong_columns",
                                         "symbol_out_of_range", "zero_count",
-                                        "repeated_row", "unsorted_rows", "old_layout"])
+                                        "repeated_row", "unsorted_rows", "old_layout",
+                                        "order_not_integer", "time_buckets_zero",
+                                        "alpha_string", "alpha_negative"])
     def test_malformed_model_is_parse_error(self, tmp_path, corpus_file, damage,
                                             capsys):
         model = tmp_path / "m.json"
@@ -139,6 +150,14 @@ class TestFitGenerate:
             payload["counts"][1] = dataio.encode_array(order1[[0, 0]])
         elif damage == "unsorted_rows":
             payload["counts"][1] = dataio.encode_array(order1[::-1])
+        elif damage == "order_not_integer":
+            payload["order"] = "one"
+        elif damage == "time_buckets_zero":
+            payload["time_buckets"] = 0
+        elif damage == "alpha_string":
+            payload["alpha"] = "0.01"
+        elif damage == "alpha_negative":
+            payload["alpha"] = -1
         else:
             # the per-(bucket, context) entries of the earlier file layout
             payload["counts"] = [[{"bucket": 0, "context": [0] * k,
@@ -148,8 +167,10 @@ class TestFitGenerate:
         assert run("--seed", "1", "generate", "--model", str(model),
                    "--out", str(tmp_path / "s.csv"), "--n-traces", "2",
                    "--trace-len", "10") == EXIT_PARSE
+        field = {"order_not_integer": "order", "time_buckets_zero": "time_buckets",
+                 "alpha_string": "alpha", "alpha_negative": "alpha"}.get(damage, "counts")
         if damage not in ("missing_key", "short_array"):
-            assert "payload.counts" in capsys.readouterr().err
+            assert f"payload.{field}" in capsys.readouterr().err
 
     def test_model_not_found(self, tmp_path):
         assert run("--seed", "1", "generate", "--model",

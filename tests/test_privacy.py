@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mobsynth import privacy
 from mobsynth.dataio import Corpus, GridTrace, simulate_ground_truth
 from mobsynth.errors import DomainError
-from mobsynth.generators import MarkovGenerator
+from mobsynth.generators import MarkovGenerator, _bucket_of
 from mobsynth.geogrid import GridSpec
 from mobsynth.privacy import (HIDDEN, ObfuscatedTrace, hide_locations,
                               membership_attack, membership_scores,
@@ -108,6 +112,136 @@ class TestSequenceAttack:
         obf = hide_locations(stranger, 0.5, np.random.default_rng(10))
         recovered = reconstruct_trace(obf, prior)
         assert recovered.shape == stranger.cells.shape
+
+    def test_attack_holds_no_alphabet_squared_array(self):
+        # one dense 3,000 x 3,000 float matrix is 72 MB
+        prior = MarkovGenerator.fit(_uniform_corpus(3000, 20, 1000, seed=20), order=1)
+        assert prior.alphabet.size > 2900
+        truth = _uniform_corpus(3000, 4, 200, seed=21)
+        rng = np.random.default_rng(22)
+        obfuscated = [hide_locations(t, 0.5, rng) for t in truth.traces]
+        tracemalloc.start()
+        try:
+            sequence_attack(truth, obfuscated, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+class _DenseViterbiPrior:
+    """Reference: one dense V x V log transition matrix per bucket."""
+
+    def __init__(self, prior):
+        self.prior = prior
+        self.alphabet = prior.alphabet
+        self.index = {int(c): i for i, c in enumerate(prior.alphabet)}
+
+    def log_trans(self, bucket):
+        return np.log(self.prior.transition_matrix(bucket))
+
+    def log_init(self, bucket):
+        return np.log(self.prior.stationary_distribution(bucket))
+
+
+def _dense_viterbi_segment(vp, buckets, i, j, left, right):
+    """Reference: Viterbi with a dense column argmax (lowest index on ties)."""
+    v = vp.alphabet.size
+    length = j - i
+    score = vp.log_init(int(buckets[i])) if left is None else vp.log_trans(int(buckets[i]))[left]
+    back = np.empty((length, v), dtype=np.int64)
+    for t in range(1, length):
+        cand = score[:, None] + vp.log_trans(int(buckets[i + t]))
+        back[t] = np.argmax(cand, axis=0)
+        score = cand[back[t], np.arange(v)]
+    final = score if right is None else score + vp.log_trans(int(buckets[j]))[:, right]
+    states = np.empty(length, dtype=np.int64)
+    states[-1] = int(np.argmax(final))
+    for t in range(length - 1, 0, -1):
+        states[t - 1] = back[t, states[t]]
+    return states
+
+
+@st.composite
+def _priors(draw):
+    """Small random Markov priors with small integer counts, so that ties
+    are common.  Each bucket may lack order-1 rows, order-0 rows or both
+    (then it backs off to the global counts); sparse rows leave columns
+    that only the smoothing floor reaches."""
+    v = draw(st.integers(1, 6))
+    time_buckets = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 1))
+    alpha = draw(st.sampled_from([0.01, 0.5, 1.0, 3.0]))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tables = [[], []]
+    for b in range(time_buckets):
+        for k in range(order + 1):
+            if draw(st.booleans()):
+                shape = (v,) * (k + 1)
+                n = rng.integers(1, 3, size=shape) * (rng.uniform(size=shape) < density)
+                n[tuple(rng.integers(0, v, size=k + 1))] += 1   # at least one row
+                keys = np.argwhere(n > 0)
+                tables[k].append(np.column_stack([np.full(len(keys), b), keys,
+                                                  n[n > 0]]))
+    counts = [np.concatenate(t) if t else np.empty((0, k + 3), dtype=np.int64)
+              for k, t in enumerate(tables[:order + 1])]
+    return MarkovGenerator(SPEC, 600, order, time_buckets, alpha,
+                           np.arange(10, 10 + v), counts,
+                           rng.integers(0, 3, size=v))
+
+
+class TestSparseViterbiExactness:
+    @settings(max_examples=300, deadline=None)
+    @given(prior=_priors(), data=st.data())
+    def test_step_matches_dense_columns(self, prior, data):
+        v = prior.alphabet.size
+        bucket = data.draw(st.integers(0, prior.time_buckets - 1))
+        dense = np.log(prior.transition_matrix(bucket))
+        view = privacy._ViterbiPrior(prior).view(bucket)
+        for i in range(v):
+            assert np.array_equal(view.row(i), dense[i])
+            assert np.array_equal(view.column(i), dense[:, i])
+        # scores a few ulps apart: where adding a log probability carries a
+        # sum past a power of two, unequal scores can round to equal sums
+        base = data.draw(st.sampled_from([-0.7, -1.9, -7.9, -15.6, -31.3]))
+        ulps = data.draw(st.lists(st.sampled_from([0, 1, 2, 3, 8, 2 ** 40]),
+                                  min_size=v, max_size=v))
+        score = base + np.asarray(ulps) * np.spacing(base)
+        back = np.empty(v, dtype=np.int64)
+        best = view.step(score, back)
+        cand = score[:, None] + dense
+        assert np.array_equal(best, cand.max(axis=0))
+        assert np.array_equal(back, np.argmax(cand, axis=0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(prior=_priors(), data=st.data())
+    def test_paths_equal_dense_decoder(self, prior, data):
+        v = prior.alphabet.size
+        length = data.draw(st.integers(1, 8))
+        hours = data.draw(st.lists(st.integers(0, 23), min_size=length + 1,
+                                   max_size=length + 1))
+        buckets = _bucket_of(np.asarray(hours) * 3600, prior.time_buckets)
+        anchor = st.none() | st.integers(0, v - 1)
+        left, right = data.draw(anchor), data.draw(anchor)
+        got = privacy._viterbi_segment(privacy._ViterbiPrior(prior), buckets,
+                                       0, length, left, right)
+        want = _dense_viterbi_segment(_DenseViterbiPrior(prior), buckets,
+                                      0, length, left, right)
+        assert np.array_equal(got, want)
+
+        # whole traces, with observed cells the prior does not know (9)
+        cells = np.asarray(data.draw(st.lists(
+            st.sampled_from([HIDDEN, 9, *prior.alphabet.tolist()]),
+            min_size=length, max_size=length)))
+        obf = ObfuscatedTrace("u", cells, np.asarray(hours[:length]) * 3600,
+                              cells == HIDDEN)
+        got = reconstruct_trace(obf, prior)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(privacy, "_ViterbiPrior", _DenseViterbiPrior)
+            mp.setattr(privacy, "_viterbi_segment", _dense_viterbi_segment)
+            want = reconstruct_trace(obf, prior)
+        assert np.array_equal(got, want)
 
 
 class TestMembership:
