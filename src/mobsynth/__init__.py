@@ -6,7 +6,7 @@ on realism (topN visits, MMD, mutual-information decay) and privacy leakage
 (sequence reconstruction, membership inference).
 """
 
-from .geogrid import GridSpec, LatLon, encode, decode, curve_position
+from .geogrid import GridSpec, encode, decode, curve_position
 from .dataio import Corpus, GridTrace, ingest, simulate_ground_truth
 from .copula import EmpiricalMargin, KernelPairCopula, VineModel, vine_fit
 from .generators import Generator, MarkovGenerator, VineGenerator
@@ -16,7 +16,7 @@ from .privacy import hide_locations, sequence_attack, membership_attack, battery
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridSpec", "LatLon", "encode", "decode", "curve_position",
+    "GridSpec", "encode", "decode", "curve_position",
     "Corpus", "GridTrace", "ingest", "simulate_ground_truth",
     "EmpiricalMargin", "KernelPairCopula", "VineModel", "vine_fit",
     "Generator", "MarkovGenerator", "VineGenerator",

@@ -82,26 +82,20 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if not hasattr(args, key):
             continue
         if getattr(args, key) == action.default:
-            if isinstance(action.default, bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif action.type is not None:
-                value = action.type(value)
-            elif isinstance(action.default, int):
-                value = int(value)
-            elif isinstance(action.default, float):
-                value = float(value)
+            if action.type is not None:  # every int and float option has one
+                try:
+                    value = action.type(value)
+                except ValueError as exc:
+                    raise ParseError(f"config key {key!r}: {exc}") from exc
             setattr(args, key, value)
 
 
-def _parse_bbox(text: str):
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise DomainError("--bbox expects lat_min,lat_max,lon_min,lon_max")
-    return parts
-
-
 def _grid_spec(args) -> GridSpec:
-    lat_min, lat_max, lon_min, lon_max = _parse_bbox(args.bbox)
+    try:
+        lat_min, lat_max, lon_min, lon_max = (float(x) for x in args.bbox.split(","))
+    except ValueError as exc:  # not a number, or not four of them
+        raise DomainError("--bbox expects lat_min,lat_max,lon_min,lon_max, "
+                          f"got {args.bbox!r}") from exc
     return GridSpec(lat_min, lat_max, lon_min, lon_max, level=args.level)
 
 

@@ -136,21 +136,6 @@ class KernelPairCopula:
         scores = _variance_correct(scores, b)
         return cls(scores, b)
 
-    # -- density ---------------------------------------------------------
-
-    def density(self, u, v):
-        """Copula density c(u, v) = KDE(probit scores) / product of phis."""
-        z_u = _to_scores(np.asarray(u, dtype=float))
-        z_v = _to_scores(np.asarray(v, dtype=float))
-        b = self.bandwidth
-        s = self.scores[:, 0]
-        t = self.scores[:, 1]
-        du = (z_u[..., None] - s) / b
-        dv = (z_v[..., None] - t) / b
-        kde = np.mean(np.exp(-0.5 * (du * du + dv * dv)), axis=-1) / (2.0 * np.pi * b * b)
-        phi = np.exp(-0.5 * (z_u * z_u + z_v * z_v)) / (2.0 * np.pi)
-        return kde / phi
-
     # -- h-functions ------------------------------------------------------
 
     def h_u_given_v(self, u, v):

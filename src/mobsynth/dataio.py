@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import geogrid
 from .errors import (DomainError, FormatVersionError, IncompatibilityError,
                      InsufficientDataError, ParseError)
-from .geogrid import GridSpec, LatLon
+from .geogrid import GridSpec
 
 logger = logging.getLogger(__name__)
 
@@ -92,11 +93,11 @@ def ingest(csv_source, spec: GridSpec, sampling_period: int) -> Corpus:
     else:
         fh = csv_source
     try:
-        per_user = _parse_rows(csv.reader(fh), spec)
+        rows = _parse_rows(csv.reader(fh), spec)
     finally:
         if close:
             fh.close()
-    return Corpus(spec=spec, traces=_regularize(per_user, sampling_period),
+    return Corpus(spec=spec, traces=_regularize(rows, sampling_period),
                   sampling_period=int(sampling_period))
 
 
@@ -123,8 +124,8 @@ def load_targets(path, spec: GridSpec, sampling_period: int):
             yield row
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        per_user = _parse_rows(labelled(csv.reader(fh)), spec)
-    by_user = {t.user_id: t for t in _regularize(per_user, sampling_period)}
+        rows = _parse_rows(labelled(csv.reader(fh)), spec)
+    by_user = {t.user_id: t for t in _regularize(rows, sampling_period)}
     members, nonmembers = [], []
     for user, is_member in labels.items():
         if user in by_user:
@@ -132,32 +133,34 @@ def load_targets(path, spec: GridSpec, sampling_period: int):
     return members, nonmembers
 
 
-def _regularize(per_user, sampling_period) -> list[GridTrace]:
+def _regularize(parsed, sampling_period) -> list[GridTrace]:
+    names, user, ts, cells = parsed
+    # stable, so the last row of each (user, timestamp) run is the file's last
+    order = np.lexsort((ts, user))
+    user, ts, cells = user[order], ts[order], cells[order]
+    last = np.ones(user.size, dtype=bool)
+    last[:-1] = (user[1:] != user[:-1]) | (ts[1:] != ts[:-1])
+    user, ts, cells = user[last], ts[last], cells[last]
+    bounds = np.searchsorted(user, np.arange(len(names) + 1))
     traces = []
     n_short = 0
-    for user_id, rows in per_user.items():
-        rows.sort(key=lambda r: r[0])
-        dedup = {}
-        for ts, cell in rows:
-            dedup[ts] = cell  # keep last
-        ts = np.fromiter(dedup.keys(), dtype=np.int64)
-        cells = np.fromiter(dedup.values(), dtype=np.int64)
-        order = np.argsort(ts)
-        ts, cells = ts[order], cells[order]
-        if ts.size < 2:
+    for name, lo, hi in zip(names, bounds[:-1], bounds[1:]):
+        if hi - lo < 2:
             n_short += 1
             continue
-        grid_ts = np.arange(ts[0], ts[-1] + 1, sampling_period, dtype=np.int64)
-        idx = np.searchsorted(ts, grid_ts, side="right") - 1
-        traces.append(GridTrace(user_id, cells[idx], grid_ts))
+        grid_ts = np.arange(ts[lo], ts[hi - 1] + 1, sampling_period, dtype=np.int64)
+        idx = np.searchsorted(ts[lo:hi], grid_ts, side="right") - 1
+        traces.append(GridTrace(name, cells[lo:hi][idx], grid_ts))
     if n_short:
         logger.warning("dropped %d user(s) with fewer than 2 surviving points", n_short)
     return traces
 
 
 def _parse_rows(reader, spec: GridSpec):
-    per_user: dict[str, list] = {}
-    n_oob = 0
+    """Validated rows inside the box as columns: (user names, user index,
+    timestamp, cell); users are numbered by their first row inside the box."""
+    names: dict[str, int] = {}
+    user, ts, lat, lon = array("q"), array("q"), array("d"), array("d")
     for lineno, row in enumerate(reader, start=1):
         if lineno == 1 and row and row[0].strip().lower() == "user_id":
             continue
@@ -165,26 +168,32 @@ def _parse_rows(reader, spec: GridSpec):
             continue
         if len(row) < 4:
             raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
-        user_id = row[0].strip()
         try:
-            ts = int(row[1])
-            lat = float(row[2])
-            lon = float(row[3])
+            t, la, lo = int(row[1]), float(row[2]), float(row[3])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
-        if ts < 0:
-            raise ParseError(f"negative timestamp {ts}", line=lineno)
-        if not (math.isfinite(lat) and math.isfinite(lon)):
+        if t < 0:
+            raise ParseError(f"negative timestamp {t}", line=lineno)
+        if not (math.isfinite(la) and math.isfinite(lo)):
             raise ParseError(f"non-finite coordinate ({row[2].strip()}, {row[3].strip()})",
                              line=lineno)
-        if not (spec.lat_min <= lat <= spec.lat_max and spec.lon_min <= lon <= spec.lon_max):
-            n_oob += 1
-            continue
-        cell = geogrid.encode(spec, LatLon(lat, lon))
-        per_user.setdefault(user_id, []).append((ts, cell))
+        user.append(names.setdefault(row[0].strip(), len(names)))
+        ts.append(t)
+        lat.append(la)
+        lon.append(lo)
+    lat, lon = np.frombuffer(lat), np.frombuffer(lon)
+    inside = ((spec.lat_min <= lat) & (lat <= spec.lat_max)
+              & (spec.lon_min <= lon) & (lon <= spec.lon_max))
+    n_oob = inside.size - np.count_nonzero(inside)
     if n_oob:
         logger.warning("dropped %d point(s) outside the grid bounding box", n_oob)
-    return per_user
+    seen, first_row, user = np.unique(np.frombuffer(user, dtype=np.int64)[inside],
+                                      return_index=True, return_inverse=True)
+    order = np.argsort(first_row)
+    by_index = list(names)
+    return ([by_index[u] for u in seen[order]], np.argsort(order)[user],
+            np.frombuffer(ts, dtype=np.int64)[inside],
+            geogrid.encode(spec, lat[inside], lon[inside]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +391,10 @@ def save_corpus(corpus: Corpus, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for trace in corpus.traces:
-            for cell, ts in zip(trace.cells, trace.timestamps):
-                lat, lon = geogrid.decode(corpus.spec, int(cell))
-                writer.writerow([trace.user_id, int(ts), repr(lat), repr(lon)])
+            lat, lon = geogrid.decode(corpus.spec, trace.cells)
+            # repr of a Python float, not of np.float64 ("np.float64(...)")
+            writer.writerows(zip([trace.user_id] * len(trace), trace.timestamps.tolist(),
+                                 map(repr, lat.tolist()), map(repr, lon.tolist())))
     meta = {
         "format_version": FORMAT_VERSION,
         "grid_spec": corpus.spec.to_dict(),
@@ -396,20 +406,16 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path, expected_spec: GridSpec | None = None) -> Corpus:
-    meta_file = _meta_path(path)
-    if not os.path.exists(meta_file):
-        raise FileNotFoundError(meta_file)
-    with open(meta_file, "r", encoding="utf-8") as fh:
+    with open(_meta_path(path), "r", encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"corrupted corpus metadata: {exc}") from exc
-    _check_version(meta)
-    spec = GridSpec.from_dict(meta["grid_spec"])
+    spec, sampling_period = _read_header(meta)
     if expected_spec is not None and spec != expected_spec:
         raise IncompatibilityError(
             f"corpus grid spec {spec} does not match expected {expected_spec}")
-    return ingest(path, spec, int(meta["sampling_period"]))
+    return ingest(path, spec, sampling_period)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +444,10 @@ def load_model(path):
             envelope = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"corrupted model file: {exc}") from exc
-    _check_version(envelope)
+    spec, sampling_period = _read_header(envelope)
     try:
-        spec = GridSpec.from_dict(envelope["grid_spec"])
         return generators.generator_from_payload(
-            envelope["model_type"], spec, int(envelope["sampling_period"]),
-            envelope["payload"])
+            envelope["model_type"], spec, sampling_period, envelope["payload"])
     except KeyError as exc:
         raise ParseError(f"model file is missing key {exc}") from exc
 
@@ -475,7 +479,25 @@ def load_report(path) -> dict:
     return report
 
 
-def _check_version(envelope: dict) -> None:
+def _read_header(envelope):
+    """Grid spec and sampling period of a corpus sidecar or model file, checked."""
+    _check_version(envelope)
+    return (GridSpec.from_dict(envelope.get("grid_spec")),
+            read_scalar(envelope, "sampling_period", int, lambda x: x > 0, "an integer > 0"))
+
+
+def read_scalar(obj: dict, name: str, kinds, valid, expected: str):
+    """One scalar field of a JSON file, checked (missing reads None, JSON true/false
+    is no number); ``name`` is its dotted path, ending in its key in ``obj``."""
+    value = obj.get(name.rpartition(".")[2])
+    if isinstance(value, bool) or not isinstance(value, kinds) or not valid(value):
+        raise ParseError(f"{name}: expected {expected}, got {value!r}")
+    return value
+
+
+def _check_version(envelope) -> None:
+    if not isinstance(envelope, dict):
+        raise ParseError(f"expected a JSON object, got {type(envelope).__name__}")
     version = envelope.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionError(

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import copula, dataio
+from . import copula, dataio, geogrid
 from .dataio import Corpus, GridTrace, hour_of_day
 from .errors import (DomainError, IncompatibilityError, InsufficientDataError,
                      ParseError)
@@ -164,11 +164,12 @@ class MarkovGenerator(Generator):
 
     @classmethod
     def from_payload(cls, spec, sampling_period, payload) -> "MarkovGenerator":
-        order = _read_scalar(payload, "order", int, lambda x: x >= 0, "an integer >= 0")
-        time_buckets = _read_scalar(payload, "time_buckets", int, lambda x: x >= 1,
-                                    "an integer >= 1")
-        alpha = _read_scalar(payload, "alpha", (int, float), lambda x: 0 < x < math.inf,
-                             "a finite number > 0")
+        order = dataio.read_scalar(payload, "payload.order", int, lambda x: x >= 0,
+                                   "an integer >= 0")
+        time_buckets = dataio.read_scalar(payload, "payload.time_buckets", int,
+                                          lambda x: x >= 1, "an integer >= 1")
+        alpha = dataio.read_scalar(payload, "payload.alpha", (int, float),
+                                   lambda x: 0 < x < math.inf, "a finite number > 0")
         alphabet = dataio.decode_array(payload["alphabet"])
         counts, global_counts = _read_counts(payload, order, time_buckets, alphabet.size)
         return cls(spec, sampling_period, order, time_buckets, alpha,
@@ -181,14 +182,6 @@ def _prefix_rows(table: np.ndarray, key) -> np.ndarray:
     for j, x in enumerate(key):
         lo, hi = lo + table[lo:hi, j].searchsorted([x, x + 1])
     return table[lo:hi]
-
-
-def _read_scalar(payload, field: str, kinds, valid, expected: str):
-    """One scalar field of a model file, checked (JSON true/false is no number)."""
-    value = payload[field]
-    if isinstance(value, bool) or not isinstance(value, kinds) or not valid(value):
-        raise ParseError(f"payload.{field}: expected {expected}, got {value!r}")
-    return value
 
 
 def _read_counts(payload, order: int, time_buckets: int, v: int):
@@ -276,7 +269,7 @@ class VineGenerator(Generator):
 
         rows = []
         for trace in usable:
-            pos = (trace.cells + rng.uniform(size=len(trace))) / spec.n_cells
+            pos = geogrid.curve_position(spec, trace.cells, rng.uniform(size=len(trace)))
             tod = (hour_of_day(trace.timestamps)
                    + rng.uniform(0.0, period_hours, size=len(trace))) % HOURS_PER_DAY
             n = len(trace)
@@ -335,7 +328,8 @@ class VineGenerator(Generator):
 
         start_cells = self._pick_starts(n_traces, start_time, rng)
         positions = np.empty((n_traces, trace_len))
-        positions[:, :w] = (start_cells + rng.uniform(size=start_cells.shape)) / spec.n_cells
+        positions[:, :w] = geogrid.curve_position(spec, start_cells,
+                                                  rng.uniform(size=start_cells.shape))
         for t in range(w, trace_len):
             tod = (hours[t] + rng.uniform(0.0, period_hours, size=n_traces)) % HOURS_PER_DAY
             cond = np.column_stack([positions[:, t - w:t - 1], tod,
@@ -344,11 +338,11 @@ class VineGenerator(Generator):
             # the margin between hotspot atoms would fabricate grid cells
             # that never occur in training
             raw = self.vine.conditional_sample(cond, rng, atoms=True)
-            cell_t = np.clip((raw * spec.n_cells).astype(np.int64), 0, spec.n_cells - 1)
+            cell_t = geogrid.cell_from_position(spec, raw)
             # re-jitter so the autoregressive state keeps the
             # within-cell-uniform distribution the vine was fitted on
-            positions[:, t] = (cell_t + rng.uniform(size=n_traces)) / spec.n_cells
-        cells = np.clip((positions * spec.n_cells).astype(np.int64), 0, spec.n_cells - 1)
+            positions[:, t] = geogrid.curve_position(spec, cell_t, rng.uniform(size=n_traces))
+        cells = geogrid.cell_from_position(spec, positions)
         traces = [GridTrace(f"syn_{i}", cells[i], timestamps) for i in range(n_traces)]
         return Corpus(spec=spec, traces=traces, sampling_period=self.sampling_period)
 

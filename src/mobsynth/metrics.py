@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import linregress
 
+from . import geogrid
 from .dataio import Corpus, GridTrace, hour_of_day
 from .errors import DomainError, IncompatibilityError, InsufficientDataError
 
@@ -157,8 +158,8 @@ class MmdResult:
 
 def embed_corpus(corpus: Corpus, length: int) -> np.ndarray:
     """Each trace as its curve-position vector over the common time grid."""
-    n_cells = corpus.spec.n_cells
-    return np.stack([(t.cells[:length] + 0.5) / n_cells for t in corpus.traces])
+    return np.stack([geogrid.curve_position(corpus.spec, t.cells[:length])
+                     for t in corpus.traces])
 
 
 def _mmd_stats(k: np.ndarray, n: int, m: int):

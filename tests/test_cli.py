@@ -56,6 +56,17 @@ class TestSimulate:
         assert "sampling_period" in err and "timestamps" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bbox, message", [("-inf,inf,0,1", "need finite lat_min"),
+                                               ("0,1,0,nan", "need finite lon_min"),
+                                               ("a,b,c,d", "--bbox expects"),
+                                               ("0,1,0", "--bbox expects")])
+    def test_bad_bbox_is_domain_error(self, tmp_path, capsys, bbox, message):
+        out = tmp_path / "x.csv"
+        assert run("--seed", "1", "simulate", "--out", str(out), f"--bbox={bbox}",
+                   "--users", "2", "--steps", "5", "--hotspots", "3") == EXIT_DOMAIN
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIngest:
     def test_roundtrip(self, tmp_path, corpus_file):
@@ -125,7 +136,9 @@ class TestFitGenerate:
                                         "symbol_out_of_range", "zero_count",
                                         "repeated_row", "unsorted_rows", "old_layout",
                                         "order_not_integer", "time_buckets_zero",
-                                        "alpha_string", "alpha_negative"])
+                                        "alpha_string", "alpha_negative",
+                                        "level_string", "sampling_period_string",
+                                        "sampling_period_missing", "envelope_list"])
     def test_malformed_model_is_parse_error(self, tmp_path, corpus_file, damage,
                                             capsys):
         model = tmp_path / "m.json"
@@ -158,6 +171,14 @@ class TestFitGenerate:
             payload["alpha"] = "0.01"
         elif damage == "alpha_negative":
             payload["alpha"] = -1
+        elif damage == "level_string":
+            envelope["grid_spec"]["level"] = "x"
+        elif damage == "sampling_period_string":
+            envelope["sampling_period"] = "abc"
+        elif damage == "sampling_period_missing":
+            del envelope["sampling_period"]
+        elif damage == "envelope_list":
+            envelope = [envelope]
         else:
             # the per-(bucket, context) entries of the earlier file layout
             payload["counts"] = [[{"bucket": 0, "context": [0] * k,
@@ -167,10 +188,15 @@ class TestFitGenerate:
         assert run("--seed", "1", "generate", "--model", str(model),
                    "--out", str(tmp_path / "s.csv"), "--n-traces", "2",
                    "--trace-len", "10") == EXIT_PARSE
-        field = {"order_not_integer": "order", "time_buckets_zero": "time_buckets",
-                 "alpha_string": "alpha", "alpha_negative": "alpha"}.get(damage, "counts")
+        field = {"order_not_integer": "payload.order",
+                 "time_buckets_zero": "payload.time_buckets",
+                 "alpha_string": "payload.alpha", "alpha_negative": "payload.alpha",
+                 "level_string": "grid_spec.level",
+                 "sampling_period_string": "sampling_period",
+                 "sampling_period_missing": "sampling_period",
+                 "envelope_list": "JSON object"}.get(damage, "payload.counts")
         if damage not in ("missing_key", "short_array"):
-            assert f"payload.{field}" in capsys.readouterr().err
+            assert field in capsys.readouterr().err
 
     def test_model_not_found(self, tmp_path):
         assert run("--seed", "1", "generate", "--model",
@@ -197,11 +223,48 @@ def _targets_file(tmp_path, member_corpus, nonmember_corpus):
         for corpus, flag in ((member_corpus, 1), (nonmember_corpus, 0)):
             loaded = dataio.load_corpus(corpus)
             for trace in loaded.traces:
-                for cell, ts in zip(trace.cells, trace.timestamps):
-                    lat, lon = decode(loaded.spec, int(cell))
-                    w.writerow([f"{flag}_{trace.user_id}", int(ts),
-                                repr(lat), repr(lon), flag])
+                lat, lon = decode(loaded.spec, trace.cells)
+                for ts, a, o in zip(trace.timestamps.tolist(), lat.tolist(), lon.tolist()):
+                    w.writerow([f"{flag}_{trace.user_id}", ts, repr(a), repr(o), flag])
     return path
+
+
+class TestCorpusSidecar:
+    @pytest.mark.parametrize("damage, field", [
+        ("no_grid_spec", "grid_spec"),
+        ("no_sampling_period", "sampling_period"),
+        ("sampling_period_string", "sampling_period"),
+        ("sampling_period_zero", "sampling_period"),
+        ("level_string", "grid_spec.level"),
+        ("level_too_high", "level must be"),
+        ("lat_min_missing", "grid_spec.lat_min"),
+        ("not_an_object", "JSON object"),
+    ])
+    def test_malformed_sidecar_is_parse_error(self, tmp_path, corpus_file, capsys,
+                                              damage, field):
+        meta_file = tmp_path / "real.csv.meta.json"
+        meta = json.loads(meta_file.read_text())
+        if damage == "no_grid_spec":
+            del meta["grid_spec"]
+        elif damage == "no_sampling_period":
+            del meta["sampling_period"]
+        elif damage == "sampling_period_string":
+            meta["sampling_period"] = "abc"
+        elif damage == "sampling_period_zero":
+            meta["sampling_period"] = 0
+        elif damage == "level_string":
+            meta["grid_spec"]["level"] = "x"
+        elif damage == "level_too_high":
+            meta["grid_spec"]["level"] = 17
+        elif damage == "lat_min_missing":
+            del meta["grid_spec"]["lat_min"]
+        else:
+            meta = [meta]
+        meta_file.write_text(json.dumps(meta))
+        assert run("fit", "--corpus", str(corpus_file), "--model-type", "markov",
+                   "--out", str(tmp_path / "m.json")) == EXIT_PARSE
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestEvaluate:
@@ -299,9 +362,9 @@ class TestAttack:
             w = csv.writer(fh)
             w.writerow(["user_id", "timestamp", "lat", "lon", "is_member"])
             for trace, flag in zip(loaded.traces[:2], (1, 0)):
-                for cell, ts in zip(trace.cells, trace.timestamps):
-                    lat, lon = decode(loaded.spec, int(cell))
-                    w.writerow(["shared", int(ts), repr(lat), repr(lon), flag])
+                lat, lon = decode(loaded.spec, trace.cells)
+                for ts, a, o in zip(trace.timestamps.tolist(), lat.tolist(), lon.tolist()):
+                    w.writerow(["shared", ts, repr(a), repr(o), flag])
         first_nonmember_line = 2 + len(loaded.traces[0])
         assert run("--seed", "9", "attack", "--syn", str(syn), "--targets",
                    str(targets), "--out", str(tmp_path / "p.json")) == EXIT_PARSE
@@ -319,6 +382,14 @@ class TestConfig:
         cfg.write_text("users 7\n")
         with pytest.raises(ParseError):
             read_config(cfg)
+
+    @pytest.mark.parametrize("line", ["users=abc", "period=6e2"])
+    def test_config_value_of_wrong_type_is_parse_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run("--seed", "1", "--config", str(cfg), "simulate",
+                   "--out", str(tmp_path / "c.csv")) == EXIT_PARSE
+        assert repr(line.split("=")[0]) in capsys.readouterr().err
 
     def test_config_fills_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,10 +1,16 @@
+import contextlib
+import csv
 import io
 import json
+import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mobsynth import dataio
+from mobsynth import dataio, geogrid
 from mobsynth.dataio import (Corpus, GridTrace, GroundTruthSimulator,
                              SimulatorParams, hour_of_day, ingest,
                              simulate_ground_truth)
@@ -19,6 +25,108 @@ def _csv(rows, header=True):
     lines = ["user_id,timestamp,lat,lon"] if header else []
     lines += [",".join(str(c) for c in r) for r in rows]
     return io.StringIO("\n".join(lines) + "\n")
+
+
+def _centres(*cells):
+    """(lat, lon) of each cell centre, as Python floats."""
+    lat, lon = decode(SPEC, list(cells))
+    return list(zip(lat.tolist(), lon.tolist()))
+
+
+# -- per-row reference: the parser and regularizer the column code replaced --
+
+_logger = logging.getLogger("mobsynth.dataio")
+
+
+def ref_parse_rows(reader, spec):
+    per_user = {}
+    n_oob = 0
+    for lineno, row in enumerate(reader, start=1):
+        if lineno == 1 and row and row[0].strip().lower() == "user_id":
+            continue
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 4:
+            raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
+        user_id = row[0].strip()
+        try:
+            ts = int(row[1])
+            lat = float(row[2])
+            lon = float(row[3])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        if ts < 0:
+            raise ParseError(f"negative timestamp {ts}", line=lineno)
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise ParseError(f"non-finite coordinate ({row[2].strip()}, {row[3].strip()})",
+                             line=lineno)
+        if not (spec.lat_min <= lat <= spec.lat_max and spec.lon_min <= lon <= spec.lon_max):
+            n_oob += 1
+            continue
+        cell = int(geogrid.encode(spec, lat, lon))
+        per_user.setdefault(user_id, []).append((ts, cell))
+    if n_oob:
+        _logger.warning("dropped %d point(s) outside the grid bounding box", n_oob)
+    return per_user
+
+
+def ref_regularize(per_user, sampling_period):
+    traces = []
+    n_short = 0
+    for user_id, rows in per_user.items():
+        rows.sort(key=lambda r: r[0])
+        dedup = {}
+        for ts, cell in rows:
+            dedup[ts] = cell  # keep last
+        ts = np.fromiter(dedup.keys(), dtype=np.int64)
+        cells = np.fromiter(dedup.values(), dtype=np.int64)
+        order = np.argsort(ts)
+        ts, cells = ts[order], cells[order]
+        if ts.size < 2:
+            n_short += 1
+            continue
+        grid_ts = np.arange(ts[0], ts[-1] + 1, sampling_period, dtype=np.int64)
+        idx = np.searchsorted(ts, grid_ts, side="right") - 1
+        traces.append(GridTrace(user_id, cells[idx], grid_ts))
+    if n_short:
+        _logger.warning("dropped %d user(s) with fewer than 2 surviving points", n_short)
+    return traces
+
+
+@contextlib.contextmanager
+def _logged():
+    """Messages the dataio logger emits inside the block."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    _logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        _logger.removeHandler(handler)
+
+
+def _run(parse, regularize, text, period):
+    """(traces as plain tuples, or the ParseError's (line, message)), log lines."""
+    with _logged() as records:
+        try:
+            traces = regularize(parse(csv.reader(io.StringIO(text)), SPEC), period)
+            out = [(t.user_id, t.cells.tolist(), t.timestamps.tolist()) for t in traces]
+        except ParseError as exc:
+            out = (exc.line, str(exc))
+    return out, [r.getMessage() for r in records]
+
+
+_IN_BOX = st.sampled_from(_centres(0, 1, 7, 300, 65535)) | st.tuples(
+    st.floats(SPEC.lat_min, SPEC.lat_max), st.floats(SPEC.lon_min, SPEC.lon_max))
+_OUT_OF_BOX = st.sampled_from([(SPEC.lat_max + 0.5, 7.0), (46.0, SPEC.lon_min - 1e-9),
+                               (SPEC.lat_min - 1.0, SPEC.lon_max + 1.0)])
+_ROW = st.tuples(st.sampled_from(["u0", "u1", "u2", "u3", " u1 ", "user_id"]),
+                 st.integers(0, 12).map(lambda k: 300 * k),
+                 _IN_BOX | _OUT_OF_BOX)
+_BAD_FIELDS = st.sampled_from([("zero", "46.0", "7.0"), ("-600", "46.0", "7.0"),
+                               ("600", "nan", "7.0"), ("600", "46.0", "-inf"),
+                               ("600", "north", "7.0")])
 
 
 class TestGridTrace:
@@ -37,10 +145,38 @@ class TestGridTrace:
         assert hours.tolist() == [0.0, 1.0, 2.0]
 
 
+class TestColumnParserExactness:
+    """Column parse + regularize against the per-row reference above."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ROW, max_size=40), st.sampled_from([300, 600, 1000]), st.data())
+    def test_matches_per_row_reference(self, rows, period, data):
+        # shuffled feeds: duplicate timestamps, out-of-box first rows and
+        # one-point users all come up; a header only counts on line 1
+        lines = [[u, str(t), repr(la), repr(lo)] for u, t, (la, lo) in rows]
+        if data.draw(st.booleans()):
+            lines.insert(0, ["user_id", "timestamp", "lat", "lon"])
+        if lines and data.draw(st.integers(0, 4)) == 0:
+            at = data.draw(st.integers(0, len(lines) - 1))
+            lines[at] = [lines[at][0], *data.draw(_BAD_FIELDS)]
+        buf = io.StringIO()
+        csv.writer(buf).writerows(lines)
+        text = buf.getvalue() + data.draw(st.sampled_from(["", "\n", "u9,0\n"]))
+        expected = _run(ref_parse_rows, ref_regularize, text, period)
+        assert _run(dataio._parse_rows, dataio._regularize, text, period) == expected
+
+    def test_trace_order_is_first_point_inside_the_box(self):
+        (a,), (b,) = _centres(5), _centres(9)
+        text = _csv([("u1", 0, 0.0, 0.0), ("u2", 0, *a), ("u1", 600, *b),
+                     ("u2", 600, *a), ("u1", 1200, *b)]).getvalue()
+        expected = _run(ref_parse_rows, ref_regularize, text, 600)
+        assert [t[0] for t in expected[0]] == ["u2", "u1"]
+        assert _run(dataio._parse_rows, dataio._regularize, text, 600) == expected
+
+
 class TestIngest:
     def test_resampling_carry_forward(self):
-        lat, lon = decode(SPEC, 100)
-        lat2, lon2 = decode(SPEC, 200)
+        (lat, lon), (lat2, lon2) = _centres(100, 200)
         corpus = ingest(_csv([
             ("u1", 0, lat, lon),
             ("u1", 1800, lat2, lon2),
@@ -51,8 +187,7 @@ class TestIngest:
         assert trace.cells.tolist() == [100, 100, 100, 200]
 
     def test_unsorted_and_duplicate_rows(self):
-        lat, lon = decode(SPEC, 5)
-        lat2, lon2 = decode(SPEC, 6)
+        (lat, lon), (lat2, lon2) = _centres(5, 6)
         corpus = ingest(_csv([
             ("u1", 600, lat, lon),
             ("u1", 0, lat, lon),
@@ -61,7 +196,7 @@ class TestIngest:
         assert corpus.traces[0].cells.tolist() == [5, 6]
 
     def test_out_of_bounds_dropped(self):
-        lat, lon = decode(SPEC, 10)
+        (lat, lon), = _centres(10)
         corpus = ingest(_csv([
             ("u1", 0, lat, lon),
             ("u1", 600, 0.0, 0.0),
@@ -70,7 +205,7 @@ class TestIngest:
         assert corpus.traces[0].cells.tolist() == [10, 10, 10]
 
     def test_single_point_user_dropped(self):
-        lat, lon = decode(SPEC, 10)
+        (lat, lon), = _centres(10)
         corpus = ingest(_csv([
             ("u1", 0, lat, lon),
             ("u2", 0, lat, lon),
