@@ -6,6 +6,16 @@ density estimate on the normal-score (probit) scale.  Conditional CDFs
 (h-functions) are closed-form mixtures of Gaussian CDFs, which makes
 sequential D-vine fitting and inverse-Rosenblatt sampling exact up to a
 monotone root find.
+
+Each row of an h-function, h-inverse or conditional draw is a mixture over
+the kernel centers inside that row's own tail window: the centers whose
+weight given the row's conditioning value is above ``tail`` of the total.
+The tail is 1e-10 for h and h-inverse, so h moves by at most about 1e-10
+against the mixture over every center, and 1e-5 for draws, far below
+sampling noise.  Rows are evaluated in padded blocks with left-to-right
+sums, so every row's result depends on that row alone: permuting the rows
+of a call, or splitting them across calls, leaves each output bit for bit
+the same.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from .errors import DomainError, InsufficientDataError, NumericalError
 _EPS_U = 1e-9           # clamp for values entering the probit transform
 _H_TOL = 1e-8           # absolute tolerance of h-function inversion
 _H_MAX_ITER = 200
-_ZERO_WEIGHT = 800.0    # exp(-x) is exactly 0.0 in float64 for x > 745.2
+_BLOCK_ELEMENTS = 2 ** 16  # per block: each float64 temporary, 512 KiB, stays in cache
 
 DEFAULT_MAX_SCORES = 2000
 
@@ -153,20 +163,19 @@ class KernelPairCopula:
     def h_inverse_v_given_u(self, p, u):
         return self._h_inverse(p, u, cond_axis=0)
 
-    def _weight_groups(self, flat_cond, cond_axis, group_size=8, tail=1e-10):
-        """Yield (rows, other, cols, weights) for batches of similar rows.
+    def _row_windows(self, flat_cond, cond_axis, tail=1e-10):
+        """Yield (rows, centers, weights, width) blocks that cover each row once.
 
-        Rows are sorted by conditioning value and processed in small groups,
-        so each group only touches a window of kernel centers: those whose
-        posterior weight given the group's conditioning values exceeds
-        roughly ``tail`` of the total.  ``other`` holds the window's centers
-        along the non-conditioning axis.  A row's weight underflows to
-        exactly 0 far from its own conditioning value, so each row is
-        evaluated on a band of window columns only: ``cols[r]`` are the
-        band's window columns and ``weights[r]`` the normalised weights
-        there; every other window column has weight exactly 0.  Sums over
-        the window go through :func:`_window_sum`, which keeps them
-        bit-identical to sums over the whole window.
+        Row ``rows[i]`` keeps only the ``width[i]`` kernel centers inside
+        its own tail reach along the conditioning axis: those whose
+        posterior weight given the row's conditioning value exceeds roughly
+        ``tail`` of the total.  ``centers[i]`` holds them along the other
+        axis and ``weights[i]`` their normalised weights, both padded to
+        the block's widest row; padding has weight exactly 0.  Rows are
+        taken widest first in blocks of at most ``_BLOCK_ELEMENTS`` so the
+        temporaries stay in cache.  Sums over a row run left to right
+        (:func:`_row_sum`), so padding cannot change them and every row's
+        result depends on that row alone.
         """
         z = _to_scores(np.asarray(flat_cond, dtype=float).reshape(-1))
         b = self.bandwidth
@@ -179,38 +188,31 @@ class KernelPairCopula:
         m = c_sorted.size
         # distance to the nearest center along the conditioning axis bounds
         # how far relevant components can sit: anything beyond
-        # sqrt(d_min^2 + 2 b^2 log(m / tail)) holds < tail relative weight,
-        # and anything beyond sqrt(d_min^2 + 2 b^2 _ZERO_WEIGHT) holds none
+        # sqrt(d_min^2 + 2 b^2 log(m / tail)) holds < tail relative weight
         pos = np.searchsorted(c_sorted, z)
         left = c_sorted[np.clip(pos - 1, 0, m - 1)]
         right = c_sorted[np.clip(pos, 0, m - 1)]
         d_min = np.minimum(np.abs(z - left), np.abs(z - right))
         reach = np.sqrt(d_min * d_min + 2.0 * b * b * np.log(m / tail))
-        radius = np.sqrt(d_min * d_min + 2.0 * b * b * _ZERO_WEIGHT)
-        row_order = np.argsort(z, kind="stable")
-        zs, rs, ds = z[row_order], reach[row_order], radius[row_order]
-        starts = np.arange(0, z.size, group_size)
-        lo = np.searchsorted(c_sorted, np.minimum.reduceat(zs - rs, starts))
-        hi = np.searchsorted(c_sorted, np.maximum.reduceat(zs + rs, starts))
-        hi = np.minimum(np.maximum(hi, lo + 1), m)
-        sizes = np.diff(np.append(starts, z.size))
-        row_lo, row_hi = np.repeat(lo, sizes), np.repeat(hi, sizes)
-        band_lo = np.clip(np.searchsorted(c_sorted, zs - ds), row_lo, row_hi)
-        band_hi = np.clip(np.searchsorted(c_sorted, zs + ds, side="right"),
-                          row_lo, row_hi)
-        band_w = np.maximum(np.maximum.reduceat(band_hi - band_lo, starts), 1)
-        # every band of a group is band_w wide and stays inside the window
-        band_lo = np.minimum(band_lo, np.repeat(hi - band_w, sizes)) - row_lo
-        for g, start in enumerate(starts):
-            stop = start + group_size
-            lo_g, hi_g = int(lo[g]), int(hi[g])
-            cols = band_lo[start:stop, None] + np.arange(band_w[g])
-            d = (zs[start:stop, None] - c_sorted[lo_g:hi_g][cols]) / b
+        lo = np.minimum(np.searchsorted(c_sorted, z - reach), m - 1)
+        hi = np.clip(np.searchsorted(c_sorted, z + reach), lo + 1, m)
+        width = hi - lo
+        by_width = np.argsort(width, kind="stable")[::-1]
+        start = 0
+        while start < z.size:
+            widest = int(width[by_width[start]])
+            rows = by_width[start:start + max(1, _BLOCK_ELEMENTS // widest)]
+            start += rows.size
+            offsets = np.arange(widest)
+            n = width[rows]
+            # padding repeats the row's last center, which leaves the min alone
+            cols = np.minimum(lo[rows, None] + offsets, hi[rows, None] - 1)
+            d = (z[rows, None] - c_sorted[cols]) / b
             d2 = d * d
             d2 -= d2.min(axis=1, keepdims=True)  # keep exp() from underflowing
-            w = np.exp(-0.5 * d2)
-            w /= _window_sum(w, cols, hi_g - lo_g)[:, None]
-            yield row_order[start:stop], t_sorted[lo_g:hi_g], cols, w
+            w = np.where(offsets < n[:, None], np.exp(-0.5 * d2), 0.0)
+            w /= _row_sum(w)[:, None]
+            yield rows, t_sorted[cols], w, n
 
     def _h(self, x, cond, cond_axis):
         x_arr = np.asarray(x, dtype=float)
@@ -220,9 +222,8 @@ class KernelPairCopula:
         out = np.empty(flat_x.size)
         b = self.bandwidth
         z = _to_scores(flat_x)
-        for rows, other, cols, w in self._weight_groups(flat_cond, cond_axis):
-            out[rows] = _window_sum(
-                w * ndtr((z[rows, None] - other[cols]) / b), cols, other.size)
+        for rows, other, w, _ in self._row_windows(flat_cond, cond_axis):
+            out[rows] = _row_sum(w * _ndtr((z[rows, None] - other) / b))
         out = np.clip(out, 1e-12, 1.0 - 1e-12)
         return out.reshape(shape) if shape else float(out[0])
 
@@ -234,10 +235,8 @@ class KernelPairCopula:
         if np.any(flat_p <= 0) or np.any(flat_p >= 1):
             raise DomainError("h_inverse target must lie strictly inside (0, 1)")
         out = np.empty(flat_p.size)
-        for rows, other, cols, w in self._weight_groups(flat_cond, cond_axis):
-            out[rows] = _invert_mixture(flat_p[rows], other,
-                                        _to_window(w, cols, other.size),
-                                        self.bandwidth)
+        for rows, other, w, _ in self._row_windows(flat_cond, cond_axis):
+            out[rows] = _invert_mixture(flat_p[rows], other, w, self.bandwidth)
         out = np.clip(out, 1e-12, 1.0 - 1e-12)
         return out.reshape(shape) if shape else float(out[0])
 
@@ -266,23 +265,16 @@ class KernelPairCopula:
         out = np.empty(flat_q.size)
         b = self.bandwidth
         # a 1e-5 relative tail is far below sampling noise
-        for rows, other, cols, w in self._weight_groups(flat_cond, cond_axis,
-                                                        tail=1e-5):
-            # the window's cumulative weights, pinned to 1 at its last
-            # column, are 0 before the band and the band's total after it
-            width, band_w = other.size, w.shape[1]
+        for rows, other, w, n in self._row_windows(flat_cond, cond_axis, tail=1e-5):
+            # cumulative weights, pinned to 1 from each row's last center on
             cum = np.cumsum(w, axis=1)
-            cum[cols[:, -1] == width - 1, -1] = 1.0
+            cum[np.arange(w.shape[1]) >= n[:, None] - 1] = 1.0
             qr = flat_q[rows]
-            after = np.where(cum[:, -1] < qr, width - 2 - cols[:, -1], 0)
-            k = np.minimum(cols[:, 0] + (cum < qr[:, None]).sum(axis=1) + after,
-                           width - 1)
-            j = k - cols[:, 0]
-            at = np.arange(j.size)
-            prev = np.where(j > 0, cum[at, np.clip(j - 1, 0, band_w - 1)], 0.0)
-            wk = np.where(j < band_w, w[at, np.minimum(j, band_w - 1)], 0.0)
-            r = np.clip((qr - prev) / np.maximum(wk, 1e-300), 1e-12, 1.0 - 1e-12)
-            out[rows] = ndtr(other[k] + b * ndtri(r))
+            k = np.count_nonzero(cum < qr[:, None], axis=1)
+            at = np.arange(k.size)
+            prev = np.where(k > 0, cum[at, k - 1], 0.0)
+            r = np.clip((qr - prev) / np.maximum(w[at, k], 1e-300), 1e-12, 1.0 - 1e-12)
+            out[rows] = ndtr(other[at, k] + b * ndtri(r))
         out = np.clip(out, 1e-12, 1.0 - 1e-12)
         return out.reshape(shape) if shape else float(out[0])
 
@@ -305,28 +297,23 @@ class KernelPairCopula:
         return {"scores": self.scores, "bandwidth": self.bandwidth}
 
 
-def _to_window(vals, cols, width):
-    """Scatter band values to their window columns, with 0 everywhere else."""
-    band_w = vals.shape[1]
-    if band_w == width:
-        return vals
-    full = np.zeros((vals.shape[0], width))
-    for r, start in enumerate(cols[:, 0].tolist()):
-        full[r, start:start + band_w] = vals[r]
-    return full
+def _ndtr(x):
+    """``ndtr(x)``, evaluated only where it is not exactly 0 or 1: in float64
+    it rounds to 1.0 from x = 8.3 on and underflows to 0.0 up to x = -37.7."""
+    out = (x >= 9.0).astype(float)
+    mid = np.flatnonzero(~((x >= 9.0) | (x <= -40.0)))
+    out.flat[mid] = ndtr(x.flat[mid])
+    return out
 
 
-def _window_sum(vals, cols, width):
-    """Row sums of band values in the rounding order of the whole window.
-
-    numpy sums pairwise, so a sum over the band alone may round
-    differently from the same values padded with the window's zeros.
-    """
-    return _to_window(vals, cols, width).sum(axis=1)
+def _row_sum(vals):
+    """Row sums taken left to right: numpy's pairwise ``sum`` rounds by
+    length, so trailing zeros could change it."""
+    return np.cumsum(vals, axis=1)[:, -1]
 
 
 def _invert_mixture(p, centers, w, b):
-    """Solve sum_i w[r, i] * Phi((z - c_i) / b) = p[r] for z, per row r.
+    """Solve sum_i w[r, i] * Phi((z - c[r, i]) / b) = p[r] for z, per row r.
 
     Bracketed secant with the Illinois anti-stall rule (the retained
     endpoint's function value is halved when the same side is replaced
@@ -335,17 +322,16 @@ def _invert_mixture(p, centers, w, b):
     Returns Phi(z), the root on the uniform scale.
     """
     n = p.size
-    cen = centers[None, :]
 
     def f_of(z_vals, rows):
-        d = (z_vals[:, None] - cen) / b
-        return np.sum(w[rows] * ndtr(d), axis=1) - p[rows]
+        d = (z_vals[:, None] - centers[rows]) / b
+        return _row_sum(w[rows] * _ndtr(d)) - p[rows]
 
     rows_all = np.arange(n)
     # moment-matched Gaussian warm start: one endpoint lands next to the
     # root, the other falls back to the edge of the search interval
-    mu = np.sum(w * cen, axis=1)
-    sd = np.sqrt(np.maximum(np.sum(w * cen * cen, axis=1) - mu * mu, 0.0)
+    mu = _row_sum(w * centers)
+    sd = np.sqrt(np.maximum(_row_sum(w * centers * centers) - mu * mu, 0.0)
                  + b * b)
     z0 = np.clip(mu + sd * ndtri(p), -9.0, 9.0)
     f0 = f_of(z0, rows_all)

@@ -30,6 +30,7 @@ FORMAT_VERSION = 1
 CSV_HEADER = ["user_id", "timestamp", "lat", "lon"]
 
 SECONDS_PER_DAY = 86400
+_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass
@@ -148,7 +149,9 @@ def _regularize(parsed, sampling_period) -> list[GridTrace]:
         if hi - lo < 2:
             n_short += 1
             continue
-        grid_ts = np.arange(ts[lo], ts[hi - 1] + 1, sampling_period, dtype=np.int64)
+        # stepped up from the first point: no value past the last one, so no int64 wrap
+        steps = np.arange((ts[hi - 1] - ts[lo]) // sampling_period + 1, dtype=np.int64)
+        grid_ts = ts[lo] + steps * sampling_period
         idx = np.searchsorted(ts[lo:hi], grid_ts, side="right") - 1
         traces.append(GridTrace(name, cells[lo:hi][idx], grid_ts))
     if n_short:
@@ -174,6 +177,8 @@ def _parse_rows(reader, spec: GridSpec):
             raise ParseError(str(exc), line=lineno) from exc
         if t < 0:
             raise ParseError(f"negative timestamp {t}", line=lineno)
+        if t > _INT64_MAX:
+            raise ParseError(f"timestamp {t} does not fit in 64 bits", line=lineno)
         if not (math.isfinite(la) and math.isfinite(lo)):
             raise ParseError(f"non-finite coordinate ({row[2].strip()}, {row[3].strip()})",
                              line=lineno)
@@ -390,10 +395,13 @@ def save_corpus(corpus: Corpus, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for trace in corpus.traces:
-            lat, lon = geogrid.decode(corpus.spec, trace.cells)
+        if corpus.traces:
+            lat, lon = geogrid.decode(
+                corpus.spec, np.concatenate([t.cells for t in corpus.traces]))
+            ts = np.concatenate([t.timestamps for t in corpus.traces])
+            users = [t.user_id for t in corpus.traces for _ in range(len(t))]
             # repr of a Python float, not of np.float64 ("np.float64(...)")
-            writer.writerows(zip([trace.user_id] * len(trace), trace.timestamps.tolist(),
+            writer.writerows(zip(users, ts.tolist(),
                                  map(repr, lat.tolist()), map(repr, lon.tolist())))
     meta = {
         "format_version": FORMAT_VERSION,

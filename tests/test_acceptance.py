@@ -26,6 +26,8 @@ from mobsynth.geogrid import GridSpec
 from mobsynth.metrics import mi_decay, mmd_test, topn_report, visit_runs
 from mobsynth.privacy import membership_attack, run_sequence_attack
 
+pytestmark = pytest.mark.slow
+
 SPEC = GridSpec(45.8, 47.8, 5.9, 10.5, level=8)
 
 # operating point shared by the fidelity gates: one simulated population,

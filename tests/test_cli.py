@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,27 @@ class TestIngest:
         bad.write_text("user_id,timestamp,lat,lon\nu1,notanumber,46,7\n")
         assert run("ingest", "--input", str(bad),
                    "--out", str(tmp_path / "o.csv")) == EXIT_PARSE
+
+    def test_timestamp_beyond_int64_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("user_id,timestamp,lat,lon\nu1,0,46.0,7.0\n"
+                       "u1,100000000000000000000,46.0,7.0\n")
+        assert run("ingest", "--input", str(bad),
+                   "--out", str(tmp_path / "o.csv")) == EXIT_PARSE
+        assert "line 3" in capsys.readouterr().err
+
+    def test_largest_int64_timestamp_stays_on_the_grid(self, tmp_path):
+        top = 2 ** 63 - 1
+        raw = tmp_path / "raw.csv"
+        raw.write_text(f"user_id,timestamp,lat,lon\nu1,{top - 600},46.0,7.0\n"
+                       f"u1,{top},46.1,7.0\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no wrapped int64 arithmetic
+            assert run("ingest", "--input", str(raw), "--out", str(out)) == EXIT_OK
+        trace, = dataio.load_corpus(out).traces
+        assert trace.timestamps.tolist() == [top - 600, top]
+        assert trace.cells[0] != trace.cells[1]
 
     def test_missing_input_exit_code(self, tmp_path):
         assert run("ingest", "--input", str(tmp_path / "nope.csv"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import kendalltau, kstest
 
 from mobsynth.copula import (EmpiricalMargin, KernelPairCopula, VineModel,
-                             _invert_mixture, _to_scores, default_trunc_level,
-                             pseudo_observations, vine_fit)
+                             _invert_mixture, _ndtr, _to_scores,
+                             default_trunc_level, pseudo_observations, vine_fit)
 from mobsynth.errors import DomainError, InsufficientDataError
 
 
@@ -166,69 +167,79 @@ class TestKernelPairCopula:
         assert np.allclose(c.h_u_given_v(uu, cond), p, atol=1e-8)
 
 
-def _dense_groups(cop, flat_cond, cond_axis, tail):
-    """Reference weight groups: every row over its group's whole window."""
-    z = _to_scores(np.asarray(flat_cond, dtype=float).reshape(-1))
+def _row_window(cop, cond, cond_axis, tail):
+    """Reference: one row's centers along the other axis and its normalised
+    weights, over the sorted centers inside the row's own tail reach."""
+    z = _to_scores(cond)
     b = cop.bandwidth
     order = np.argsort(cop.scores[:, cond_axis], kind="stable")
     c_sorted = cop.scores[order, cond_axis]
-    t_sorted = cop.scores[order, 1 - cond_axis]
     m = c_sorted.size
-    pos = np.searchsorted(c_sorted, z)
-    left = c_sorted[np.clip(pos - 1, 0, m - 1)]
-    right = c_sorted[np.clip(pos, 0, m - 1)]
-    d_min = np.minimum(np.abs(z - left), np.abs(z - right))
+    d_min = np.min(np.abs(z - c_sorted))
     reach = np.sqrt(d_min * d_min + 2.0 * b * b * np.log(m / tail))
-    row_order = np.argsort(z, kind="stable")
-    for start in range(0, z.size, 8):
-        rows = row_order[start:start + 8]
-        zg, rg = z[rows], reach[rows]
-        lo = int(np.searchsorted(c_sorted, np.min(zg - rg)))
-        hi = int(np.searchsorted(c_sorted, np.max(zg + rg)))
-        lo, hi = max(lo, 0), min(max(hi, lo + 1), m)
-        d = (zg[:, None] - c_sorted[None, lo:hi]) / b
-        d2 = d * d
-        d2 -= d2.min(axis=1, keepdims=True)
-        w = np.exp(-0.5 * d2)
-        w /= w.sum(axis=1, keepdims=True)
-        yield rows, t_sorted[lo:hi], w
+    lo = min(np.count_nonzero(c_sorted < z - reach), m - 1)
+    hi = min(max(np.count_nonzero(c_sorted < z + reach), lo + 1), m)
+    d = (z - c_sorted[lo:hi]) / b
+    d2 = d * d
+    d2 -= d2.min()
+    w = np.exp(-0.5 * d2)
+    w /= np.cumsum(w)[-1]
+    return cop.scores[order[lo:hi], 1 - cond_axis], w
 
 
-def _dense_h(cop, x, cond, cond_axis):
+def _loop_h(cop, x, cond, cond_axis):
     out = np.empty(x.size)
-    for rows, cen, w in _dense_groups(cop, cond, cond_axis, 1e-10):
-        zx = _to_scores(x[rows])
-        out[rows] = np.sum(w * ndtr((zx[:, None] - cen[None, :]) / cop.bandwidth),
-                           axis=1)
+    for r in range(x.size):
+        cen, w = _row_window(cop, cond[r], cond_axis, 1e-10)
+        out[r] = np.cumsum(w * ndtr((_to_scores(x[r]) - cen) / cop.bandwidth))[-1]
     return np.clip(out, 1e-12, 1.0 - 1e-12)
 
 
-def _dense_h_inverse(cop, p, cond, cond_axis):
+def _loop_h_inverse(cop, p, cond, cond_axis):
     out = np.empty(p.size)
-    for rows, cen, w in _dense_groups(cop, cond, cond_axis, 1e-10):
-        out[rows] = _invert_mixture(p[rows], cen, w, cop.bandwidth)
+    for r in range(p.size):
+        cen, w = _row_window(cop, cond[r], cond_axis, 1e-10)
+        out[r] = _invert_mixture(p[r:r + 1], cen[None, :], w[None, :], cop.bandwidth)[0]
     return np.clip(out, 1e-12, 1.0 - 1e-12)
 
 
-def _dense_sample(cop, q, cond, cond_axis):
+def _loop_sample(cop, q, cond, cond_axis):
     out = np.empty(q.size)
-    for rows, cen, w in _dense_groups(cop, cond, cond_axis, 1e-5):
-        cum = np.cumsum(w, axis=1)
-        cum[:, -1] = 1.0
-        qr = q[rows]
-        k = np.minimum((cum < qr[:, None]).sum(axis=1), w.shape[1] - 1)
-        prev = np.where(
-            k > 0,
-            np.take_along_axis(cum, np.maximum(k - 1, 0)[:, None], 1)[:, 0],
-            0.0)
-        wk = np.take_along_axis(w, k[:, None], 1)[:, 0]
-        r = np.clip((qr - prev) / np.maximum(wk, 1e-300), 1e-12, 1.0 - 1e-12)
-        out[rows] = ndtr(cen[k] + cop.bandwidth * ndtri(r))
+    for r in range(q.size):
+        cen, w = _row_window(cop, cond[r], cond_axis, 1e-5)
+        cum = np.cumsum(w)
+        cum[-1] = 1.0
+        k = np.count_nonzero(cum < q[r])
+        prev = cum[k - 1] if k > 0 else 0.0
+        rank = min(max((q[r] - prev) / max(w[k], 1e-300), 1e-12), 1.0 - 1e-12)
+        out[r] = ndtr(cen[k] + cop.bandwidth * ndtri(rank))
     return np.clip(out, 1e-12, 1.0 - 1e-12)
 
 
-class TestBandedWeights:
-    """Banded weight groups reproduce the whole-window sums bit for bit."""
+def _all_center_h(cop, x, cond, cond_axis):
+    """The h-function as the mixture over every kernel center."""
+    b = cop.bandwidth
+    d = (_to_scores(cond)[:, None] - cop.scores[None, :, cond_axis]) / b
+    d2 = d * d
+    w = np.exp(-0.5 * (d2 - d2.min(axis=1, keepdims=True)))
+    w /= w.sum(axis=1, keepdims=True)
+    t = cop.scores[None, :, 1 - cond_axis]
+    h = np.sum(w * ndtr((_to_scores(x)[:, None] - t) / b), axis=1)
+    return np.clip(h, 1e-12, 1.0 - 1e-12)
+
+
+def test_ndtr_skips_only_exact_zeros_and_ones():
+    x = np.concatenate([np.linspace(-60.0, 60.0, 200_000), [-np.inf, np.inf],
+                        -np.logspace(1, 308, 1000), np.logspace(1, 308, 1000),
+                        np.nextafter([-40.0, -40.0, 9.0, 9.0], [-41.0, 0.0, 0.0, 10.0])])
+    x = x.reshape(2, -1)
+    assert np.array_equal(_ndtr(x), ndtr(x))
+    assert np.isnan(_ndtr(np.array([[np.nan]]))[0, 0])
+
+
+class TestRowWindows:
+    """Each row is evaluated on its own tail window, independently of the
+    other rows of the call."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1),
@@ -237,8 +248,9 @@ class TestBandedWeights:
            bandwidth_scale=st.sampled_from([1.0, 0.05, 0.00625]),
            n_rows=st.sampled_from([1, 7, 50]),
            cond_axis=st.sampled_from([0, 1]))
-    def test_matches_dense_window(self, seed, n_scores, atoms, bandwidth_scale,
-                                  n_rows, cond_axis):
+    def test_matches_row_loop_and_is_batch_invariant(self, seed, n_scores, atoms,
+                                                     bandwidth_scale, n_rows,
+                                                     cond_axis):
         rng = np.random.default_rng(seed)
         if atoms:  # jittered hotspots, like the vine's positions
             u = rng.choice(rng.uniform(size=atoms), n_scores)
@@ -252,14 +264,45 @@ class TestBandedWeights:
         x = rng.uniform(size=n_rows)
         q = rng.uniform(size=n_rows)
         q[::2] = rng.choice([1e-300, 1e-17, 1 - 1e-15, 1 - 2.0**-53], q[::2].size)
+        p = np.clip(x, 1e-6, 1 - 1e-6)
         h, h_inv, sample = {
             0: (cop.h_v_given_u, cop.h_inverse_v_given_u, cop.sample_v_given_u),
             1: (cop.h_u_given_v, cop.h_inverse_u_given_v, cop.sample_u_given_v),
         }[cond_axis]
-        assert np.array_equal(h(x, cond), _dense_h(cop, x, cond, cond_axis))
-        assert np.array_equal(sample(q, cond), _dense_sample(cop, q, cond, cond_axis))
-        p = np.clip(x, 1e-6, 1 - 1e-6)
-        assert np.array_equal(h_inv(p, cond), _dense_h_inverse(cop, p, cond, cond_axis))
+        got = {"h": h(x, cond), "h_inv": h_inv(p, cond), "sample": sample(q, cond)}
+        # (a) one plain loop over rows
+        assert np.array_equal(got["h"], _loop_h(cop, x, cond, cond_axis))
+        assert np.array_equal(got["h_inv"], _loop_h_inverse(cop, p, cond, cond_axis))
+        assert np.array_equal(got["sample"], _loop_sample(cop, q, cond, cond_axis))
+        # (b) permuted rows, and rows split across two calls
+        perm = rng.permutation(n_rows)
+        cut = n_rows // 2
+        for name, fn, arg in (("h", h, x), ("h_inv", h_inv, p), ("sample", sample, q)):
+            assert np.array_equal(fn(arg[perm], cond[perm]), got[name][perm])
+            split = np.concatenate([fn(arg[:cut], cond[:cut]), fn(arg[cut:], cond[cut:])])
+            assert np.array_equal(split, got[name])
+        # (c) the dropped tail moves h by less than the tail bound
+        assert np.max(np.abs(got["h"] - _all_center_h(cop, x, cond, cond_axis))) <= 1e-9
+
+    def test_memory_stays_bounded_on_wide_batches(self):
+        # 125 tight clusters of 200 centers: every row's window is one or two
+        # clusters, so one padded rows x width block would be 40 MB and more
+        rng = np.random.default_rng(31)
+        atoms = np.sort(rng.uniform(0.02, 0.98, size=125))
+        u = np.repeat(atoms, 200) + rng.uniform(-1e-6, 1e-6, 25_000)
+        v = np.clip(u + rng.normal(0.0, 0.01, u.size), 1e-6, 1 - 1e-6)
+        cop = KernelPairCopula(np.column_stack([ndtri(u), ndtri(v)]), 1e-3)
+        cond = rng.choice(u, 25_000)
+        x = rng.uniform(size=25_000)
+        tracemalloc.start()
+        try:
+            h = cop.h_v_given_u(x, cond)
+            draws = cop.sample_v_given_u(x, cond)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all((h > 0) & (h < 1)) and np.all((draws > 0) & (draws < 1))
+        assert peak < 16 * 2 ** 20
 
 
 class TestVine:
