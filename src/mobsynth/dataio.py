@@ -31,6 +31,8 @@ CSV_HEADER = ["user_id", "timestamp", "lat", "lon"]
 
 SECONDS_PER_DAY = 86400
 _INT64_MAX = 2 ** 63 - 1
+# grid points a regularized corpus may hold: 800 MB of cells and timestamps
+MAX_GRID_POINTS = 10 ** 8
 
 
 @dataclass
@@ -143,17 +145,25 @@ def _regularize(parsed, sampling_period) -> list[GridTrace]:
     last[:-1] = (user[1:] != user[:-1]) | (ts[1:] != ts[:-1])
     user, ts, cells = user[last], ts[last], cells[last]
     bounds = np.searchsorted(user, np.arange(len(names) + 1))
+    lo, hi = bounds[:-1], bounds[1:]
+    # steps after each user's first point: no value past the last one, so no int64 wrap
+    spans = (ts[hi - 1] - ts[lo]) // sampling_period
+    total = 0
+    for name, n_points, span in zip(names, (hi - lo).tolist(), spans.tolist()):
+        total += span + 1 if n_points >= 2 else 0
+        if total > MAX_GRID_POINTS:
+            raise DomainError(f"user {name!r} spans {span + 1} grid points at sampling "
+                              f"period {sampling_period} s; a corpus holds at most "
+                              f"{MAX_GRID_POINTS}")
     traces = []
     n_short = 0
-    for name, lo, hi in zip(names, bounds[:-1], bounds[1:]):
-        if hi - lo < 2:
+    for name, a, b, span in zip(names, lo, hi, spans):
+        if b - a < 2:
             n_short += 1
             continue
-        # stepped up from the first point: no value past the last one, so no int64 wrap
-        steps = np.arange((ts[hi - 1] - ts[lo]) // sampling_period + 1, dtype=np.int64)
-        grid_ts = ts[lo] + steps * sampling_period
-        idx = np.searchsorted(ts[lo:hi], grid_ts, side="right") - 1
-        traces.append(GridTrace(name, cells[lo:hi][idx], grid_ts))
+        grid_ts = ts[a] + np.arange(span + 1, dtype=np.int64) * sampling_period
+        idx = np.searchsorted(ts[a:b], grid_ts, side="right") - 1
+        traces.append(GridTrace(name, cells[a:b][idx], grid_ts))
     if n_short:
         logger.warning("dropped %d user(s) with fewer than 2 surviving points", n_short)
     return traces

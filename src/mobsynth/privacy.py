@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .dataio import Corpus, GridTrace
 from .errors import DomainError
 from .generators import MarkovGenerator, _bucket_of
+from .metrics import corpus_runs
 
 HIDDEN = -1
 
@@ -237,30 +239,38 @@ def run_sequence_attack(truth: Corpus, prior: MarkovGenerator, p_hide: float,
 # membership inference attack
 # ---------------------------------------------------------------------------
 
-def visit_frequency(trace: GridTrace) -> dict[int, float]:
-    """Normalized per-cell visit (run) frequencies."""
-    from .metrics import visit_runs
-
-    run_cells, _, _ = visit_runs(trace)
-    freq: dict[int, float] = {}
-    for c in run_cells:
-        freq[int(c)] = freq.get(int(c), 0.0) + 1.0
-    total = run_cells.size
-    return {c: k / total for c, k in freq.items()}
-
-
-def _tv_sparse(p: dict, q: dict) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(c, 0.0) - q.get(c, 0.0)) for c in keys)
+def _run_counts(traces: list[GridTrace], cells: np.ndarray) -> sparse.csr_matrix:
+    """Sparse (traces x cells) matrix of each trace's visit (run) counts per
+    cell; ``cells`` ascends and holds every cell the traces visit."""
+    trace_of_run, run_cells, _, _ = corpus_runs(traces)
+    return sparse.coo_matrix((np.ones(run_cells.size, dtype=np.int64),
+                              (trace_of_run, np.searchsorted(cells, run_cells))),
+                             shape=(len(traces), cells.size)).tocsr()
 
 
 def membership_scores(syn: Corpus, targets: list[GridTrace]) -> np.ndarray:
-    """Min over synthetic traces of the visit-frequency TV distance."""
-    syn_freqs = [visit_frequency(t) for t in syn.traces]
+    """Min over synthetic traces of the TV distance between visit (run)
+    frequencies.
+
+    For a target with counts a (total A) and a synthetic trace with counts
+    b (total B), 2AB TV = sum over the target's cells of |a B - b A|, plus
+    A times the synthetic runs off those cells.  That integer is exact, so
+    each target reads only its own cells' synthetic columns, and equal
+    distances give equal scores.
+    """
+    cells = np.unique(np.concatenate([t.cells for t in syn.traces + targets]))
+    q = _run_counts(syn.traces, cells).tocsc()
+    q_runs = np.asarray(q.sum(axis=1)).ravel()
+    p = _run_counts(targets, cells)
     scores = np.empty(len(targets))
-    for i, target in enumerate(targets):
-        tf = visit_frequency(target)
-        scores[i] = min(_tv_sparse(tf, sf) for sf in syn_freqs)
+    for i in range(len(targets)):
+        support = slice(p.indptr[i], p.indptr[i + 1])
+        a = p.data[support]
+        a_runs = a.sum()
+        q_supp = q[:, p.indices[support]].toarray()
+        scaled = (np.abs(np.outer(q_runs, a) - q_supp * a_runs).sum(axis=1)
+                  + (q_runs - q_supp.sum(axis=1)) * a_runs)
+        scores[i] = np.min(scaled / (2.0 * a_runs * q_runs))
     return scores
 
 
@@ -278,10 +288,12 @@ class MembershipResult:
 
 def _auc_lower_is_member(member: np.ndarray, nonmember: np.ndarray) -> float:
     """Mann-Whitney AUC of the rule 'member iff score is small'."""
-    wins = 0.0
-    for s in member:
-        wins += np.sum(s < nonmember) + 0.5 * np.sum(s == nonmember)
-    return float(wins / (member.size * nonmember.size))
+    ranked = np.sort(nonmember)
+    below = np.searchsorted(ranked, member, side="left")
+    upto = np.searchsorted(ranked, member, side="right")
+    # a member score wins against each larger non-member score, half against a tie
+    half_wins = int(np.sum(2 * ranked.size - below - upto))
+    return float(half_wins / 2.0 / (member.size * nonmember.size))
 
 
 def membership_attack(syn: Corpus, members: list[GridTrace],
@@ -314,16 +326,16 @@ def membership_attack(syn: Corpus, members: list[GridTrace],
 
 
 def _best_threshold(member: np.ndarray, nonmember: np.ndarray) -> float:
+    """The first candidate threshold with the most calibration scores on the
+    right side of it (members at or below, non-members above)."""
     pooled = np.unique(np.concatenate([member, nonmember]))
     candidates = np.concatenate([[pooled[0] - 1e-9],
                                  (pooled[:-1] + pooled[1:]) / 2,
                                  [pooled[-1] + 1e-9]])
-    best_t, best_acc = candidates[0], -1.0
-    for t in candidates:
-        acc = (np.sum(member <= t) + np.sum(nonmember > t)) / (member.size + nonmember.size)
-        if acc > best_acc:
-            best_acc, best_t = acc, t
-    return float(best_t)
+    correct = (np.searchsorted(np.sort(member), candidates, side="right")
+               + nonmember.size
+               - np.searchsorted(np.sort(nonmember), candidates, side="right"))
+    return float(candidates[np.argmax(correct)])
 
 
 def battery(syn: Corpus, truth: Corpus, p_hide: float, rng,

@@ -104,6 +104,15 @@ class TestIngest:
         assert trace.timestamps.tolist() == [top - 600, top]
         assert trace.cells[0] != trace.cells[1]
 
+    def test_absurd_time_span_is_domain_error(self, tmp_path, capsys):
+        # 15 quadrillion grid points: refused before any grid is allocated
+        raw = tmp_path / "raw.csv"
+        raw.write_text("u1,0,46.0,7.0\nu1,9223372036854775000,46.0,7.0\n")
+        assert run("ingest", "--input", str(raw),
+                   "--out", str(tmp_path / "o.csv")) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "'u1'" in err and "15372286728091292 grid points" in err
+
     def test_missing_input_exit_code(self, tmp_path):
         assert run("ingest", "--input", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o.csv")) == EXIT_NOT_FOUND

@@ -186,6 +186,27 @@ class TestIngest:
         assert trace.timestamps.tolist() == [0, 600, 1200, 1800]
         assert trace.cells.tolist() == [100, 100, 100, 200]
 
+    def test_long_legal_gap_resamples(self):
+        # a million-step gap stays under MAX_GRID_POINTS and is carried forward
+        (lat, lon), (lat2, lon2) = _centres(100, 200)
+        gap = 10 ** 6
+        corpus = ingest(_csv([
+            ("u1", 0, lat, lon),
+            ("u1", gap * 600, lat2, lon2),
+        ]), SPEC, sampling_period=600)
+        trace, = corpus.traces
+        assert np.array_equal(trace.timestamps, np.arange(gap + 1) * 600)
+        assert np.all(trace.cells[:-1] == 100) and trace.cells[-1] == 200
+
+    def test_corpus_grid_is_capped(self, monkeypatch):
+        # each user is legal alone, two reach MAX_GRID_POINTS, three pass it
+        monkeypatch.setattr(dataio, "MAX_GRID_POINTS", 1000)
+        (lat, lon), = _centres(10)
+        rows = [(u, t * 600, lat, lon) for u in ("u1", "u2", "u3") for t in (0, 499)]
+        with pytest.raises(DomainError, match="'u3' spans 500 grid points"):
+            ingest(_csv(rows), SPEC, sampling_period=600)
+        assert len(ingest(_csv(rows[:4]), SPEC, sampling_period=600)) == 2
+
     def test_unsorted_and_duplicate_rows(self):
         (lat, lon), (lat2, lon2) = _centres(5, 6)
         corpus = ingest(_csv([

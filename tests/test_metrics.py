@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mobsynth.dataio import Corpus, GridTrace, simulate_ground_truth
+from mobsynth import metrics
+from mobsynth.dataio import Corpus, GridTrace, hour_of_day, simulate_ground_truth
 from mobsynth.errors import (DomainError, IncompatibilityError,
                              InsufficientDataError)
 from mobsynth.geogrid import GridSpec
@@ -151,6 +154,221 @@ class TestMiDecay:
             mi_decay(_corpus([_trace([1, 2])]), tau_max=0)
 
     def test_lagged_mi_nonnegative(self):
-        sym = [np.array([0, 1, 0, 1, 0, 1])]
-        assert lagged_mi_bits(sym, 2, 1) >= 0.0
-        assert lagged_mi_bits(sym, 2, 10) == 0.0
+        sym, trace_id = np.array([0, 1, 0, 1, 0, 1]), np.zeros(6, dtype=np.int64)
+        assert lagged_mi_bits(sym, trace_id, 2, 1) >= 0.0
+        assert lagged_mi_bits(sym, trace_id, 2, 10) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the array code against the per-trace loops it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_topn(real, syn, n):
+    """Reference: runs counted per trace in Python; returns the ranked cells
+    and both corpora's (probs, visit_time, dwell)."""
+    counts = {}
+    for trace in real.traces:
+        for c in visit_runs(trace)[0]:
+            counts[int(c)] = counts.get(int(c), 0) + 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:min(n, len(counts))]
+    cells = np.array([c for c, _ in ranked], dtype=np.int64)
+    edges = np.geomspace(real.sampling_period, metrics.MAX_DWELL_SECONDS,
+                         metrics.DWELL_BINS + 1)
+
+    def stats(corpus):
+        index = {int(c): i for i, c in enumerate(cells)}
+        visits = np.zeros(cells.size)
+        visit_time = np.zeros((cells.size, 24))
+        dwell = np.zeros((cells.size, metrics.DWELL_BINS))
+        total_runs = 0
+        for trace in corpus.traces:
+            run_cells, starts, lengths = visit_runs(trace)
+            total_runs += run_cells.size
+            hours = hour_of_day(trace.timestamps[starts]).astype(int)
+            dwell_sec = lengths.astype(float) * corpus.sampling_period
+            bins = np.clip(np.searchsorted(edges, dwell_sec, side="right") - 1,
+                           0, metrics.DWELL_BINS - 1)
+            for c, h, b in zip(run_cells, hours, bins):
+                i = index.get(int(c))
+                if i is not None:
+                    visits[i] += 1
+                    visit_time[i, h] += 1
+                    dwell[i, b] += 1
+        return visits / max(total_runs, 1), visit_time, dwell
+
+    return cells, stats(real), stats(syn)
+
+
+@st.composite
+def _run_corpora(draw):
+    """Two corpora over a few cells, so runs repeat, tie in count and cross
+    trace boundaries with the same cell; start times spread over the day."""
+    period = draw(st.sampled_from([600, 1800, 3600]))
+
+    def corpus():
+        traces = []
+        for i in range(draw(st.integers(1, 6))):
+            cells = draw(st.lists(st.integers(0, 5), min_size=1, max_size=25))
+            start = draw(st.integers(0, 10 ** 6))
+            traces.append(GridTrace(f"u{i}", np.asarray(cells, dtype=np.int64),
+                                    start + period * np.arange(len(cells))))
+        return Corpus(spec=SPEC, traces=traces, sampling_period=period)
+
+    return corpus(), corpus()
+
+
+class TestTopNExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(corpora=_run_corpora(), n=st.integers(0, 8))
+    def test_equals_loop_reference(self, corpora, n):
+        real, syn = corpora
+        rep = topn_report(real, syn, n=n)
+        cells, (rp, rvt, rdw), (sp, svt, sdw) = _loop_topn(real, syn, n)
+        assert np.array_equal(rep.cells, cells)
+        for got, want in [(rep.real_probs, rp), (rep.real_visit_time, rvt),
+                          (rep.real_dwell, rdw), (rep.syn_probs, sp),
+                          (rep.syn_visit_time, svt), (rep.syn_dwell, sdw)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_runs_split_at_trace_boundaries(self):
+        traces = [_trace([3, 3]), _trace([3, 4, 4]), _trace([4])]
+        trace_of_run, cells, starts, lengths = metrics.corpus_runs(traces)
+        assert trace_of_run.tolist() == [0, 1, 1, 2]
+        assert cells.tolist() == [3, 3, 4, 4]
+        assert starts.tolist() == [0, 2, 3, 5]
+        assert lengths.tolist() == [2, 1, 2, 1]
+
+
+def _gather_mmd_test(real, syn, n_permutations, rng):
+    """Reference: the kernel built as mmd_test builds it, and each permuted
+    statistic from a copy of the permuted kernel."""
+    length = min(min(len(t) for t in real.traces), min(len(t) for t in syn.traces))
+    pooled = np.vstack([metrics.embed_corpus(real, length),
+                        metrics.embed_corpus(syn, length)])
+    n, m = len(real.traces), len(syn.traces)
+    sq = np.sum(pooled * pooled, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pooled @ pooled.T, 0.0)
+    tri = d2[np.triu_indices_from(d2, k=1)]
+    sigma = float(np.sqrt(np.median(tri))) if tri.size else 1.0
+    if sigma <= 0:
+        sigma = 1.0
+    k = np.exp(-d2 / (2.0 * sigma * sigma))
+    unbiased, _ = metrics._mmd_stats(k, n, m)
+    perms = [rng.permutation(n + m) for _ in range(n_permutations)]
+    stats = np.array([metrics._mmd_stats(k[np.ix_(p, p)], n, m)[0] for p in perms])
+    p_value = (1.0 + float(np.sum(stats >= unbiased))) / (n_permutations + 1.0)
+    return unbiased, stats, p_value
+
+
+@st.composite
+def _mmd_corpora(draw):
+    """Unequal sides of 5-9 traces over 4 cells: at length 1 every trace is
+    constant, and short traces over few cells repeat one another."""
+    length = draw(st.integers(1, 4))
+
+    def corpus(k):
+        return _corpus([_trace(draw(st.lists(st.integers(0, 3), min_size=length,
+                                             max_size=length)), user=f"u{i}")
+                        for i in range(k)])
+
+    return corpus(draw(st.integers(5, 9))), corpus(draw(st.integers(5, 9)))
+
+
+class TestMmdExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(corpora=_mmd_corpora(), n_permutations=st.integers(1, 70),
+           block=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_permuted_stats_match_gather(self, corpora, n_permutations, block, seed):
+        real, syn = corpora
+        # small blocks: n_permutations rarely a multiple of the block width
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "PERMUTATION_BLOCK", block)
+            got = mmd_test(real, syn, n_permutations, np.random.default_rng(seed))
+        unbiased, stats, p_value = _gather_mmd_test(real, syn, n_permutations,
+                                                    np.random.default_rng(seed))
+        assert got.mmd2_unbiased == unbiased
+        assert got.perm_stats.shape == stats.shape
+        assert np.all(np.abs(got.perm_stats - stats)
+                      <= 1e-12 * np.maximum(1.0, np.abs(stats)))
+        if not np.any(np.abs(stats - unbiased) <= 1e-12):
+            assert got.p_value == p_value
+
+    def test_permutations_copy_no_kernel(self):
+        # 2,000 pooled traces: the kernel is 32 MB, one permuted copy as much
+        rng = np.random.default_rng(30)
+        real = _corpus([_trace(rng.integers(0, 4000, size=12), user=f"r{i}")
+                        for i in range(1100)])
+        syn = _corpus([_trace(rng.integers(0, 4000, size=12), user=f"s{i}")
+                       for i in range(900)])
+        kernel_bytes = 8 * 2000 ** 2
+        block_bytes = 8 * 8 * metrics.PERMUTATION_BLOCK
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the null alone, given the kernel, stays inside a few blocks
+        k = rng.uniform(size=(2000, 2000))
+        assert peak(lambda: metrics._permuted_mmd2(
+            k, 1100, 900, 500, np.random.default_rng(31))) < block_bytes
+        # and mmd_test with 500 permutations peaks where building the kernel does
+        built = peak(lambda: mmd_test(real, syn, 0))
+        tested = peak(lambda: mmd_test(real, syn, 500, np.random.default_rng(32)))
+        assert built > kernel_bytes
+        assert tested < built + block_bytes
+
+
+def _loop_symbolize(corpus, min_count):
+    """Reference: per-point dict lookups, one symbol array per trace."""
+    values, counts = np.unique(np.concatenate([t.cells for t in corpus.traces]),
+                               return_counts=True)
+    keep = values[counts >= min_count]
+    mapping = {int(c): i for i, c in enumerate(keep)}
+    out = [np.array([mapping.get(int(c), len(keep)) for c in t.cells])
+           for t in corpus.traces]
+    return out, max(len(keep) + (1 if np.any(counts < min_count) else 0), 1)
+
+
+def _loop_lagged_mi_bits(symbol_traces, n_symbols, lag):
+    """Reference: one bincount per trace per lag, summed as floats."""
+    joint = np.zeros(n_symbols * n_symbols)
+    total = 0
+    for sym in symbol_traces:
+        if sym.size <= lag:
+            continue
+        joint += np.bincount(sym[:-lag] * n_symbols + sym[lag:],
+                             minlength=n_symbols * n_symbols)
+        total += sym.size - lag
+    if total == 0:
+        return 0.0
+    jm = joint.reshape(n_symbols, n_symbols)
+    return max(metrics._entropy_mm(jm.sum(axis=1), total)
+               + metrics._entropy_mm(jm.sum(axis=0), total)
+               - metrics._entropy_mm(joint, total), 0.0)
+
+
+class TestMiDecayExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=40),
+                          min_size=1, max_size=6),
+           min_count=st.integers(1, 6))
+    def test_equals_per_trace_loop(self, cells, min_count):
+        corpus = _corpus([_trace(c, user=f"u{i}") for i, c in enumerate(cells)])
+        symbols, trace_id, n_symbols = metrics._symbolize(corpus, min_count)
+        ref_traces, ref_n = _loop_symbolize(corpus, min_count)
+        assert n_symbols == ref_n
+        assert np.array_equal(symbols, np.concatenate(ref_traces))
+        # lags up to and past every trace's length
+        longest = max(len(c) for c in cells)
+        for lag in range(1, longest + 3):
+            got = lagged_mi_bits(symbols, trace_id, n_symbols, lag)
+            assert got == _loop_lagged_mi_bits(ref_traces, n_symbols, lag)
+        shortest = min(len(c) for c in cells)
+        if shortest >= 2:
+            curve = mi_decay(corpus, tau_max=shortest - 1, min_count=min_count)
+            want = [_loop_lagged_mi_bits(ref_traces, n_symbols, t) for t in curve.lags]
+            assert curve.mi_bits.tolist() == want

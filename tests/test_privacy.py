@@ -1,4 +1,6 @@
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +11,12 @@ from mobsynth.dataio import Corpus, GridTrace, simulate_ground_truth
 from mobsynth.errors import DomainError
 from mobsynth.generators import MarkovGenerator, _bucket_of
 from mobsynth.geogrid import GridSpec
+from mobsynth.metrics import visit_runs
 from mobsynth.privacy import (HIDDEN, ObfuscatedTrace, hide_locations,
                               membership_attack, membership_scores,
                               reconstruct_trace, run_sequence_attack,
-                              sequence_attack, visit_frequency,
-                              _auc_lower_is_member)
+                              sequence_attack, _auc_lower_is_member,
+                              _best_threshold)
 
 SPEC = GridSpec(45.8, 47.8, 5.9, 10.5, level=8)
 
@@ -244,11 +247,89 @@ class TestSparseViterbiExactness:
         assert np.array_equal(got, want)
 
 
+def visit_frequency(trace):
+    """Reference: normalized per-cell visit (run) frequencies as a dict."""
+    run_cells, _, _ = visit_runs(trace)
+    freq = {}
+    for c in run_cells:
+        freq[int(c)] = freq.get(int(c), 0.0) + 1.0
+    return {c: k / run_cells.size for c, k in freq.items()}
+
+
+def _tv_sparse(p, q):
+    """Reference: total variation between two frequency dicts."""
+    keys = set(p) | set(q)
+    return 0.5 * sum(abs(p.get(c, 0.0) - q.get(c, 0.0)) for c in keys)
+
+
+def _exact_tv(p_trace, q_trace):
+    """Reference: the TV distance between run frequencies as a fraction."""
+    p, q = (Counter(visit_runs(t)[0].tolist()) for t in (p_trace, q_trace))
+    a, b = sum(p.values()), sum(q.values())
+    return sum(abs(Fraction(p[c], a) - Fraction(q[c], b)) for c in set(p) | set(q)) / 2
+
+
+def _loop_auc(member, nonmember):
+    """Reference: half-win count, one member score at a time."""
+    wins = 0.0
+    for s in member:
+        wins += np.sum(s < nonmember) + 0.5 * np.sum(s == nonmember)
+    return float(wins / (member.size * nonmember.size))
+
+
+def _loop_threshold(member, nonmember):
+    """Reference: the first candidate whose accuracy beats all before it."""
+    pooled = np.unique(np.concatenate([member, nonmember]))
+    candidates = np.concatenate([[pooled[0] - 1e-9],
+                                 (pooled[:-1] + pooled[1:]) / 2,
+                                 [pooled[-1] + 1e-9]])
+    best_t, best_acc = candidates[0], -1.0
+    for t in candidates:
+        acc = (np.sum(member <= t) + np.sum(nonmember > t)) / (member.size + nonmember.size)
+        if acc > best_acc:
+            best_acc, best_t = acc, t
+    return float(best_t)
+
+
+# few distinct values, so most scores tie; adjacent floats, whose midpoint
+# rounds onto one of them
+_tied_scores = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.3, np.nextafter(0.3, 1)]),
+                        min_size=1, max_size=30).map(np.array)
+
+
 class TestMembership:
     def test_visit_frequency(self):
-        freq = visit_frequency(_trace([4, 4, 9, 4]))
+        counts = privacy._run_counts([_trace([4, 4, 9, 4])], np.array([4, 9]))
         # runs: 4, 9, 4
-        assert freq == {4: pytest.approx(2 / 3), 9: pytest.approx(1 / 3)}
+        assert counts.toarray().tolist() == [[2, 1]]
+        assert visit_frequency(_trace([4, 4, 9, 4])) == {4: 2 / 3, 9: 1 / 3}
+
+    @settings(max_examples=200, deadline=None)
+    @given(syn=st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=30),
+                        min_size=1, max_size=6),
+           targets=st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=30),
+                            min_size=1, max_size=5))
+    def test_scores_match_dict_tv(self, syn, targets):
+        syn = _corpus([_trace(c, user=f"s{i}") for i, c in enumerate(syn)])
+        targets = [_trace(c, user=f"t{i}") for i, c in enumerate(targets)]
+        got = membership_scores(syn, targets)
+        want = [min(_tv_sparse(visit_frequency(t), visit_frequency(s)) for s in syn.traces)
+                for t in targets]
+        assert np.all(np.abs(got - want) <= 1e-12)
+        # and each score is the exact rational distance, correctly rounded
+        exact = [min(_exact_tv(t, s) for s in syn.traces) for t in targets]
+        assert got.tolist() == [float(x) for x in exact]
+
+    def test_disjoint_support_scores_exactly_one(self):
+        # ten runs of 1/10 each: a float sum of the frequencies is not 1
+        syn = _corpus([_trace([50, 51])])
+        assert membership_scores(syn, [_trace(np.arange(10))]).tolist() == [1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(member=_tied_scores, nonmember=_tied_scores)
+    def test_auc_and_threshold_match_loops(self, member, nonmember):
+        assert _auc_lower_is_member(member, nonmember) == _loop_auc(member, nonmember)
+        assert _best_threshold(member, nonmember) == _loop_threshold(member, nonmember)
 
     def test_auc_oracle(self):
         member = np.array([0.1, 0.2])
