@@ -113,12 +113,12 @@ class KernelPairCopula:
 
     def __init__(self, scores, bandwidth):
         scores = np.asarray(scores, dtype=float)
-        if scores.ndim != 2 or scores.shape[1] != 2:
-            raise DomainError("scores must be an (m, 2) array")
+        if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] != 2:
+            raise DomainError(f"scores must be an (m, 2) array with m >= 1, got {scores.shape}")
         if not np.all(np.isfinite(scores)):
             raise DomainError("scores must be finite")
-        if not bandwidth > 0:
-            raise DomainError(f"bandwidth must be positive, got {bandwidth}")
+        if not 0 < bandwidth < np.inf:
+            raise DomainError(f"bandwidth must be a finite number > 0, got {bandwidth}")
         self.scores = scores
         self.bandwidth = float(bandwidth)
         self._axis_cache = {}
@@ -130,6 +130,8 @@ class KernelPairCopula:
         v = np.asarray(v_sample, dtype=float)
         if u.shape != v.shape or u.ndim != 1:
             raise DomainError(f"samples must be equal-length 1-d arrays, got {u.shape} vs {v.shape}")
+        if max_scores < 2:
+            raise DomainError(f"max_scores must be >= 2, got {max_scores}")
         if u.size < 10:
             raise InsufficientDataError(f"pair copula needs n >= 10, got {u.size}")
         if np.any(u <= 0) or np.any(u >= 1) or np.any(v <= 0) or np.any(v >= 1):
@@ -293,9 +295,6 @@ class KernelPairCopula:
         u, v = self.sample(n, rng)
         return float(kendalltau(u, v).statistic)
 
-    def to_payload(self) -> dict:
-        return {"scores": self.scores, "bandwidth": self.bandwidth}
-
 
 def _ndtr(x):
     """``ndtr(x)``, evaluated only where it is not exactly 0 or 1: in float64
@@ -388,21 +387,20 @@ def _variance_correct(scores, b):
 class VineModel:
     """D-vine over an ordered variable list with empirical margins.
 
-    ``trees[t]`` holds the pair copulas of tree t+1; tree t has d-1-t edges.
-    Trees beyond the truncation depth are independence and simply absent.
+    ``trees[t]`` holds the pair copulas of tree t+1, with d-1-t edges.  Trees
+    beyond the truncation depth are independence and simply absent.  Variable
+    names and the model file belong to ``generators.VineGenerator``.
     """
 
-    def __init__(self, margins, trees, window=None, var_names=None):
+    def __init__(self, margins, trees):
         self.margins = list(margins)
         self.trees = [list(level) for level in trees]
-        self.window = window
         d = len(self.margins)
         if d < 2:
             raise DomainError("vine needs at least 2 variables")
         for t, level in enumerate(self.trees):
             if len(level) != d - 1 - t:
                 raise DomainError(f"tree {t + 1} must have {d - 1 - t} edges, got {len(level)}")
-        self.var_names = list(var_names) if var_names else [f"x{j}" for j in range(d)]
 
     @property
     def dim(self) -> int:
@@ -508,15 +506,6 @@ class VineModel:
         cols = [self.margins[j].quantile(u[:, j]) for j in range(d)]
         return np.column_stack(cols)
 
-    def to_payload(self) -> dict:
-        return {
-            "window": self.window,
-            "var_names": self.var_names,
-            "margins": [m.sorted_sample for m in self.margins],
-            "trees": [[e.to_payload() if e is not None else None for e in level]
-                      for level in self.trees],
-        }
-
 
 def default_trunc_level(d: int) -> int:
     """Full depth up to 4 variables, depth 3 beyond (deeper kernel fits are
@@ -524,12 +513,14 @@ def default_trunc_level(d: int) -> int:
     return d - 1 if d <= 4 else 3
 
 
-def vine_fit(data, window=None, trunc_level=None, max_scores=1000,
+def vine_fit(data, trunc_level=None, max_scores=1000,
              bandwidth_scale=1.0, var_names=None) -> VineModel:
     """Fit a D-vine with the column order as path order.
 
     Tree 1 pairs adjacent columns; deeper trees use the sequential
-    h-transform recursion on pseudo-observations.
+    h-transform recursion on pseudo-observations.  ``trunc_level`` (>= 1,
+    capped at d-1) is the number of trees fitted; ``var_names`` only name
+    the columns in error messages.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -546,7 +537,9 @@ def vine_fit(data, window=None, trunc_level=None, max_scores=1000,
 
     if trunc_level is None:
         trunc_level = default_trunc_level(d)
-    trunc_level = max(1, min(trunc_level, d - 1))
+    if trunc_level < 1:
+        raise DomainError(f"trunc_level must be >= 1, got {trunc_level}")
+    trunc_level = min(trunc_level, d - 1)
 
     margins = [EmpiricalMargin(data[:, j]) for j in range(d)]
     u = pseudo_observations(data)
@@ -573,4 +566,4 @@ def vine_fit(data, window=None, trunc_level=None, max_scores=1000,
             new_left.append(level[j].h_u_given_v(left[j], right[j]))
             new_right.append(level[j + 1].h_v_given_u(right[j + 1], left[j + 1]))
         left, right = new_left, new_right
-    return VineModel(margins, trees, window=window, var_names=var_names)
+    return VineModel(margins, trees)

@@ -388,7 +388,7 @@ def decode_array(d: dict) -> np.ndarray:
     try:
         raw = base64.b64decode(d["data"])
         return np.frombuffer(raw, dtype=np.dtype(d["dtype"])).reshape(d["shape"]).copy()
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed encoded array: {exc}") from exc
 
 
@@ -455,6 +455,9 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """The generator a model file holds.  ``generators`` reads the payload,
+    each array through :func:`read_array` and each other field through
+    :func:`read_scalar`; a field that fails is a ParseError naming it."""
     from . import generators
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -501,16 +504,38 @@ def _read_header(envelope):
     """Grid spec and sampling period of a corpus sidecar or model file, checked."""
     _check_version(envelope)
     return (GridSpec.from_dict(envelope.get("grid_spec")),
-            read_scalar(envelope, "sampling_period", int, lambda x: x > 0, "an integer > 0"))
+            read_scalar(envelope, "sampling_period", int, "an integer > 0", lambda x: x > 0))
 
 
-def read_scalar(obj: dict, name: str, kinds, valid, expected: str):
-    """One scalar field of a JSON file, checked (missing reads None, JSON true/false
-    is no number); ``name`` is its dotted path, ending in its key in ``obj``."""
-    value = obj.get(name.rpartition(".")[2])
-    if isinstance(value, bool) or not isinstance(value, kinds) or not valid(value):
-        raise ParseError(f"{name}: expected {expected}, got {value!r}")
+def read_scalar(obj, name: str, kinds, expected: str, valid=None):
+    """One plain JSON field of a file, checked: an instance of ``kinds`` (JSON
+    true/false is no number) for which ``valid`` holds.  ``name`` is its dotted
+    path, ending in its key in the object ``obj`` or its ``[index]`` in the
+    list ``obj``; a missing field reads None."""
+    if isinstance(obj, list):
+        value = obj[int(name[name.rindex("[") + 1:-1])]
+    else:
+        value = obj.get(name.rpartition(".")[2]) if isinstance(obj, dict) else None
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or (valid is not None and not valid(value))):
+        raise ParseError(f"{name}: expected {expected}, got {value!r:.80}")
     return value
+
+
+def read_array(obj, name: str, kinds: str, ndim: int) -> np.ndarray:
+    """One encoded array field of a file, checked: the array twin of
+    :func:`read_scalar`.  Its dtype kind is one of ``kinds`` ("iu" for
+    integers, "f" for floats) and its rank is ``ndim``."""
+    value = read_scalar(obj, name, dict, "an encoded array")
+    try:
+        a = decode_array(value)
+    except ParseError as exc:
+        raise ParseError(f"{name}: {exc}") from exc
+    if a.dtype.kind not in kinds or a.ndim != ndim:
+        kind = {"iu": "integer", "f": "float"}.get(kinds, kinds)
+        raise ParseError(f"{name}: expected a {ndim}-d {kind} array, "
+                         f"got {a.dtype} of shape {a.shape}")
+    return a
 
 
 def _check_version(envelope) -> None:

@@ -55,8 +55,8 @@ class MarkovGenerator(Generator):
         super().__init__(spec, sampling_period)
         if order < 0:
             raise DomainError("order must be >= 0")
-        if alpha <= 0:
-            raise DomainError("smoothing alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise DomainError(f"smoothing alpha must be a finite number > 0, got {alpha}")
         self.order = int(order)
         self.time_buckets = int(time_buckets)
         self.alpha = float(alpha)
@@ -164,16 +164,19 @@ class MarkovGenerator(Generator):
 
     @classmethod
     def from_payload(cls, spec, sampling_period, payload) -> "MarkovGenerator":
-        order = dataio.read_scalar(payload, "payload.order", int, lambda x: x >= 0,
-                                   "an integer >= 0")
+        order = dataio.read_scalar(payload, "payload.order", int, "an integer >= 0",
+                                   lambda x: x >= 0)
         time_buckets = dataio.read_scalar(payload, "payload.time_buckets", int,
-                                          lambda x: x >= 1, "an integer >= 1")
-        alpha = dataio.read_scalar(payload, "payload.alpha", (int, float),
-                                   lambda x: 0 < x < math.inf, "a finite number > 0")
-        alphabet = dataio.decode_array(payload["alphabet"])
+                                          "an integer >= 1", lambda x: x >= 1)
+        alpha = dataio.read_scalar(payload, "payload.alpha", (int, float), "a number")
+        alphabet = dataio.read_array(payload, "payload.alphabet", "iu", 1).astype(np.int64)
+        if (alphabet.size == 0 or np.any(np.diff(alphabet) <= 0) or alphabet[0] < 0
+                or alphabet[-1] >= spec.n_cells):
+            raise ParseError(f"payload.alphabet: expected strictly increasing cells in "
+                             f"[0, {spec.n_cells})")
         counts, global_counts = _read_counts(payload, order, time_buckets, alphabet.size)
-        return cls(spec, sampling_period, order, time_buckets, alpha,
-                   alphabet, counts, global_counts)
+        return _checked("payload.alpha", cls, spec, sampling_period, order, time_buckets,
+                        alpha, alphabet, counts, global_counts)
 
 
 def _prefix_rows(table: np.ndarray, key) -> np.ndarray:
@@ -185,22 +188,17 @@ def _prefix_rows(table: np.ndarray, key) -> np.ndarray:
 
 
 def _read_counts(payload, order: int, time_buckets: int, v: int):
-    """The count tables and global counts of a model file, checked."""
-    tables = payload["counts"]
-    if not isinstance(tables, list) or len(tables) != order + 1:
-        raise ParseError(f"payload.counts: expected a list of order+1 = {order + 1} "
-                         "count tables")
+    """The count tables and global counts of a model file, checked; a table in
+    the earlier layout, a list of per-(bucket, context) entries, is no array."""
+    tables = dataio.read_scalar(payload, "payload.counts", list,
+                                f"a list of order+1 = {order + 1} count tables",
+                                lambda x: len(x) == order + 1)
     counts = []
-    for k, enc in enumerate(tables):
+    for k in range(order + 1):
         where = f"payload.counts[{k}]"
-        if not isinstance(enc, dict):
-            # the earlier layout held a list of per-(bucket, context) entries
-            raise ParseError(f"{where}: expected one encoded count table, "
-                             f"got {type(enc).__name__}")
-        table = dataio.decode_array(enc)
-        if table.ndim != 2 or table.shape[1] != k + 3 or table.dtype.kind not in "iu":
-            raise ParseError(f"{where}: expected an integer table with {k + 3} columns, "
-                             f"got {table.dtype} {table.shape}")
+        table = dataio.read_array(tables, where, "iu", 2)
+        if table.shape[1] != k + 3:
+            raise ParseError(f"{where}: expected {k + 3} columns, got {table.shape[1]}")
         table = table.astype(np.int64)
         bucket, symbols, n = table[:, 0], table[:, 1:-1], table[:, -1]
         if np.any((bucket < 0) | (bucket >= time_buckets)):
@@ -215,12 +213,20 @@ def _read_counts(payload, order: int, time_buckets: int, v: int):
             raise ParseError(f"{where}: rows out of order or a repeated "
                              "(bucket, context, next) row")
         counts.append(table)
-    global_counts = dataio.decode_array(payload["global_counts"])
-    if (global_counts.shape != (v,) or global_counts.dtype.kind not in "iu"
-            or np.any(global_counts < 0)):
-        raise ParseError(f"payload.global_counts: expected {v} non-negative integer "
-                         f"counts, got {global_counts.dtype} {global_counts.shape}")
+    global_counts = dataio.read_array(payload, "payload.global_counts", "iu", 1)
+    if global_counts.size != v or np.any(global_counts < 0):
+        raise ParseError(f"payload.global_counts: expected {v} non-negative counts, "
+                         f"got {global_counts.size}")
     return counts, global_counts
+
+
+def _checked(where: str, build, *args):
+    """``build(*args)`` while reading a model file: a value its checks refuse
+    is a ParseError naming ``where``."""
+    try:
+        return build(*args)
+    except (DomainError, InsufficientDataError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _bucket_of(timestamps, time_buckets) -> np.ndarray:
@@ -260,6 +266,8 @@ class VineGenerator(Generator):
         w = int(window)
         if w < 1:
             raise DomainError("window must be >= 1")
+        if max_rows is not None and max_rows < 0:
+            raise DomainError(f"max_rows must be >= 0 (0 or None: no cap), got {max_rows}")
         usable = [t for t in corpus.traces if len(t) >= w + 1]
         if not usable:
             raise InsufficientDataError(f"no trace is longer than the window w={w}")
@@ -282,11 +290,8 @@ class VineGenerator(Generator):
             # even thinning keeps every trace represented and bounds fit cost
             keep = np.linspace(0, data.shape[0] - 1, max_rows).astype(int)
             data = data[keep]
-        names = ([f"pos_lag{w - k}" for k in range(w - 1)]
-                 + ["time_of_day", "pos_lag1", "pos"])
-        vine = copula.vine_fit(data, window=w, trunc_level=trunc_level,
-                               max_scores=max_scores, bandwidth_scale=bandwidth_scale,
-                               var_names=names)
+        vine = copula.vine_fit(data, trunc_level=trunc_level, max_scores=max_scores,
+                               bandwidth_scale=bandwidth_scale, var_names=_var_names(w))
 
         start_windows = cls._collect_start_windows(usable, w)
         return cls(spec, corpus.sampling_period, w, vine, start_windows)
@@ -347,39 +352,58 @@ class VineGenerator(Generator):
         return Corpus(spec=spec, traces=traces, sampling_period=self.sampling_period)
 
     def to_payload(self) -> dict:
-        vp = self.vine.to_payload()
         return {
             "window": self.window,
-            "var_names": vp["var_names"],
-            "margins": [dataio.encode_array(m) for m in vp["margins"]],
-            "trees": [
-                [
-                    None if e is None else {
-                        "scores": dataio.encode_array(e["scores"]),
-                        "bandwidth": e["bandwidth"],
-                    }
-                    for e in level
-                ]
-                for level in vp["trees"]
-            ],
+            "var_names": _var_names(self.window),
+            "margins": [dataio.encode_array(m.sorted_sample) for m in self.vine.margins],
+            "trees": [[{"scores": dataio.encode_array(e.scores), "bandwidth": e.bandwidth}
+                       for e in level] for level in self.vine.trees],
             "start_windows": dataio.encode_array(self.start_windows),
         }
 
     @classmethod
     def from_payload(cls, spec, sampling_period, payload) -> "VineGenerator":
-        margins = [copula.EmpiricalMargin(dataio.decode_array(m)) for m in payload["margins"]]
-        trees = [
-            [
-                None if e is None else copula.KernelPairCopula(
-                    dataio.decode_array(e["scores"]), e["bandwidth"])
-                for e in level
-            ]
-            for level in payload["trees"]
-        ]
-        vine = copula.VineModel(margins, trees, window=payload["window"],
-                                var_names=payload["var_names"])
-        return cls(spec, sampling_period, payload["window"], vine,
-                   dataio.decode_array(payload["start_windows"]))
+        w = dataio.read_scalar(payload, "payload.window", int, "an integer >= 1",
+                               lambda x: x >= 1)
+        d = w + 2
+        margins = dataio.read_scalar(payload, "payload.margins", list,
+                                     f"a list of window + 2 = {d} margins",
+                                     lambda x: len(x) == d)
+        margins = [_checked(f"payload.margins[{j}]", copula.EmpiricalMargin,
+                            dataio.read_array(margins, f"payload.margins[{j}]", "f", 1))
+                   for j in range(d)]
+        names = _var_names(w)
+        dataio.read_scalar(payload, "payload.var_names", list,
+                           f"the names of window {w}, {names}", lambda x: x == names)
+        trees = dataio.read_scalar(payload, "payload.trees", list, "a list of trees")
+        trees = [_read_tree(trees, f"payload.trees[{t}]") for t in range(len(trees))]
+        vine = _checked("payload.trees", copula.VineModel, margins, trees)
+        starts = dataio.read_array(payload, "payload.start_windows", "iu", 2)
+        if (starts.shape[0] < 1 or starts.shape[1] != w + 1
+                or np.any(starts[:, :-1] < 0) or np.any(starts[:, :-1] >= spec.n_cells)
+                or np.any(starts[:, -1] < 0) or np.any(starts[:, -1] >= HOURS_PER_DAY)):
+            raise ParseError(f"payload.start_windows: expected rows of {w} cells in "
+                             f"[0, {spec.n_cells}) and an hour in [0, {HOURS_PER_DAY}), "
+                             f"got shape {starts.shape}")
+        return cls(spec, sampling_period, w, vine, starts)
+
+
+def _var_names(w: int) -> list:
+    """The vine's variables in path order, for lag window ``w``."""
+    return [f"pos_lag{w - k}" for k in range(w - 1)] + ["time_of_day", "pos_lag1", "pos"]
+
+
+def _read_tree(trees, where: str) -> list:
+    """One tree of a vine model file: a list of pair copulas, each checked."""
+    edges = dataio.read_scalar(trees, where, list, "a list of edges")
+    level = []
+    for i in range(len(edges)):
+        edge = dataio.read_scalar(edges, f"{where}[{i}]", dict, "an object")
+        scores = dataio.read_array(edge, f"{where}[{i}].scores", "f", 2)
+        bandwidth = dataio.read_scalar(edge, f"{where}[{i}].bandwidth", (int, float),
+                                       "a number")
+        level.append(_checked(f"{where}[{i}]", copula.KernelPairCopula, scores, bandwidth))
+    return level
 
 
 def generator_from_payload(model_type, spec, sampling_period, payload) -> Generator:

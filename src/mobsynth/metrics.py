@@ -117,6 +117,8 @@ def topn_report(real: Corpus, syn: Corpus, n: int = 50) -> TopNReport:
     """Rank cells by real-corpus visit count and compare run statistics."""
     if real.spec != syn.spec:
         raise IncompatibilityError("corpora must share the grid spec")
+    if n < 1:
+        raise DomainError(f"topn: n must be >= 1, got {n}")
     values, counts = np.unique(corpus_runs(real.traces)[1], return_counts=True)
     if n > values.size:
         logger.warning("topN=%d exceeds %d distinct real cells; clamping", n, values.size)
@@ -194,6 +196,8 @@ def mmd_test(real: Corpus, syn: Corpus, n_permutations: int = 500,
     """
     if real.sampling_period != syn.sampling_period:
         raise IncompatibilityError("corpora must share the sampling period")
+    if n_permutations < 0:
+        raise DomainError(f"n_permutations must be >= 0, got {n_permutations}")
     n, m = len(real.traces), len(syn.traces)
     if n < 5 or m < 5:
         raise InsufficientDataError("mmd_test needs at least 5 traces per side")
@@ -202,16 +206,27 @@ def mmd_test(real: Corpus, syn: Corpus, n_permutations: int = 500,
     y = embed_corpus(syn, length)
     pooled = np.vstack([x, y])
 
+    # one (n+m)^2 buffer holds the kernel, built in place by the float operations
+    # of exp(-max(sq_i + sq_j - (2 x) @ x.T, 0) / (2 sigma^2)); the sums over
+    # sq_i + sq_j take row blocks of PERMUTATION_BLOCK elements
+    size = n + m
     sq = np.sum(pooled * pooled, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pooled @ pooled.T, 0.0)
-    tri = d2[np.triu_indices_from(d2, k=1)]
-    sigma = float(np.sqrt(np.median(tri))) if tri.size else 1.0
+    d2 = 2.0 * pooled @ pooled.T
+    rows = max(1, PERMUTATION_BLOCK // size)
+    for lo in range(0, size, rows):
+        block = d2[lo:lo + rows]
+        np.subtract(sq[lo:lo + rows, None] + sq, block, out=block)
+    np.maximum(d2, 0.0, out=d2)
+    tri = d2[~np.tri(size, dtype=bool)]  # the upper triangle, diagonal excluded
+    sigma = float(np.sqrt(np.median(tri, overwrite_input=True))) if tri.size else 1.0
     if sigma <= 0:
         sigma = 1.0
-    k = np.exp(-d2 / (2.0 * sigma * sigma))
+    k = np.negative(d2, out=d2)
+    k /= 2.0 * sigma * sigma
+    np.exp(k, out=k)
 
     unbiased, biased = _mmd_stats(k, n, m)
-    if n_permutations <= 0:
+    if n_permutations == 0:
         return MmdResult(unbiased, biased, float("nan"), 0, sigma)
 
     if rng is None:

@@ -10,7 +10,7 @@ from mobsynth import cli, dataio
 from mobsynth.cli import (EXIT_DOMAIN, EXIT_INCOMPATIBLE, EXIT_NOT_FOUND,
                           EXIT_OK, EXIT_PARSE, EXIT_USAGE, main, read_config)
 from mobsynth.errors import ParseError
-from mobsynth.geogrid import decode
+from mobsynth.geogrid import GridSpec, decode
 
 
 def run(*argv):
@@ -23,6 +23,17 @@ def corpus_file(tmp_path):
     assert run("--seed", "1", "simulate", "--out", str(path),
                "--users", "8", "--steps", "150", "--hotspots", "10") == EXIT_OK
     return path
+
+
+@pytest.fixture(scope="module")
+def vine_model_text(tmp_path_factory):
+    d = tmp_path_factory.mktemp("vine")
+    corpus, model = d / "real.csv", d / "vine.json"
+    assert run("--seed", "1", "simulate", "--out", str(corpus),
+               "--users", "8", "--steps", "150", "--hotspots", "10") == EXIT_OK
+    assert run("--seed", "2", "fit", "--corpus", str(corpus), "--max-scores", "150",
+               "--out", str(model)) == EXIT_OK
+    return model.read_text()
 
 
 class TestSimulate:
@@ -163,13 +174,32 @@ class TestFitGenerate:
         assert "time_buckets" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--max-scores", "1"], "max_scores"),
+        (["--max-rows", "-1"], "max_rows"),
+        (["--trunc-level", "0"], "trunc_level"),
+        (["--bandwidth-scale", "inf"], "bandwidth"),
+        (["--model-type", "markov", "--alpha", "nan"], "alpha"),
+        (["--model-type", "markov", "--alpha", "inf"], "alpha"),
+    ])
+    def test_unusable_fit_flag_is_domain_error(self, tmp_path, corpus_file, capsys,
+                                               flags, name):
+        model = tmp_path / "m.json"
+        assert run("--seed", "2", "fit", "--corpus", str(corpus_file), *flags,
+                   "--out", str(model)) == EXIT_DOMAIN
+        assert name in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("damage", ["missing_key", "short_array", "wrong_columns",
                                         "symbol_out_of_range", "zero_count",
                                         "repeated_row", "unsorted_rows", "old_layout",
                                         "order_not_integer", "time_buckets_zero",
                                         "alpha_string", "alpha_negative",
                                         "level_string", "sampling_period_string",
-                                        "sampling_period_missing", "envelope_list"])
+                                        "sampling_period_missing", "envelope_list",
+                                        "alphabet_2d", "alphabet_float",
+                                        "alphabet_unsorted", "alphabet_duplicate",
+                                        "alphabet_past_grid"])
     def test_malformed_model_is_parse_error(self, tmp_path, corpus_file, damage,
                                             capsys):
         model = tmp_path / "m.json"
@@ -178,6 +208,7 @@ class TestFitGenerate:
         envelope = json.loads(model.read_text())
         payload = envelope["payload"]
         order1 = dataio.decode_array(payload["counts"][1])
+        alphabet = dataio.decode_array(payload["alphabet"])
         if damage == "missing_key":
             del payload["alphabet"]
         elif damage == "short_array":
@@ -210,6 +241,18 @@ class TestFitGenerate:
             del envelope["sampling_period"]
         elif damage == "envelope_list":
             envelope = [envelope]
+        elif damage.startswith("alphabet_"):
+            if damage == "alphabet_2d":
+                alphabet = alphabet[:, None]
+            elif damage == "alphabet_float":
+                alphabet = alphabet.astype(float)
+            elif damage == "alphabet_unsorted":
+                alphabet = alphabet[::-1]
+            elif damage == "alphabet_duplicate":
+                alphabet[1] = alphabet[0]
+            else:
+                alphabet[-1] = GridSpec.from_dict(envelope["grid_spec"]).n_cells
+            payload["alphabet"] = dataio.encode_array(alphabet)
         else:
             # the per-(bucket, context) entries of the earlier file layout
             payload["counts"] = [[{"bucket": 0, "context": [0] * k,
@@ -226,8 +269,67 @@ class TestFitGenerate:
                  "sampling_period_string": "sampling_period",
                  "sampling_period_missing": "sampling_period",
                  "envelope_list": "JSON object"}.get(damage, "payload.counts")
-        if damage not in ("missing_key", "short_array"):
-            assert field in capsys.readouterr().err
+        if damage.startswith("alphabet_") or damage in ("missing_key", "short_array"):
+            field = "payload.alphabet"
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, field", [
+        ("bandwidth_string", "payload.trees[0][0].bandwidth"),
+        ("bandwidth_negative", "payload.trees[0][1]"),
+        ("trees_not_list", "payload.trees"),
+        ("tree_short", "payload.trees"),
+        ("scores_shape", "payload.trees[1][0].scores"),
+        ("window_string", "payload.window"),
+        ("window_9", "payload.margins"),
+        ("margins_short", "payload.margins"),
+        ("margin_nan", "payload.margins[2]"),
+        ("var_names_renamed", "payload.var_names"),
+        ("start_windows_1d", "payload.start_windows"),
+        ("start_cell_past_grid", "payload.start_windows"),
+        ("start_hour_24", "payload.start_windows"),
+    ])
+    def test_malformed_vine_model_is_parse_error(self, tmp_path, vine_model_text, damage,
+                                                 field, capsys):
+        envelope = json.loads(vine_model_text)
+        payload = envelope["payload"]
+        margin = dataio.decode_array(payload["margins"][2])
+        starts = dataio.decode_array(payload["start_windows"])
+        if damage == "bandwidth_string":
+            payload["trees"][0][0]["bandwidth"] = "x"
+        elif damage == "bandwidth_negative":
+            payload["trees"][0][1]["bandwidth"] = -0.1
+        elif damage == "trees_not_list":
+            payload["trees"] = 5
+        elif damage == "tree_short":
+            payload["trees"][1].pop()
+        elif damage == "scores_shape":
+            edge = payload["trees"][1][0]
+            edge["scores"] = dataio.encode_array(dataio.decode_array(edge["scores"]).ravel())
+        elif damage == "window_string":
+            payload["window"] = "a"
+        elif damage == "window_9":
+            payload["window"] = 9
+        elif damage == "margins_short":
+            payload["margins"].pop()
+        elif damage == "margin_nan":
+            margin[5] = np.nan
+            payload["margins"][2] = dataio.encode_array(margin)
+        elif damage == "var_names_renamed":
+            payload["var_names"][0] = "x0"
+        elif damage == "start_windows_1d":
+            payload["start_windows"] = dataio.encode_array(starts[0])
+        else:
+            if damage == "start_cell_past_grid":
+                starts[0, 0] = GridSpec.from_dict(envelope["grid_spec"]).n_cells
+            else:
+                starts[0, -1] = 24
+            payload["start_windows"] = dataio.encode_array(starts)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(envelope))
+        assert run("--seed", "1", "generate", "--model", str(model),
+                   "--out", str(tmp_path / "s.csv"), "--n-traces", "2",
+                   "--trace-len", "10") == EXIT_PARSE
+        assert field in capsys.readouterr().err
 
     def test_model_not_found(self, tmp_path):
         assert run("--seed", "1", "generate", "--model",
@@ -314,6 +416,19 @@ class TestEvaluate:
         for name in ("topn.csv", "mmd_permutations.csv", "mi_real.csv",
                      "mi_syn.csv"):
             assert (outdir / name).exists()
+
+    @pytest.mark.parametrize("flags, name", [(["--topn", "0"], "topn"),
+                                             (["--n-permutations", "-1"], "n_permutations")])
+    def test_flag_outside_domain_is_domain_error(self, tmp_path, corpus_file, monkeypatch,
+                                                 capsys, flags, name):
+        syn = _make_syn(tmp_path, corpus_file)
+        outdir = tmp_path / "report"
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        capsys.readouterr()
+        assert run("--seed", "6", "evaluate", "--real", str(corpus_file),
+                   "--syn", str(syn), "--outdir", str(outdir), *flags) == EXIT_DOMAIN
+        assert name in capsys.readouterr().err
+        assert not (outdir / "report.json").exists()
 
     def test_outdir_env_override(self, tmp_path, corpus_file, monkeypatch):
         syn = _make_syn(tmp_path, corpus_file)

@@ -374,13 +374,12 @@ class TestVine:
     def test_payload_roundtrip(self):
         data = self._ar1_data(500, 0.6, seed=23)
         model = vine_fit(data, max_scores=150)
-        payload = model.to_payload()
+        # what a model file keeps: each margin's sorted sample, each edge's
+        # scores and bandwidth
         rebuilt = VineModel(
-            [EmpiricalMargin(s) for s in payload["margins"]],
-            [[None if e is None else KernelPairCopula(e["scores"], e["bandwidth"])
-              for e in level] for level in payload["trees"]],
-            window=payload["window"],
-            var_names=payload["var_names"],
+            [EmpiricalMargin(m.sorted_sample.copy()) for m in model.margins],
+            [[KernelPairCopula(e.scores.copy(), e.bandwidth) for e in level]
+             for level in model.trees],
         )
         rng_a, rng_b = np.random.default_rng(24), np.random.default_rng(24)
         a = model.sample(50, rng_a)

@@ -305,6 +305,17 @@ class TestVineGenerator:
         assert known / total > 0.8
 
 
+class TestModelFiles:
+    @pytest.mark.parametrize("model_type", ["markov", "vine"])
+    def test_save_load_save_is_byte_identical(self, fitted, tmp_path, model_type):
+        model = (fitted if model_type == "vine"
+                 else MarkovGenerator.fit(_small_corpus(), order=2))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        dataio.save_model(model, first)
+        dataio.save_model(dataio.load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
 class TestPayloadDispatch:
     def test_unknown_model_type(self):
         with pytest.raises(IncompatibilityError):

@@ -219,7 +219,7 @@ def _run_corpora(draw):
 
 class TestTopNExactness:
     @settings(max_examples=200, deadline=None)
-    @given(corpora=_run_corpora(), n=st.integers(0, 8))
+    @given(corpora=_run_corpora(), n=st.integers(1, 8))
     def test_equals_loop_reference(self, corpora, n):
         real, syn = corpora
         rep = topn_report(real, syn, n=n)
@@ -294,32 +294,47 @@ class TestMmdExactness:
             assert got.p_value == p_value
 
     def test_permutations_copy_no_kernel(self):
-        # 2,000 pooled traces: the kernel is 32 MB, one permuted copy as much
-        rng = np.random.default_rng(30)
-        real = _corpus([_trace(rng.integers(0, 4000, size=12), user=f"r{i}")
-                        for i in range(1100)])
-        syn = _corpus([_trace(rng.integers(0, 4000, size=12), user=f"s{i}")
-                       for i in range(900)])
-        kernel_bytes = 8 * 2000 ** 2
+        # one permuted copy of the kernel would be 32 MB more
+        real, syn = _pooled_2000()
         block_bytes = 8 * 8 * metrics.PERMUTATION_BLOCK
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         # the null alone, given the kernel, stays inside a few blocks
-        k = rng.uniform(size=(2000, 2000))
-        assert peak(lambda: metrics._permuted_mmd2(
+        k = np.random.default_rng(30).uniform(size=(2000, 2000))
+        assert _peak(lambda: metrics._permuted_mmd2(
             k, 1100, 900, 500, np.random.default_rng(31))) < block_bytes
         # and mmd_test with 500 permutations peaks where building the kernel does
-        built = peak(lambda: mmd_test(real, syn, 0))
-        tested = peak(lambda: mmd_test(real, syn, 500, np.random.default_rng(32)))
-        assert built > kernel_bytes
+        built = _peak(lambda: mmd_test(real, syn, 0))
+        tested = _peak(lambda: mmd_test(real, syn, 500, np.random.default_rng(32)))
+        assert built > KERNEL_BYTES_2000
         assert tested < built + block_bytes
+
+    def test_kernel_built_in_place(self):
+        # the kernel takes one (n+m)^2 buffer; the median bandwidth reads its
+        # upper triangle, half a kernel more
+        real, syn = _pooled_2000()
+        assert _peak(lambda: mmd_test(real, syn, 0)) < 3 * KERNEL_BYTES_2000
+
+
+KERNEL_BYTES_2000 = 8 * 2000 ** 2
+
+
+def _pooled_2000():
+    """1,100 real and 900 synthetic 12-step traces: a 32 MB kernel."""
+    rng = np.random.default_rng(30)
+    real = _corpus([_trace(rng.integers(0, 4000, size=12), user=f"r{i}")
+                    for i in range(1100)])
+    syn = _corpus([_trace(rng.integers(0, 4000, size=12), user=f"s{i}")
+                   for i in range(900)])
+    return real, syn
+
+
+def _peak(fn):
+    """Peak bytes ``tracemalloc`` sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _loop_symbolize(corpus, min_count):
