@@ -9,7 +9,7 @@ on realism (topN visits, MMD, mutual-information decay) and privacy leakage
 from .geogrid import GridSpec, encode, decode, curve_position
 from .dataio import Corpus, GridTrace, ingest, simulate_ground_truth
 from .copula import EmpiricalMargin, KernelPairCopula, VineModel, vine_fit
-from .generators import Generator, MarkovGenerator, VineGenerator
+from .generators import MarkovGenerator, VineGenerator
 from .metrics import topn_report, mmd_test, mi_decay
 from .privacy import hide_locations, sequence_attack, membership_attack, battery
 
@@ -19,7 +19,7 @@ __all__ = [
     "GridSpec", "encode", "decode", "curve_position",
     "Corpus", "GridTrace", "ingest", "simulate_ground_truth",
     "EmpiricalMargin", "KernelPairCopula", "VineModel", "vine_fit",
-    "Generator", "MarkovGenerator", "VineGenerator",
+    "MarkovGenerator", "VineGenerator",
     "topn_report", "mmd_test", "mi_decay",
     "hide_locations", "sequence_attack", "membership_attack", "battery",
     "__version__",

@@ -4,8 +4,10 @@ The joint model follows the two-step Sklar decomposition: margins are
 estimated by the empirical distribution function, dependence by a kernel
 density estimate on the normal-score (probit) scale.  Conditional CDFs
 (h-functions) are closed-form mixtures of Gaussian CDFs, which makes
-sequential D-vine fitting and inverse-Rosenblatt sampling exact up to a
-monotone root find.
+sequential D-vine fitting exact.  Sampling is exact too: a conditional draw
+picks a mixture component by its weight and then draws from that Gaussian,
+with no root find.  Only the h-inverse solves for a root, by Brent's method
+on the probit scale.
 
 Each row of an h-function, h-inverse or conditional draw is a mixture over
 the kernel centers inside that row's own tail window: the centers whose
@@ -21,13 +23,14 @@ the same.
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .errors import DomainError, InsufficientDataError, NumericalError
+from .errors import DomainError, InsufficientDataError
 
 _EPS_U = 1e-9           # clamp for values entering the probit transform
-_H_TOL = 1e-8           # absolute tolerance of h-function inversion
-_H_MAX_ITER = 200
+_Z_BOUND = 9.0          # h-inverse searches z in [-9, 9]; ndtr(9) rounds to 1
+_Z_TOL = 1e-14          # h-inverse root tolerance on the probit scale
 _BLOCK_ELEMENTS = 2 ** 16  # per block: each float64 temporary, 512 KiB, stays in cache
 
 DEFAULT_MAX_SCORES = 2000
@@ -38,7 +41,8 @@ class EmpiricalMargin:
 
     The probability integral transform uses the rank/(n+1) convention with
     linear interpolation between sample atoms and clamping to
-    [1/(n+1), n/(n+1)] outside the observed range.
+    [1/(n+1), n/(n+1)] outside the observed range.  The quantile maps back
+    onto the sample atoms themselves.
     """
 
     def __init__(self, sample):
@@ -61,24 +65,15 @@ class EmpiricalMargin:
         return u
 
     def quantile(self, u):
-        """Monotone pseudo-inverse of :meth:`pit`; u must lie in (0, 1)."""
-        u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-            raise DomainError("quantile argument must lie strictly inside (0, 1)")
-        x = np.interp(u_arr, self._probs, self.sorted_sample)
-        return x if u_arr.ndim else float(x)
+        """Inverse ECDF onto the sample atoms (no interpolation); u must lie
+        in (0, 1).
 
-    def quantile_atom(self, u):
-        """Inverse ECDF onto the sample atoms themselves (no interpolation).
-
-        For variables that are discrete underneath their continuous
-        relaxation, interpolating between atoms fabricates values between
-        the observed categories; this variant always returns an observed
-        sample value.
+        The vine's positions are discrete underneath their continuous
+        relaxation, and interpolating between atoms would fabricate values
+        between the observed categories, so this always returns an observed
+        sample value.  It inverts :meth:`pit` on the atoms.
         """
-        u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-            raise DomainError("quantile argument must lie strictly inside (0, 1)")
+        u_arr = _inside_unit(u, "quantile argument")
         idx = np.clip((u_arr * self.n).astype(np.int64), 0, self.n - 1)
         x = self.sorted_sample[idx]
         return x if u_arr.ndim else float(x)
@@ -152,20 +147,43 @@ class KernelPairCopula:
 
     def h_u_given_v(self, u, v):
         """Conditional CDF P(U <= u | V = v); vectorized over same-shape inputs."""
-        return self._h(u, v, cond_axis=1)
+        return self._per_row(u, v, 1, self._h_rows)
 
     def h_v_given_u(self, v, u):
         """Conditional CDF P(V <= v | U = u)."""
-        return self._h(v, u, cond_axis=0)
+        return self._per_row(v, u, 0, self._h_rows)
 
     def h_inverse_u_given_v(self, p, v):
-        """u such that h_u_given_v(u, v) = p, by bisection to 1e-8."""
-        return self._h_inverse(p, v, cond_axis=1)
+        """u such that h_u_given_v(u, v) = p, p in (0, 1): one Brent root
+        find per row on the probit scale (:func:`_invert_mixture`)."""
+        return self._per_row(_inside_unit(p, "h_inverse target"), v, 1,
+                             self._h_inverse_rows)
 
     def h_inverse_v_given_u(self, p, u):
-        return self._h_inverse(p, u, cond_axis=0)
+        """v such that h_v_given_u(v, u) = p; see :meth:`h_inverse_u_given_v`."""
+        return self._per_row(_inside_unit(p, "h_inverse target"), u, 0,
+                             self._h_inverse_rows)
 
-    def _row_windows(self, flat_cond, cond_axis, tail=1e-10):
+    def sample_v_given_u(self, q, u):
+        """Draw V | U = u with q in (0, 1) as the source of randomness.
+
+        One exact draw from the conditional Gaussian mixture per row: the
+        mixture component is picked by inverting the cumulative weights at
+        q, and the leftover rank within the component gives the normal
+        quantile.  For uniform q it is equal in distribution to
+        h_inverse_v_given_u(q, u), with a single weight evaluation in place
+        of a root find.
+        """
+        # a 1e-5 relative tail is far below sampling noise
+        return self._per_row(_inside_unit(q, "sampling rank"), u, 0,
+                             self._draw_rows, tail=1e-5)
+
+    def sample_u_given_v(self, q, v):
+        """Draw U | V = v; see :meth:`sample_v_given_u`."""
+        return self._per_row(_inside_unit(q, "sampling rank"), v, 1,
+                             self._draw_rows, tail=1e-5)
+
+    def _row_windows(self, flat_cond, cond_axis, tail):
         """Yield (rows, centers, weights, width) blocks that cover each row once.
 
         Row ``rows[i]`` keeps only the ``width[i]`` kernel centers inside
@@ -216,84 +234,61 @@ class KernelPairCopula:
             w /= _row_sum(w)[:, None]
             yield rows, t_sorted[cols], w, n
 
-    def _h(self, x, cond, cond_axis):
-        x_arr = np.asarray(x, dtype=float)
-        shape = np.broadcast(x_arr, np.asarray(cond)).shape
-        flat_x = np.broadcast_to(x_arr, shape).reshape(-1)
-        flat_cond = np.broadcast_to(np.asarray(cond, dtype=float), shape).reshape(-1)
+    def _per_row(self, x, cond, cond_axis, kernel, tail=1e-10):
+        """The per-row loop shared by h, h-inverse and draws: broadcast x
+        against cond, evaluate ``kernel(x_rows, centers, weights, width)``
+        on each block of :meth:`_row_windows`, clip to [1e-12, 1 - 1e-12]
+        and return the broadcast shape (a float for scalar inputs)."""
+        x = np.asarray(x, dtype=float)
+        cond = np.asarray(cond, dtype=float)
+        shape = np.broadcast(x, cond).shape
+        flat_x = np.broadcast_to(x, shape).reshape(-1)
         out = np.empty(flat_x.size)
-        b = self.bandwidth
-        z = _to_scores(flat_x)
-        for rows, other, w, _ in self._row_windows(flat_cond, cond_axis):
-            out[rows] = _row_sum(w * _ndtr((z[rows, None] - other) / b))
+        for rows, centers, w, n in self._row_windows(
+                np.broadcast_to(cond, shape).reshape(-1), cond_axis, tail):
+            out[rows] = kernel(flat_x[rows], centers, w, n)
         out = np.clip(out, 1e-12, 1.0 - 1e-12)
         return out.reshape(shape) if shape else float(out[0])
 
-    def _h_inverse(self, p, cond, cond_axis):
-        p_arr = np.asarray(p, dtype=float)
-        shape = np.broadcast(p_arr, np.asarray(cond)).shape
-        flat_p = np.broadcast_to(p_arr, shape).reshape(-1)
-        flat_cond = np.broadcast_to(np.asarray(cond, dtype=float), shape).reshape(-1)
-        if np.any(flat_p <= 0) or np.any(flat_p >= 1):
-            raise DomainError("h_inverse target must lie strictly inside (0, 1)")
-        out = np.empty(flat_p.size)
-        for rows, other, w, _ in self._row_windows(flat_cond, cond_axis):
-            out[rows] = _invert_mixture(flat_p[rows], other, w, self.bandwidth)
-        out = np.clip(out, 1e-12, 1.0 - 1e-12)
-        return out.reshape(shape) if shape else float(out[0])
+    def _h_rows(self, x, centers, w, n):
+        return _row_sum(w * _ndtr((_to_scores(x)[:, None] - centers) / self.bandwidth))
 
-    def sample_v_given_u(self, q, u):
-        """Draw V | U = u with q in (0, 1) as the source of randomness.
+    def _h_inverse_rows(self, p, centers, w, n):
+        return _invert_mixture(p, centers, w, self.bandwidth)
 
-        One exact draw from the conditional Gaussian mixture per row: the
-        mixture component is picked by inverting the cumulative weights at
-        q, and the leftover rank within the component gives the normal
-        quantile.  Equal in distribution to h_inverse_v_given_u(q, u) for
-        uniform q, but needs a single weight evaluation instead of a root
-        find, so the sampler uses it on the hot path.
-        """
-        return self._sample_conditional(q, u, cond_axis=0)
-
-    def sample_u_given_v(self, q, v):
-        return self._sample_conditional(q, v, cond_axis=1)
-
-    def _sample_conditional(self, q, cond, cond_axis):
-        q_arr = np.asarray(q, dtype=float)
-        shape = np.broadcast(q_arr, np.asarray(cond)).shape
-        flat_q = np.broadcast_to(q_arr, shape).reshape(-1)
-        flat_cond = np.broadcast_to(np.asarray(cond, dtype=float), shape).reshape(-1)
-        if np.any(flat_q <= 0) or np.any(flat_q >= 1):
-            raise DomainError("sampling rank must lie strictly inside (0, 1)")
-        out = np.empty(flat_q.size)
-        b = self.bandwidth
-        # a 1e-5 relative tail is far below sampling noise
-        for rows, other, w, n in self._row_windows(flat_cond, cond_axis, tail=1e-5):
-            # cumulative weights, pinned to 1 from each row's last center on
-            cum = np.cumsum(w, axis=1)
-            cum[np.arange(w.shape[1]) >= n[:, None] - 1] = 1.0
-            qr = flat_q[rows]
-            k = np.count_nonzero(cum < qr[:, None], axis=1)
-            at = np.arange(k.size)
-            prev = np.where(k > 0, cum[at, k - 1], 0.0)
-            r = np.clip((qr - prev) / np.maximum(w[at, k], 1e-300), 1e-12, 1.0 - 1e-12)
-            out[rows] = ndtr(other[at, k] + b * ndtri(r))
-        out = np.clip(out, 1e-12, 1.0 - 1e-12)
-        return out.reshape(shape) if shape else float(out[0])
+    def _draw_rows(self, q, centers, w, n):
+        # cumulative weights, pinned to 1 from each row's last center on
+        cum = np.cumsum(w, axis=1)
+        cum[np.arange(w.shape[1]) >= n[:, None] - 1] = 1.0
+        k = np.count_nonzero(cum < q[:, None], axis=1)
+        at = np.arange(k.size)
+        prev = np.where(k > 0, cum[at, k - 1], 0.0)
+        r = np.clip((q - prev) / np.maximum(w[at, k], 1e-300), 1e-12, 1.0 - 1e-12)
+        return ndtr(centers[at, k] + self.bandwidth * ndtri(r))
 
     # -- sampling ----------------------------------------------------------
 
     def sample(self, n, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n (u, v) pairs by conditional inversion; v is exactly uniform."""
+        """Draw n (u, v) pairs: v uniform, then u | v by the exact
+        conditional draw (:meth:`sample_u_given_v`)."""
         v = rng.uniform(size=n)
         p = rng.uniform(size=n)
-        u = self.h_inverse_u_given_v(p, v)
-        return u, v
+        return self.sample_u_given_v(p, v), v
 
     def kendall_tau(self, n, rng) -> float:
+        """Kendall's tau of n pairs drawn by :meth:`sample`."""
         from scipy.stats import kendalltau
 
         u, v = self.sample(n, rng)
         return float(kendalltau(u, v).statistic)
+
+
+def _inside_unit(x, what):
+    """x as a float array, which must lie strictly inside (0, 1)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0) or np.any(x >= 1.0):
+        raise DomainError(f"{what} must lie strictly inside (0, 1)")
+    return x
 
 
 def _ndtr(x):
@@ -311,65 +306,29 @@ def _row_sum(vals):
     return np.cumsum(vals, axis=1)[:, -1]
 
 
+def _mixture_gap(z, centers, w, b, p):
+    """One row's mixture CDF at z, sum_i w[0, i] * Phi((z - centers[0, i]) / b),
+    minus p."""
+    return _row_sum(w * _ndtr((z - centers) / b))[0] - p
+
+
 def _invert_mixture(p, centers, w, b):
-    """Solve sum_i w[r, i] * Phi((z - c[r, i]) / b) = p[r] for z, per row r.
+    """Solve sum_i w[r, i] * Phi((z - centers[r, i]) / b) = p[r] for z in
+    [-9, 9], one Brent root find (``scipy.optimize.brentq``) per row r.
 
-    Bracketed secant with the Illinois anti-stall rule (the retained
-    endpoint's function value is halved when the same side is replaced
-    twice running), falling back to bisection whenever the secant step
-    leaves the bracket.  Converged rows drop out of the iteration.
-    Returns Phi(z), the root on the uniform scale.
+    Returns Phi(z), the root on the uniform scale.  Where p[r] lies outside
+    the mixture's values at -9 and 9, z is the nearer bound.
     """
-    n = p.size
-
-    def f_of(z_vals, rows):
-        d = (z_vals[:, None] - centers[rows]) / b
-        return _row_sum(w[rows] * _ndtr(d)) - p[rows]
-
-    rows_all = np.arange(n)
-    # moment-matched Gaussian warm start: one endpoint lands next to the
-    # root, the other falls back to the edge of the search interval
-    mu = _row_sum(w * centers)
-    sd = np.sqrt(np.maximum(_row_sum(w * centers * centers) - mu * mu, 0.0)
-                 + b * b)
-    z0 = np.clip(mu + sd * ndtri(p), -9.0, 9.0)
-    f0 = f_of(z0, rows_all)
-    below = f0 < 0.0
-    z_lo = np.where(below, z0, -9.0)
-    z_hi = np.where(below, 9.0, z0)
-    f_far = f_of(np.where(below, 9.0, -9.0), rows_all)
-    f_lo = np.where(below, f0, f_far)
-    f_hi = np.where(below, f_far, f0)
-    z_out = 0.5 * (z_lo + z_hi)
-    side = np.zeros(n, dtype=np.int8)
-    active = rows_all
-    for _ in range(_H_MAX_ITER):
-        zl, zh = z_lo[active], z_hi[active]
-        fl, fh = f_lo[active], f_hi[active]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z_new = zh - fh * (zh - zl) / (fh - fl)
-        mid = 0.5 * (zl + zh)
-        z_new = np.where(np.isfinite(z_new) & (z_new > zl) & (z_new < zh),
-                         z_new, mid)
-        f_new = f_of(z_new, active)
-        z_out[active] = z_new
-        up = f_new < 0.0  # root lies above the new point
-        stale_hi = up & (side[active] == -1)
-        stale_lo = ~up & (side[active] == 1)
-        z_lo[active] = np.where(up, z_new, zl)
-        f_lo[active] = np.where(up, f_new, np.where(stale_lo, 0.5 * fl, fl))
-        z_hi[active] = np.where(up, zh, z_new)
-        f_hi[active] = np.where(up, np.where(stale_hi, 0.5 * fh, fh), f_new)
-        side[active] = np.where(up, -1, 1)
-        done = (np.abs(f_new) < 0.1 * _H_TOL) | \
-            (ndtr(z_hi[active]) - ndtr(z_lo[active]) < 0.1 * _H_TOL)
-        active = active[~done]
-        if active.size == 0:
-            break
-    else:
-        if np.max(ndtr(z_hi[active]) - ndtr(z_lo[active])) > _H_TOL:
-            raise NumericalError("h-function inversion did not converge")
-    return ndtr(z_out)
+    z = np.empty(p.size)
+    for r in range(p.size):
+        args = (centers[r:r + 1], w[r:r + 1], b, p[r])
+        if _mixture_gap(-_Z_BOUND, *args) >= 0.0:
+            z[r] = -_Z_BOUND
+        elif _mixture_gap(_Z_BOUND, *args) <= 0.0:
+            z[r] = _Z_BOUND
+        else:
+            z[r] = brentq(_mixture_gap, -_Z_BOUND, _Z_BOUND, args=args, xtol=_Z_TOL)
+    return ndtr(z)
 
 
 def _variance_correct(scores, b):
@@ -413,11 +372,8 @@ class VineModel:
     # -- conditional machinery --------------------------------------------
 
     def _edge(self, i, j):
-        """Pair copula of (x_i, x_j | between); None when truncated away."""
-        t = j - i - 1
-        if t >= len(self.trees):
-            return None
-        return self.trees[t][i]
+        """Pair copula of (x_i, x_j | between); callers stay within depth."""
+        return self.trees[j - i - 1][i]
 
     def _cond_cdfs(self, u_cond, target):
         """Values a_t = F(u_{target-t} | u_{target-t+1..target-1}) for the
@@ -431,24 +387,14 @@ class VineModel:
             if i == j:
                 return u_cond[:, i]
             if (i, j) not in memo_c:
-                cop = self._edge(i, j)
-                left = c_val(i, j - 1)
-                if cop is None:
-                    memo_c[(i, j)] = left
-                else:
-                    memo_c[(i, j)] = cop.h_u_given_v(left, d_val(i + 1, j))
+                memo_c[(i, j)] = self._edge(i, j).h_u_given_v(c_val(i, j - 1), d_val(i + 1, j))
             return memo_c[(i, j)]
 
         def d_val(i, j):  # F(x_j | x_{i..j-1})
             if i == j:
                 return u_cond[:, j]
             if (i, j) not in memo_d:
-                cop = self._edge(i, j)
-                right = d_val(i + 1, j)
-                if cop is None:
-                    memo_d[(i, j)] = right
-                else:
-                    memo_d[(i, j)] = cop.h_v_given_u(right, c_val(i, j - 1))
+                memo_d[(i, j)] = self._edge(i, j).h_v_given_u(d_val(i + 1, j), c_val(i, j - 1))
             return memo_d[(i, j)]
 
         return [c_val(target - t, target - 1) for t in range(1, depth + 1)]
@@ -456,47 +402,36 @@ class VineModel:
     def _conditional_u(self, u_cond, p, target):
         """Inverse-Rosenblatt draw of variable ``target`` on the uniform
         scale given u_cond (n, target) and uniforms p (n,).  Each step draws
-        directly from the conditional mixture (``sample_v_given_u``), which
-        is equal in distribution to the h-inversion and much cheaper."""
-        depth = min(self.depth, target)
-        if depth == 0:
-            return np.asarray(p, dtype=float)
+        directly from the conditional mixture (``sample_v_given_u``)."""
         a = self._cond_cdfs(u_cond, target)
         q = np.asarray(p, dtype=float)
-        for t in range(depth, 0, -1):
-            cop = self._edge(target - t, target)
-            if cop is not None:
-                q = cop.sample_v_given_u(q, a[t - 1])
+        for t in range(len(a), 0, -1):
+            q = self._edge(target - t, target).sample_v_given_u(q, a[t - 1])
         return q
 
     # -- public sampling ----------------------------------------------------
 
-    def conditional_sample(self, cond_values, rng, size=None, atoms=False):
-        """Sample the last variable given data-scale values of all others.
+    def conditional_sample(self, cond_values, rng):
+        """Draw the last variable given data-scale values of all others.
 
-        ``cond_values`` is either a length d-1 vector (one draw, or ``size``
-        draws at the same conditioning point) or an (n, d-1) matrix.  With
-        ``atoms=True`` the returned values are actual training-sample atoms
-        of the target margin (inverse ECDF without interpolation).
+        ``cond_values`` is an (n, d-1) matrix, one conditioning row per
+        draw; the n draws are training-sample atoms of the last margin.
         """
         cond = np.asarray(cond_values, dtype=float)
-        scalar = cond.ndim == 1 and size is None
-        if cond.ndim == 1:
-            cond = np.tile(cond, (size or 1, 1))
-        if cond.shape[1] != self.dim - 1:
-            raise DomainError(f"expected {self.dim - 1} conditioning values, got {cond.shape[1]}")
+        if cond.ndim != 2 or cond.shape[1] != self.dim - 1:
+            raise DomainError(f"expected an (n, {self.dim - 1}) matrix of conditioning "
+                              f"values, got shape {cond.shape}")
         u_cond = np.column_stack(
             [np.clip(self.margins[j].pit(cond[:, j]), _EPS_U, 1 - _EPS_U) for j in range(self.dim - 1)]
         )
         p = rng.uniform(size=cond.shape[0])
         p = np.clip(p, _EPS_U, 1 - _EPS_U)
         u = self._conditional_u(u_cond, p, self.dim - 1)
-        margin = self.margins[-1]
-        x = margin.quantile_atom(u) if atoms else margin.quantile(u)
-        return float(x[0]) if scalar else x
+        return self.margins[-1].quantile(u)
 
     def sample(self, n, rng) -> np.ndarray:
-        """Draw n joint rows by sequential inverse-Rosenblatt over the path."""
+        """Draw n joint rows of training-sample atoms by sequential
+        inverse-Rosenblatt over the path."""
         d = self.dim
         u = np.empty((n, d))
         u[:, 0] = np.clip(rng.uniform(size=n), _EPS_U, 1 - _EPS_U)

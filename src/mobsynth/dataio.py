@@ -70,6 +70,18 @@ class Corpus:
         return int(sum(len(t) for t in self.traces))
 
 
+def time_grid(start_time: int, sampling_period: int, n: int) -> np.ndarray:
+    """The n int64 timestamps start_time + k * sampling_period of a generated
+    or simulated trace.  A negative start, or a last timestamp past
+    2^63 - 1, is a DomainError."""
+    if start_time < 0:
+        raise DomainError(f"start_time must be >= 0, got {start_time}")
+    if int(start_time) + int(sampling_period) * (n - 1) > _INT64_MAX:
+        raise DomainError(f"start_time {start_time} puts the last of {n} timestamps "
+                          "past 2^63 - 1")
+    return start_time + sampling_period * np.arange(n, dtype=np.int64)
+
+
 def hour_of_day(timestamps) -> np.ndarray:
     """Fractional hour in [0, 24) for epoch-second timestamps."""
     return (np.asarray(timestamps) % SECONDS_PER_DAY) / 3600.0
@@ -339,7 +351,7 @@ class GroundTruthSimulator:
             raise DomainError("trace_len must be >= 1")
         if sampling_period <= 0:
             raise DomainError(f"sampling_period must be positive, got {sampling_period}")
-        timestamps = start_time + sampling_period * np.arange(trace_len, dtype=np.int64)
+        timestamps = time_grid(start_time, sampling_period, trace_len)
         hours = hour_of_day(timestamps)
         p = self.params
         states = self.homes.copy()

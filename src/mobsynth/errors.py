@@ -33,7 +33,3 @@ class IncompatibilityError(MobsynthError, ValueError):
 
 class FormatVersionError(IncompatibilityError):
     """A persisted file was written with an unsupported format version."""
-
-
-class NumericalError(MobsynthError, RuntimeError):
-    """A numerical routine failed to converge."""

@@ -1,5 +1,6 @@
-"""Trajectory generators behind one interface: vine copula and k-order
-Markov with time-of-day buckets.
+"""Trajectory generators: vine copula and k-order Markov with time-of-day
+buckets.  Both offer ``fit``, ``generate``, ``to_payload``/``from_payload``
+and the ``model_type``, ``spec`` and ``sampling_period`` a model file keeps.
 
 Generation is autoregressive on the sampling grid: the model conditions on
 time-of-day but never generates timestamps; cells map back to coordinates
@@ -16,34 +17,17 @@ from . import copula, dataio, geogrid
 from .dataio import Corpus, GridTrace, hour_of_day
 from .errors import (DomainError, IncompatibilityError, InsufficientDataError,
                      ParseError)
-from .geogrid import GridSpec
 
 HOURS_PER_DAY = 24
 # cells of one (traces x alphabet) block of Markov draws, about 32 MB
 _CHUNK_CELLS = 1 << 22
 
 
-class Generator:
-    """Common interface: deterministic corpus synthesis given a seed."""
-
-    model_type = "base"
-
-    def __init__(self, spec: GridSpec, sampling_period: int):
-        self.spec = spec
-        self.sampling_period = int(sampling_period)
-
-    def generate(self, n_traces: int, trace_len: int, start_time: int, seed: int) -> Corpus:
-        raise NotImplementedError
-
-    def to_payload(self) -> dict:
-        raise NotImplementedError
-
-
 # ---------------------------------------------------------------------------
 # Markov baseline
 # ---------------------------------------------------------------------------
 
-class MarkovGenerator(Generator):
+class MarkovGenerator:
     """k-order Markov chain over cells, bucketed by time of day, with additive
     smoothing and back-off down to order 0.  ``counts[k]`` has one sorted row
     (bucket, ctx_1..ctx_k, next, count) per observed order-k transition."""
@@ -52,7 +36,8 @@ class MarkovGenerator(Generator):
 
     def __init__(self, spec, sampling_period, order, time_buckets, alpha,
                  alphabet, counts, global_counts):
-        super().__init__(spec, sampling_period)
+        self.spec = spec
+        self.sampling_period = int(sampling_period)
         if order < 0:
             raise DomainError("order must be >= 0")
         if not 0 < alpha < math.inf:
@@ -134,7 +119,7 @@ class MarkovGenerator(Generator):
         if trace_len < 1:
             raise DomainError("trace_len must be >= 1")
         v = self.alphabet.size
-        timestamps = start_time + self.sampling_period * np.arange(trace_len, dtype=np.int64)
+        timestamps = dataio.time_grid(start_time, self.sampling_period, trace_len)
         buckets = _bucket_of(timestamps, self.time_buckets)
         sym = np.empty((n_traces, trace_len), dtype=np.int64)
         # trace i draws one uniform per step from its own stream, so the
@@ -238,21 +223,23 @@ def _bucket_of(timestamps, time_buckets) -> np.ndarray:
 # vine copula generator
 # ---------------------------------------------------------------------------
 
-class VineGenerator(Generator):
+class VineGenerator:
     """D-vine autoregression over jittered curve positions and time of day.
 
     The vine's path order is (x_{t-w}, ..., x_{t-2}, tod_t, x_{t-1}, x_t):
-    the newest position is the last variable, so its conditional distribution
-    is a closed chain of h-inversions.  The previous position sits right next
-    to it because lag-1 dependence (staying put) dominates; time of day comes
-    one step further in, still inside the truncation depth.
+    the newest position is the last variable, so a draw of it given the
+    others is a closed chain of h-functions and mixture draws.  The previous
+    position sits right next to it because lag-1 dependence (staying put)
+    dominates; time of day comes one step further in, still inside the
+    truncation depth.
     """
 
     model_type = "vine"
 
     def __init__(self, spec, sampling_period, window, vine: copula.VineModel,
                  start_windows: np.ndarray):
-        super().__init__(spec, sampling_period)
+        self.spec = spec
+        self.sampling_period = int(sampling_period)
         if window < 1:
             raise DomainError("window must be >= 1")
         self.window = int(window)
@@ -327,7 +314,7 @@ class VineGenerator(Generator):
             raise DomainError(f"trace_len must be >= window+1 = {w + 1}, got {trace_len}")
         rng = np.random.default_rng(seed)
         spec = self.spec
-        timestamps = start_time + self.sampling_period * np.arange(trace_len, dtype=np.int64)
+        timestamps = dataio.time_grid(start_time, self.sampling_period, trace_len)
         hours = hour_of_day(timestamps)
         period_hours = self.sampling_period / 3600.0
 
@@ -339,10 +326,7 @@ class VineGenerator(Generator):
             tod = (hours[t] + rng.uniform(0.0, period_hours, size=n_traces)) % HOURS_PER_DAY
             cond = np.column_stack([positions[:, t - w:t - 1], tod,
                                     positions[:, t - 1]])
-            # atoms=True keeps the draw on observed positions: interpolating
-            # the margin between hotspot atoms would fabricate grid cells
-            # that never occur in training
-            raw = self.vine.conditional_sample(cond, rng, atoms=True)
+            raw = self.vine.conditional_sample(cond, rng)
             cell_t = geogrid.cell_from_position(spec, raw)
             # re-jitter so the autoregressive state keeps the
             # within-cell-uniform distribution the vine was fitted on
@@ -406,7 +390,7 @@ def _read_tree(trees, where: str) -> list:
     return level
 
 
-def generator_from_payload(model_type, spec, sampling_period, payload) -> Generator:
+def generator_from_payload(model_type, spec, sampling_period, payload):
     if model_type == "markov":
         return MarkovGenerator.from_payload(spec, sampling_period, payload)
     if model_type == "vine":

@@ -37,10 +37,15 @@ class ObfuscatedTrace:
             raise DomainError("hidden_mask must mark exactly the HIDDEN entries")
 
 
-def hide_locations(trace: GridTrace, p_hide: float, rng) -> ObfuscatedTrace:
-    """Replace each point by HIDDEN independently with probability p_hide."""
+def check_p_hide(p_hide: float) -> None:
+    """A hiding probability outside [0, 1], or NaN, is a DomainError."""
     if not 0.0 <= p_hide <= 1.0:
         raise DomainError(f"p_hide must lie in [0, 1], got {p_hide}")
+
+
+def hide_locations(trace: GridTrace, p_hide: float, rng) -> ObfuscatedTrace:
+    """Replace each point by HIDDEN independently with probability p_hide."""
+    check_p_hide(p_hide)
     mask = rng.uniform(size=len(trace)) < p_hide
     cells = np.where(mask, HIDDEN, trace.cells)
     return ObfuscatedTrace(trace.user_id, cells, trace.timestamps.copy(), mask)

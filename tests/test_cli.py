@@ -68,6 +68,15 @@ class TestSimulate:
         assert "sampling_period" in err and "timestamps" not in err
         assert not out.exists()
 
+    # the last of 3 timestamps 600 s apart is 393 s past 2^63 - 1
+    @pytest.mark.parametrize("start", ["-5", "9223372036854775000"])
+    def test_start_time_off_the_int64_grid_is_domain_error(self, tmp_path, capsys, start):
+        out = tmp_path / "x.csv"
+        assert run("--seed", "1", "simulate", "--out", str(out), f"--start-time={start}",
+                   "--users", "2", "--steps", "3", "--hotspots", "3") == EXIT_DOMAIN
+        assert "start_time" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bbox, message", [("-inf,inf,0,1", "need finite lat_min"),
                                                ("0,1,0,nan", "need finite lon_min"),
                                                ("a,b,c,d", "--bbox expects"),
@@ -331,6 +340,25 @@ class TestFitGenerate:
                    "--trace-len", "10") == EXIT_PARSE
         assert field in capsys.readouterr().err
 
+    # the last of 6 timestamps 600 s apart is 2,193 s past 2^63 - 1
+    @pytest.mark.parametrize("model_type", ["markov", "vine"])
+    @pytest.mark.parametrize("start", ["-5", "9223372036854775000"])
+    def test_start_time_off_the_int64_grid_is_domain_error(self, tmp_path, corpus_file,
+                                                           vine_model_text, capsys,
+                                                           model_type, start):
+        model, syn = tmp_path / "m.json", tmp_path / "syn.csv"
+        if model_type == "vine":
+            model.write_text(vine_model_text)
+        else:
+            assert run("fit", "--corpus", str(corpus_file), "--model-type", "markov",
+                       "--out", str(model)) == EXIT_OK
+        capsys.readouterr()
+        assert run("--seed", "3", "generate", "--model", str(model), "--out", str(syn),
+                   "--n-traces", "2", "--trace-len", "6",
+                   f"--start-time={start}") == EXIT_DOMAIN
+        assert "start_time" in capsys.readouterr().err
+        assert not syn.exists()
+
     def test_model_not_found(self, tmp_path):
         assert run("--seed", "1", "generate", "--model",
                    str(tmp_path / "nope.json"), "--out",
@@ -429,6 +457,20 @@ class TestEvaluate:
                    "--syn", str(syn), "--outdir", str(outdir), *flags) == EXIT_DOMAIN
         assert name in capsys.readouterr().err
         assert not (outdir / "report.json").exists()
+
+    @pytest.mark.parametrize("p_hide", ["1.5", "-0.1", "nan"])
+    def test_p_hide_outside_domain_fails_before_any_metric(self, tmp_path, corpus_file,
+                                                           monkeypatch, capsys, p_hide):
+        syn = _make_syn(tmp_path, corpus_file)
+        outdir = tmp_path / "report"
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        capsys.readouterr()
+        assert run("--seed", "6", "evaluate", "--real", str(corpus_file),
+                   "--syn", str(syn), "--outdir", str(outdir),
+                   f"--p-hide={p_hide}") == EXIT_DOMAIN
+        assert "p_hide" in capsys.readouterr().err
+        # refused before the report directory is made, so before top-N runs
+        assert not outdir.exists()
 
     def test_outdir_env_override(self, tmp_path, corpus_file, monkeypatch):
         syn = _make_syn(tmp_path, corpus_file)

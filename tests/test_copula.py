@@ -50,9 +50,12 @@ class TestEmpiricalMargin:
         rng = np.random.default_rng(0)
         sample = rng.normal(size=400)
         m = EmpiricalMargin(sample)
-        x = np.linspace(sample.min(), sample.max(), 101)
-        back = m.quantile(m.pit(x))
-        assert np.allclose(back, x, atol=1e-12)
+        assert np.array_equal(m.quantile(m.pit(sample)), sample)
+        # any rank lands on an observed value, monotonically
+        u = np.sort(rng.uniform(size=1000))
+        x = m.quantile(u)
+        assert np.all(np.isin(x, sample)) and np.all(np.diff(x) >= 0)
+        assert m.quantile(0.5) == np.sort(sample)[200]
 
     def test_quantile_domain(self):
         m = EmpiricalMargin([0.0, 1.0])
@@ -157,6 +160,41 @@ class TestKernelPairCopula:
         us, vs = c.sample(3000, np.random.default_rng(12))
         assert kstest(vs, "uniform").pvalue > 0.01
         assert kstest(us, "uniform").pvalue > 0.01
+
+    @pytest.mark.parametrize("bandwidth_scale", [1.0, 0.00625])
+    def test_h_inverse_roundtrip_on_jittered_atoms(self, bandwidth_scale):
+        # hotspot-like data at the default and at the CLI's bandwidth, where
+        # each kernel center is a near step of the h-function
+        rng = np.random.default_rng(0)
+        atoms = rng.uniform(0.05, 0.95, size=60)
+        u = rng.choice(atoms, 25_000) + rng.uniform(-1e-3, 1e-3, 25_000)
+        v = u + rng.normal(0.0, 0.01, u.size)
+        c = KernelPairCopula.fit(u, v, bandwidth_scale=bandwidth_scale)
+        p = rng.uniform(size=500)
+        cond = rng.choice(u, 500)
+        cond[::2] = rng.uniform(size=250)
+        uu = c.h_inverse_u_given_v(p, cond)
+        assert np.max(np.abs(c.h_u_given_v(uu, cond) - p)) <= 1e-10
+        vv = c.h_inverse_v_given_u(p, cond)
+        assert np.max(np.abs(c.h_v_given_u(vv, cond) - p)) <= 1e-10
+
+    def test_h_inverse_at_extreme_targets(self):
+        u, v = gaussian_copula_sample(0.8, 3000, seed=14)
+        c = KernelPairCopula.fit(u, v)
+        cond = np.linspace(0.01, 0.99, 25)
+        top = 1.0 - 2.0 ** -53
+        lo = c.h_inverse_u_given_v(np.full(25, 1e-15), cond)
+        hi = c.h_inverse_u_given_v(np.full(25, top), cond)
+        mid = c.h_inverse_u_given_v(np.full(25, 0.5), cond)
+        assert np.all((1e-12 <= lo) & (lo < mid) & (mid < hi) & (hi <= 1.0 - 1e-12))
+        for r in range(cond.size):
+            # the row's mixture CDF, unclipped, at each returned root
+            cen, w = _row_window(c, cond[r], 1, 1e-10)
+            mix = [np.cumsum(w * ndtr((ndtri(x) - cen) / c.bandwidth))[-1]
+                   for x in (lo[r], hi[r])]
+            assert abs(mix[0] - 1e-15) <= 1e-6 * 1e-15
+            # a root above 1 - 1e-12 is clipped there, where the mixture is 1 - 4e-15
+            assert abs(mix[1] - top) <= 1e-14
 
     def test_module_level_h_helpers(self):
         u, v = gaussian_copula_sample(0.4, 1500, seed=13)
@@ -345,8 +383,10 @@ class TestVine:
         model = vine_fit(data, max_scores=400)
         rng = np.random.default_rng(18)
         for c in (-1.0, 0.0, 1.5):
-            draws = model.conditional_sample([0.0, phi * c, c][-3:], rng, size=400)
+            draws = model.conditional_sample(np.tile([0.0, phi * c, c], (400, 1)), rng)
+            assert draws.shape == (400,)
             assert abs(np.mean(draws) - phi * c) < 0.15
+            assert np.all(np.isin(draws, model.margins[-1].sorted_sample))
 
     def test_conditional_sample_under_independence_is_marginal(self):
         # explicit independence vine: conditional sampling must reproduce the
@@ -355,15 +395,18 @@ class TestVine:
         data = rng.normal(size=(500, 3))
         margins = [EmpiricalMargin(data[:, j]) for j in range(3)]
         model = VineModel(margins, trees=[])
-        draws = model.conditional_sample([2.0, -2.0], np.random.default_rng(20), size=2000)
+        draws = model.conditional_sample(np.tile([2.0, -2.0], (2000, 1)),
+                                         np.random.default_rng(20))
+        assert np.all(np.isin(draws, margins[2].sorted_sample))
         p = kstest(margins[2].pit(draws), "uniform").pvalue
         assert p > 0.01
 
     def test_conditional_sample_shape_checks(self):
         data = np.random.default_rng(21).normal(size=(300, 3))
         model = vine_fit(data, max_scores=200)
-        with pytest.raises(DomainError):
-            model.conditional_sample([0.0], np.random.default_rng(0), size=4)
+        for cond in (np.zeros((4, 1)), np.zeros((4, 3)), np.zeros(2)):
+            with pytest.raises(DomainError):
+                model.conditional_sample(cond, np.random.default_rng(0))
 
     def test_truncation_drops_deep_trees(self):
         data = self._ar1_data(800, 0.5, seed=22, d=6)
