@@ -173,23 +173,24 @@ def cmd_evaluate(args) -> int:
     privacy.check_p_hide(args.p_hide)  # before the realism battery runs
     real = dataio.load_corpus(args.real)
     syn = dataio.load_corpus(args.syn, expected_spec=real.spec)
-    outdir = _outdir(args)
     rng = np.random.default_rng(seed)
 
     t0 = time.perf_counter()
     top = metrics.topn_report(real, syn, n=args.topn)
-    mmd = metrics.mmd_test(real, syn, n_permutations=args.n_permutations, rng=rng)
+    # MI decay draws nothing, so its tau_max check can run before the MMD test
     mi_real = metrics.mi_decay(real, tau_max=args.tau_max)
     mi_syn = metrics.mi_decay(syn, tau_max=args.tau_max)
+    mmd = metrics.mmd_test(real, syn, n_permutations=args.n_permutations, rng=rng)
 
     members = nonmembers = None
     if args.targets:
         members, nonmembers = dataio.load_targets(args.targets, real.spec,
                                                   real.sampling_period)
     priv, mem = privacy.battery(syn, real, args.p_hide, rng, members, nonmembers)
+    timings = {"evaluate_seconds": time.perf_counter() - t0}
+    outdir = _outdir(args)  # only once every metric has run
     if mem is not None:
         _write_membership_csv(os.path.join(outdir, "membership_scores.csv"), mem)
-    timings = {"evaluate_seconds": time.perf_counter() - t0}
 
     report = {
         "format_version": FORMAT_VERSION,
@@ -299,9 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--model-type", choices=["vine", "markov"], default="vine")
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=4, help="vine lag window")
+    p.add_argument("--window", type=int, default=4,
+                   help="vine lag window: orders the path and sets the start-window length")
     p.add_argument("--trunc-level", type=int, default=2,
-                   help="vine truncation depth")
+                   help="vine truncation depth k; the D-vine is fitted over the last "
+                        "k + 1 path variables")
     p.add_argument("--max-scores", type=int, default=25000,
                    help="cap on kernel centers per pair copula")
     p.add_argument("--bandwidth-scale", type=float, default=0.00625)

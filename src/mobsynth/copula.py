@@ -375,11 +375,11 @@ class VineModel:
         """Pair copula of (x_i, x_j | between); callers stay within depth."""
         return self.trees[j - i - 1][i]
 
-    def _cond_cdfs(self, u_cond, target):
-        """Values a_t = F(u_{target-t} | u_{target-t+1..target-1}) for the
-        h-chain of variable ``target`` given u_cond (n, target) on the
-        uniform scale; returns list indexed by t-1 for t = 1..depth."""
-        depth = min(self.depth, target)
+    def _cond_cdfs(self, u_cond):
+        """Values a_t = F(u_{d-1-t} | u_{d-t..d-2}) for the h-chain of the
+        last variable given u_cond (n, d-1) on the uniform scale; returns
+        a list indexed by t-1 for t = 1..min(depth, d-1)."""
+        last = self.dim - 1
         memo_c = {}
         memo_d = {}
 
@@ -397,16 +397,17 @@ class VineModel:
                 memo_d[(i, j)] = self._edge(i, j).h_v_given_u(d_val(i + 1, j), c_val(i, j - 1))
             return memo_d[(i, j)]
 
-        return [c_val(target - t, target - 1) for t in range(1, depth + 1)]
+        return [c_val(last - t, last - 1) for t in range(1, min(self.depth, last) + 1)]
 
-    def _conditional_u(self, u_cond, p, target):
-        """Inverse-Rosenblatt draw of variable ``target`` on the uniform
-        scale given u_cond (n, target) and uniforms p (n,).  Each step draws
-        directly from the conditional mixture (``sample_v_given_u``)."""
-        a = self._cond_cdfs(u_cond, target)
+    def _conditional_u(self, u_cond, p):
+        """Inverse-Rosenblatt draw of the last variable on the uniform scale
+        given u_cond (n, d-1) and uniforms p (n,).  Each step draws directly
+        from the conditional mixture (``sample_v_given_u``)."""
+        last = self.dim - 1
+        a = self._cond_cdfs(u_cond)
         q = np.asarray(p, dtype=float)
         for t in range(len(a), 0, -1):
-            q = self._edge(target - t, target).sample_v_given_u(q, a[t - 1])
+            q = self._edge(last - t, last).sample_v_given_u(q, a[t - 1])
         return q
 
     # -- public sampling ----------------------------------------------------
@@ -426,20 +427,8 @@ class VineModel:
         )
         p = rng.uniform(size=cond.shape[0])
         p = np.clip(p, _EPS_U, 1 - _EPS_U)
-        u = self._conditional_u(u_cond, p, self.dim - 1)
+        u = self._conditional_u(u_cond, p)
         return self.margins[-1].quantile(u)
-
-    def sample(self, n, rng) -> np.ndarray:
-        """Draw n joint rows of training-sample atoms by sequential
-        inverse-Rosenblatt over the path."""
-        d = self.dim
-        u = np.empty((n, d))
-        u[:, 0] = np.clip(rng.uniform(size=n), _EPS_U, 1 - _EPS_U)
-        for k in range(1, d):
-            p = np.clip(rng.uniform(size=n), _EPS_U, 1 - _EPS_U)
-            u[:, k] = self._conditional_u(u[:, :k], p, k)
-        cols = [self.margins[j].quantile(u[:, j]) for j in range(d)]
-        return np.column_stack(cols)
 
 
 def default_trunc_level(d: int) -> int:

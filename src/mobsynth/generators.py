@@ -226,12 +226,15 @@ def _bucket_of(timestamps, time_buckets) -> np.ndarray:
 class VineGenerator:
     """D-vine autoregression over jittered curve positions and time of day.
 
-    The vine's path order is (x_{t-w}, ..., x_{t-2}, tod_t, x_{t-1}, x_t):
-    the newest position is the last variable, so a draw of it given the
-    others is a closed chain of h-functions and mixture draws.  The previous
-    position sits right next to it because lag-1 dependence (staying put)
-    dominates; time of day comes one step further in, still inside the
-    truncation depth.
+    The lag window ``w`` orders the path (x_{t-w}, ..., x_{t-2}, tod_t,
+    x_{t-1}, x_t): the newest position is the last variable, so a draw of
+    it given the others is a closed chain of h-functions and mixture draws.
+    The previous position sits right next to it because lag-1 dependence
+    (staying put) dominates; time of day comes one step further in.  In a
+    D-vine truncated at level k the last variable depends on the others
+    only through its k nearest path neighbours, so the generator fits,
+    stores and draws from the D-vine over the last k + 1 path variables
+    alone.  ``w`` also sets how many cells a start window holds.
     """
 
     model_type = "vine"
@@ -253,6 +256,9 @@ class VineGenerator:
         w = int(window)
         if w < 1:
             raise DomainError("window must be >= 1")
+        if trunc_level < 1:
+            raise DomainError(f"trunc_level must be >= 1, got {trunc_level}")
+        d = min(trunc_level, w + 1) + 1  # the last d path variables
         if max_rows is not None and max_rows < 0:
             raise DomainError(f"max_rows must be >= 0 (0 or None: no cap), got {max_rows}")
         usable = [t for t in corpus.traces if len(t) >= w + 1]
@@ -268,17 +274,15 @@ class VineGenerator:
             tod = (hour_of_day(trace.timestamps)
                    + rng.uniform(0.0, period_hours, size=len(trace))) % HOURS_PER_DAY
             n = len(trace)
-            block = np.column_stack(
-                [pos[k:n - w + k] for k in range(w - 1)]
-                + [tod[w:], pos[w - 1:n - 1], pos[w:]])
-            rows.append(block)
+            path = [pos[k:n - w + k] for k in range(w - 1)] + [tod[w:], pos[w - 1:n - 1], pos[w:]]
+            rows.append(np.column_stack(path[-d:]))
         data = np.concatenate(rows, axis=0)
         if max_rows and data.shape[0] > max_rows:
             # even thinning keeps every trace represented and bounds fit cost
             keep = np.linspace(0, data.shape[0] - 1, max_rows).astype(int)
             data = data[keep]
-        vine = copula.vine_fit(data, trunc_level=trunc_level, max_scores=max_scores,
-                               bandwidth_scale=bandwidth_scale, var_names=_var_names(w))
+        vine = copula.vine_fit(data, trunc_level=d - 1, max_scores=max_scores,
+                               bandwidth_scale=bandwidth_scale, var_names=_var_names(w)[-d:])
 
         start_windows = cls._collect_start_windows(usable, w)
         return cls(spec, corpus.sampling_period, w, vine, start_windows)
@@ -326,7 +330,7 @@ class VineGenerator:
             tod = (hours[t] + rng.uniform(0.0, period_hours, size=n_traces)) % HOURS_PER_DAY
             cond = np.column_stack([positions[:, t - w:t - 1], tod,
                                     positions[:, t - 1]])
-            raw = self.vine.conditional_sample(cond, rng)
+            raw = self.vine.conditional_sample(cond[:, 1 - self.vine.dim:], rng)
             cell_t = geogrid.cell_from_position(spec, raw)
             # re-jitter so the autoregressive state keeps the
             # within-cell-uniform distribution the vine was fitted on
@@ -338,7 +342,7 @@ class VineGenerator:
     def to_payload(self) -> dict:
         return {
             "window": self.window,
-            "var_names": _var_names(self.window),
+            "var_names": _var_names(self.window)[-self.vine.dim:],
             "margins": [dataio.encode_array(m.sorted_sample) for m in self.vine.margins],
             "trees": [[{"scores": dataio.encode_array(e.scores), "bandwidth": e.bandwidth}
                        for e in level] for level in self.vine.trees],
@@ -349,16 +353,17 @@ class VineGenerator:
     def from_payload(cls, spec, sampling_period, payload) -> "VineGenerator":
         w = dataio.read_scalar(payload, "payload.window", int, "an integer >= 1",
                                lambda x: x >= 1)
-        d = w + 2
+        names = _var_names(w)
+        # the vine covers the last d path variables (all w + 2 in older files)
+        d = len(dataio.read_scalar(payload, "payload.var_names", list,
+                                   f"the last 2 to {w + 2} names of window {w}, {names}",
+                                   lambda x: 2 <= len(x) <= w + 2 and x == names[-len(x):]))
         margins = dataio.read_scalar(payload, "payload.margins", list,
-                                     f"a list of window + 2 = {d} margins",
+                                     f"a list of {d} margins, one per var_name",
                                      lambda x: len(x) == d)
         margins = [_checked(f"payload.margins[{j}]", copula.EmpiricalMargin,
                             dataio.read_array(margins, f"payload.margins[{j}]", "f", 1))
                    for j in range(d)]
-        names = _var_names(w)
-        dataio.read_scalar(payload, "payload.var_names", list,
-                           f"the names of window {w}, {names}", lambda x: x == names)
         trees = dataio.read_scalar(payload, "payload.trees", list, "a list of trees")
         trees = [_read_tree(trees, f"payload.trees[{t}]") for t in range(len(trees))]
         vine = _checked("payload.trees", copula.VineModel, margins, trees)
@@ -373,7 +378,8 @@ class VineGenerator:
 
 
 def _var_names(w: int) -> list:
-    """The vine's variables in path order, for lag window ``w``."""
+    """The path variables for lag window ``w``, in order; a vine model covers
+    the last of them."""
     return [f"pos_lag{w - k}" for k in range(w - 1)] + ["time_of_day", "pos_lag1", "pos"]
 
 

@@ -62,7 +62,6 @@ class _ViterbiPrior:
     def __init__(self, prior: MarkovGenerator):
         self.prior = prior
         self.alphabet = prior.alphabet
-        self.index = {int(c): i for i, c in enumerate(prior.alphabet)}
         self._views: dict[int, _BucketView] = {}
 
     def view(self, bucket: int) -> "_BucketView":
@@ -169,10 +168,9 @@ def reconstruct_trace(obf: ObfuscatedTrace, prior: MarkovGenerator) -> np.ndarra
 def _reconstruct(obf: ObfuscatedTrace, vp: _ViterbiPrior) -> np.ndarray:
     n = len(obf.cells)
     buckets = _bucket_of(obf.timestamps, vp.prior.time_buckets)
-    known = np.full(n, -1, dtype=np.int64)  # pinned state index, -1 = free
-    for i in range(n):
-        if not obf.hidden_mask[i]:
-            known[i] = vp.index.get(int(obf.cells[i]), -1)
+    # pinned state index, -1 = free: hidden, or a cell the prior does not know
+    known = np.minimum(np.searchsorted(vp.alphabet, obf.cells), vp.alphabet.size - 1)
+    known[obf.hidden_mask | (vp.alphabet[known] != obf.cells)] = -1
 
     out = obf.cells.copy()
     i = 0

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mobsynth import cli, dataio
+from mobsynth import cli, dataio, metrics
 from mobsynth.cli import (EXIT_DOMAIN, EXIT_INCOMPATIBLE, EXIT_NOT_FOUND,
                           EXIT_OK, EXIT_PARSE, EXIT_USAGE, main, read_config)
 from mobsynth.errors import ParseError
@@ -289,10 +289,12 @@ class TestFitGenerate:
         ("tree_short", "payload.trees"),
         ("scores_shape", "payload.trees[1][0].scores"),
         ("window_string", "payload.window"),
-        ("window_9", "payload.margins"),
+        ("window_9", "payload.start_windows"),
         ("margins_short", "payload.margins"),
         ("margin_nan", "payload.margins[2]"),
         ("var_names_renamed", "payload.var_names"),
+        ("var_names_past_window", "payload.var_names"),
+        ("var_names_not_a_suffix", "payload.var_names"),
         ("start_windows_1d", "payload.start_windows"),
         ("start_cell_past_grid", "payload.start_windows"),
         ("start_hour_24", "payload.start_windows"),
@@ -325,6 +327,12 @@ class TestFitGenerate:
             payload["margins"][2] = dataio.encode_array(margin)
         elif damage == "var_names_renamed":
             payload["var_names"][0] = "x0"
+        elif damage == "var_names_past_window":
+            # the 7 names of window 5 are one more than window 4 has
+            payload["var_names"] = ["pos_lag5", "pos_lag4", "pos_lag3", "pos_lag2",
+                                    "time_of_day", "pos_lag1", "pos"]
+        elif damage == "var_names_not_a_suffix":
+            payload["var_names"] = ["pos_lag2", "pos_lag1", "pos"]
         elif damage == "start_windows_1d":
             payload["start_windows"] = dataio.encode_array(starts[0])
         else:
@@ -446,17 +454,24 @@ class TestEvaluate:
             assert (outdir / name).exists()
 
     @pytest.mark.parametrize("flags, name", [(["--topn", "0"], "topn"),
-                                             (["--n-permutations", "-1"], "n_permutations")])
+                                             (["--n-permutations", "-1"], "n_permutations"),
+                                             (["--tau-max", "0"], "tau_max")])
     def test_flag_outside_domain_is_domain_error(self, tmp_path, corpus_file, monkeypatch,
                                                  capsys, flags, name):
         syn = _make_syn(tmp_path, corpus_file)
         outdir = tmp_path / "report"
         monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        mmd_calls = []
+        mmd_test = metrics.mmd_test
+        monkeypatch.setattr(metrics, "mmd_test",
+                            lambda *a, **k: mmd_calls.append(1) or mmd_test(*a, **k))
         capsys.readouterr()
         assert run("--seed", "6", "evaluate", "--real", str(corpus_file),
                    "--syn", str(syn), "--outdir", str(outdir), *flags) == EXIT_DOMAIN
         assert name in capsys.readouterr().err
-        assert not (outdir / "report.json").exists()
+        assert not outdir.exists()
+        # every check that needs no draw runs before the permutation test
+        assert len(mmd_calls) == (name == "n_permutations")
 
     @pytest.mark.parametrize("p_hide", ["1.5", "-0.1", "nan"])
     def test_p_hide_outside_domain_fails_before_any_metric(self, tmp_path, corpus_file,

@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobsynth import dataio, generators
-from mobsynth.dataio import Corpus, GridTrace, simulate_ground_truth
+from mobsynth.copula import vine_fit
+from mobsynth.dataio import Corpus, GridTrace, hour_of_day, simulate_ground_truth
 from mobsynth.errors import (DomainError, IncompatibilityError,
                              InsufficientDataError)
 from mobsynth.generators import MarkovGenerator, VineGenerator
-from mobsynth.geogrid import GridSpec
+from mobsynth.geogrid import GridSpec, curve_position
 
 SPEC = GridSpec(45.8, 47.8, 5.9, 10.5, level=8)
 
@@ -303,6 +305,69 @@ class TestVineGenerator:
             total += len(t)
             known += sum(int(c) in train_cells for c in t.cells)
         assert known / total > 0.8
+
+
+def _full_window_fit(corpus, window, trunc_level, max_scores, bandwidth_scale=0.00625,
+                     max_rows=25000, seed=0):
+    """Reference: the vine fitted on all window + 2 path variables, as the
+    generator once fitted it, wrapped in a VineGenerator."""
+    w = window
+    usable = [t for t in corpus.traces if len(t) >= w + 1]
+    rng = np.random.default_rng(seed)
+    period_hours = corpus.sampling_period / 3600.0
+    rows = []
+    for trace in usable:
+        pos = curve_position(corpus.spec, trace.cells, rng.uniform(size=len(trace)))
+        tod = (hour_of_day(trace.timestamps)
+               + rng.uniform(0.0, period_hours, size=len(trace))) % 24
+        n = len(trace)
+        rows.append(np.column_stack([pos[k:n - w + k] for k in range(w - 1)]
+                                    + [tod[w:], pos[w - 1:n - 1], pos[w:]]))
+    data = np.concatenate(rows, axis=0)
+    if max_rows and data.shape[0] > max_rows:
+        data = data[np.linspace(0, data.shape[0] - 1, max_rows).astype(int)]
+    vine = vine_fit(data, trunc_level=trunc_level, max_scores=max_scores,
+                    bandwidth_scale=bandwidth_scale)
+    return VineGenerator(corpus.spec, corpus.sampling_period, w, vine,
+                         VineGenerator._collect_start_windows(usable, w))
+
+
+class TestTruncatedVineExactness:
+    """The generator keeps the sub-vine over the last trunc_level + 1 path
+    variables; every kept margin and edge, and every corpus, must equal the
+    full-window vine's."""
+
+    @pytest.mark.parametrize("window, trunc_level", [(4, 1), (4, 2), (2, 3), (4, 5), (4, 6)])
+    def test_sub_vine_and_corpus_equal_full_window_fit(self, window, trunc_level):
+        corpus = _small_corpus(seed=7, users=6, steps=150)
+        kw = dict(max_scores=200, max_rows=3000, seed=4)
+        model = VineGenerator.fit(corpus, window=window, trunc_level=trunc_level, **kw)
+        ref = _full_window_fit(corpus, window, trunc_level, **kw)
+        d = min(trunc_level, window + 1) + 1
+        skip = window + 2 - d
+        assert model.vine.dim == d and model.vine.depth == ref.vine.depth == d - 1
+        for got, want in zip(model.vine.margins, ref.vine.margins[skip:], strict=True):
+            assert np.array_equal(got.sorted_sample, want.sorted_sample)
+        for level, ref_level in zip(model.vine.trees, ref.vine.trees, strict=True):
+            for got, want in zip(level, ref_level[skip:], strict=True):
+                assert np.array_equal(got.scores, want.scores)
+                assert got.bandwidth == want.bandwidth
+        assert np.array_equal(model.start_windows, ref.start_windows)
+        assert _same_corpus(model.generate(5, 40, 0, seed=11), ref.generate(5, 40, 0, seed=11))
+
+    def test_full_window_model_file_still_loads(self, tmp_path):
+        corpus = _small_corpus(seed=7, users=6, steps=150)
+        kw = dict(max_scores=200, max_rows=3000, seed=4)
+        ref = _full_window_fit(corpus, 4, 2, **kw)
+        path = tmp_path / "full.json"
+        dataio.save_model(ref, path)
+        payload = json.loads(path.read_text())["payload"]
+        assert len(payload["margins"]) == 6 and len(payload["var_names"]) == 6
+        loaded = dataio.load_model(path)
+        assert loaded.vine.dim == 6
+        model = VineGenerator.fit(corpus, window=4, trunc_level=2, **kw)
+        assert _same_corpus(loaded.generate(5, 40, 0, seed=12),
+                            model.generate(5, 40, 0, seed=12))
 
 
 class TestModelFiles:
