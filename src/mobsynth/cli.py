@@ -170,7 +170,7 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     seed = _require_seed(args)
-    privacy.check_p_hide(args.p_hide)  # before the realism battery runs
+    privacy.check_p_hide(args.p_hide, attack=True)  # before the realism battery runs
     real = dataio.load_corpus(args.real)
     syn = dataio.load_corpus(args.syn, expected_spec=real.spec)
     rng = np.random.default_rng(seed)
@@ -218,6 +218,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_attack(args) -> int:
     seed = _require_seed(args)
+    privacy.check_p_hide(args.p_hide, attack=True)
     syn = dataio.load_corpus(args.syn)
     members, nonmembers = dataio.load_targets(args.targets, syn.spec, syn.sampling_period)
     truth = dataio.Corpus(spec=syn.spec, traces=members + nonmembers,
@@ -330,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topn", type=int, default=50)
     p.add_argument("--tau-max", type=int, default=20)
     p.add_argument("--n-permutations", type=int, default=500)
-    p.add_argument("--p-hide", type=float, default=0.3)
+    p.add_argument("--p-hide", type=float, default=0.3,
+                   help="probability of hiding each point, in (0, 1]")
     p.add_argument("--targets", default=None, help="optional labeled targets CSV")
     p.set_defaults(func=cmd_evaluate)
 
@@ -338,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--syn", required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--p-hide", type=float, default=0.3)
+    p.add_argument("--p-hide", type=float, default=0.3,
+                   help="probability of hiding each point, in (0, 1]")
     p.set_defaults(func=cmd_attack)
 
     return parser

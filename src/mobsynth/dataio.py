@@ -128,7 +128,7 @@ def load_targets(path, spec: GridSpec, sampling_period: int):
 
     def labelled(reader):
         for lineno, row in enumerate(reader, start=1):
-            if row and not (lineno == 1 and row[0].strip().lower() == "user_id"):
+            if not _blank(row) and not (lineno == 1 and row[0].strip().lower() == "user_id"):
                 if len(row) < 5:
                     raise ParseError("targets file needs user_id,timestamp,lat,lon,is_member",
                                      line=lineno)
@@ -181,6 +181,11 @@ def _regularize(parsed, sampling_period) -> list[GridTrace]:
     return traces
 
 
+def _blank(row: list[str]) -> bool:
+    """An empty or whitespace-only CSV row, which every reader skips."""
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
 def _parse_rows(reader, spec: GridSpec):
     """Validated rows inside the box as columns: (user names, user index,
     timestamp, cell); users are numbered by their first row inside the box."""
@@ -189,7 +194,7 @@ def _parse_rows(reader, spec: GridSpec):
     for lineno, row in enumerate(reader, start=1):
         if lineno == 1 and row and row[0].strip().lower() == "user_id":
             continue
-        if not row or (len(row) == 1 and not row[0].strip()):
+        if _blank(row):
             continue
         if len(row) < 4:
             raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)

@@ -37,10 +37,12 @@ class ObfuscatedTrace:
             raise DomainError("hidden_mask must mark exactly the HIDDEN entries")
 
 
-def check_p_hide(p_hide: float) -> None:
-    """A hiding probability outside [0, 1], or NaN, is a DomainError."""
-    if not 0.0 <= p_hide <= 1.0:
-        raise DomainError(f"p_hide must lie in [0, 1], got {p_hide}")
+def check_p_hide(p_hide: float, attack: bool = False) -> None:
+    """A hiding probability outside [0, 1], or NaN, is a DomainError; so is
+    0 for an ``attack``, which would leave no hidden point to decode."""
+    above_low = p_hide > 0.0 if attack else p_hide >= 0.0
+    if not (above_low and p_hide <= 1.0):
+        raise DomainError(f"p_hide must lie in {'(0' if attack else '[0'}, 1], got {p_hide}")
 
 
 def hide_locations(trace: GridTrace, p_hide: float, rng) -> ObfuscatedTrace:
@@ -70,6 +72,11 @@ class _ViterbiPrior:
         return self._views[bucket]
 
 
+# an unseen context's score this close below the best one, relative to
+# their size, may still tie with it after adding a log probability
+_TIE_ULPS = 4 * np.finfo(float).eps
+
+
 class _BucketView:
     """log P(j | i) of one time bucket in O(nnz + V) memory.
 
@@ -83,76 +90,133 @@ class _BucketView:
         self.log_p0 = np.log(prior.stationary_distribution(bucket))
         self.seen, floor, ctx, self.next, p = prior.sparse_transitions(bucket)
         self.log_floor, self.log_seen = np.log(floor), np.log(p)
-        self.unseen = np.setdiff1d(np.arange(self.log_p0.size), self.seen)
+        self.unseen = np.setdiff1d(np.arange(self.log_p0.size, dtype=np.int32), self.seen)
         # rows of seen[k] are [row_bounds[k], row_bounds[k + 1])
         self.row_bounds = np.searchsorted(ctx, np.append(self.seen, self.log_p0.size))
+        self.row_of = np.repeat(np.arange(self.seen.size), np.diff(self.row_bounds))
         # the same rows sorted by (next, context): one group per column
         by_col = np.lexsort((ctx, self.next))
-        self.col_ctx, self.col_log = ctx[by_col], self.log_seen[by_col]
+        self.col_ctx, self.col_log = ctx[by_col].astype(np.int32), self.log_seen[by_col]
         self.cols, self.col_starts = np.unique(self.next[by_col], return_index=True)
         self.col_bounds = np.append(self.col_starts, ctx.size)
+        self.col_counts = np.diff(self.col_bounds)
         # no log value is positive, so this is the largest |log_p0|
         self.p0_span = -float(self.log_p0.min())
 
-    def row(self, i: int) -> np.ndarray:
-        k = np.searchsorted(self.seen, i)
-        if k == self.seen.size or self.seen[k] != i:
-            return self.log_p0
-        out = np.full(self.log_p0.size, self.log_floor[k])
+    def rows(self, ctx: np.ndarray) -> np.ndarray:
+        """Rows ``ctx`` of the dense log matrix as a (K, V) array; an unseen
+        context, or -1 for none at a trace start, gives ``log_p0``."""
+        out = np.tile(self.log_p0, (ctx.size, 1))
+        at, k = _lookup(self.seen, ctx)
+        out[at] = self.log_floor[k, None]
         lo, hi = self.row_bounds[k], self.row_bounds[k + 1]
-        out[self.next[lo:hi]] = self.log_seen[lo:hi]
+        obs = _ranges(lo, hi)
+        out[np.repeat(at, hi - lo), self.next[obs]] = self.log_seen[obs]
         return out
 
-    def column(self, j: int) -> np.ndarray:
-        out = np.full(self.log_p0.size, self.log_p0[j])
-        out[self.seen] = self.log_floor
-        k = np.searchsorted(self.cols, j)
-        if k < self.cols.size and self.cols[k] == j:
-            lo, hi = self.col_bounds[k], self.col_bounds[k + 1]
-            out[self.col_ctx[lo:hi]] = self.col_log[lo:hi]
+    def columns(self, nxt: np.ndarray) -> np.ndarray:
+        """Columns ``nxt`` of the dense log matrix, one per row of a (K, V)
+        array."""
+        out = np.empty((nxt.size, self.log_p0.size))
+        out[:] = self.log_p0[nxt, None]
+        out[:, self.seen] = self.log_floor
+        at, k = _lookup(self.cols, nxt)
+        lo, hi = self.col_bounds[k], self.col_bounds[k + 1]
+        obs = _ranges(lo, hi)
+        out[np.repeat(at, hi - lo), self.col_ctx[obs]] = self.col_log[obs]
         return out
 
-    def step(self, score: np.ndarray, back: np.ndarray) -> np.ndarray:
-        """max_i (score_i + log P(j | i)) for every j, with the lowest
-        maximizing i written to ``back``, as a dense column argmax finds it."""
-        v = score.size
-        best = np.full(v, -np.inf)
-        back[:] = 0
+    def step(self, score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each row of a (K, V) score matrix, max_i (score_i + log P(j | i))
+        for every j and the lowest maximizing i, as a dense column max and
+        argmax find them."""
+        n, v = score.shape
+        rows = np.arange(n)
         if self.unseen.size:
             # every unseen i adds the same log_p0[j], and rounding is
             # monotone, so the largest score attains each column's max ...
-            s = score[self.unseen]
-            k = int(np.argmax(s))
-            best = s[k] + self.log_p0
-            back[:] = self.unseen[k]
-            # ... and a lower i with a score a few ulps below it can tie
-            tol = 4 * np.finfo(float).eps * (abs(s[k]) + self.p0_span)
-            for i in self.unseen[:k][s[:k] >= s[k] - tol][::-1]:
-                back[score[i] + self.log_p0 == best] = i
+            s = score[:, self.unseen]
+            k = np.argmax(s, axis=1)
+            top = s[rows, k]
+            best = top[:, None] + self.log_p0
+            back = np.repeat(self.unseen[k, None], v, axis=1)
+            # ... and a lower i with a score a few ulps below it can tie,
+            # where the lowest tying i wins
+            tol = _TIE_ULPS * (np.abs(top) + self.p0_span)
+            r, m = np.nonzero((s >= (top - tol)[:, None])
+                              & (np.arange(self.unseen.size) < k[:, None]))
+            if r.size:
+                tie = s[r, m, None] + self.log_p0 == best[r]
+                low = np.where(tie, self.unseen[m, None], v)
+                first = np.flatnonzero(np.diff(r, prepend=-1))
+                low = np.minimum.reduceat(low, first, axis=0)
+                r = r[first]
+                back[r] = np.where(low < v, low, back[r])
+        else:
+            best = np.full((n, v), -np.inf)
+            back = np.zeros((n, v), dtype=np.int32)
         if self.seen.size:
             # the floor: a seen row's observed entries exceed its floor, so
             # the best floor only counts in the columns its row leaves empty
-            floor = score[self.seen] + self.log_floor
-            k = int(np.argmax(floor))
-            off = np.ones(v, dtype=bool)
-            off[self.next[self.row_bounds[k]:self.row_bounds[k + 1]]] = False
-            _merge(best, back, np.flatnonzero(off), floor[k], self.seen[k])
+            floor = score[:, self.seen] + self.log_floor
+            k = np.argmax(floor, axis=1)
+            off = np.ones((n, v), dtype=bool)
+            r, obs = np.nonzero(self.row_of == k[:, None])
+            off[r, self.next[obs]] = False
+            val, arg = floor[rows, k, None], self.seen[k, None]
+            take = off & _beats(val, arg, best, back)
+            np.copyto(best, val, where=take)
+            np.copyto(back, arg, where=take)
             # the observed rows, reduced per column; lowest context on ties
-            vals = score[self.col_ctx] + self.col_log
-            top = np.maximum.reduceat(vals, self.col_starts)
-            hit = vals == np.repeat(top, np.diff(self.col_bounds))
-            arg = np.minimum.reduceat(np.where(hit, self.col_ctx, v), self.col_starts)
-            _merge(best, back, self.cols, top, arg)
-        return best
+            vals = score[:, self.col_ctx]
+            vals += self.col_log
+            top = np.maximum.reduceat(vals, self.col_starts, axis=1)
+            hit = vals == np.repeat(top, self.col_counts, axis=1)
+            arg = np.minimum.reduceat(np.where(hit, self.col_ctx, v), self.col_starts,
+                                      axis=1)
+            cur, cur_back = best[:, self.cols], back[:, self.cols]
+            take = _beats(top, arg, cur, cur_back)
+            best[:, self.cols] = np.where(take, top, cur)
+            back[:, self.cols] = np.where(take, arg, cur_back)
+        return best, back
 
 
-def _merge(best, back, cols, val, arg) -> None:
-    """Take (val, arg) in ``cols`` where it beats (best, back): a larger
-    value, or an equal one from a lower index."""
-    cur = best[cols]
-    take = (val > cur) | ((val == cur) & (arg < back[cols]))
-    best[cols] = np.where(take, val, cur)
-    back[cols] = np.where(take, arg, back[cols])
+def _beats(val, arg, best, back) -> np.ndarray:
+    """Where (val, arg) beats (best, back): a larger value, or an equal one
+    from a lower index."""
+    return (val > best) | ((val == best) & (arg < back))
+
+
+def _lookup(keys: np.ndarray, x: np.ndarray):
+    """The positions of ``x`` whose value the ascending ``keys`` holds, and
+    where it holds them."""
+    k = np.searchsorted(keys, x)
+    at = np.flatnonzero(k < keys.size)
+    at = at[keys[k[at]] == x[at]]
+    return at, k[at]
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The index ranges [lo, hi) end to end."""
+    n = hi - lo
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+
+
+def _groups(vp: _ViterbiPrior, buckets: np.ndarray):
+    """(view, rows) for each time bucket in ``buckets``; rows is a slice
+    when there is one bucket."""
+    if buckets.min() == buckets.max():
+        yield vp.view(int(buckets[0])), slice(None)
+        return
+    for b in np.unique(buckets):
+        yield vp.view(int(b)), np.flatnonzero(buckets == b)
+
+
+# the memory a decode chunk may take: each run of length L holds L int32
+# back pointers per state, and its rows of a step's score arrays about eight
+# float64 values per state.  A chunk closes once its runs pass a multiple of
+# the budget, so a run longer than the budget is the last run of its chunk.
+_CHUNK_BYTES = 2 ** 21
 
 
 def reconstruct_trace(obf: ObfuscatedTrace, prior: MarkovGenerator) -> np.ndarray:
@@ -161,53 +225,81 @@ def reconstruct_trace(obf: ObfuscatedTrace, prior: MarkovGenerator) -> np.ndarra
     Viterbi runs only over maximal hidden segments; observed points pin the
     state (observed cells unknown to the prior leave the step unconstrained).
     """
-    vp = _ViterbiPrior(prior)
-    return _reconstruct(obf, vp)
+    return _reconstruct([obf], _ViterbiPrior(prior))
 
 
-def _reconstruct(obf: ObfuscatedTrace, vp: _ViterbiPrior) -> np.ndarray:
-    n = len(obf.cells)
-    buckets = _bucket_of(obf.timestamps, vp.prior.time_buckets)
-    # pinned state index, -1 = free: hidden, or a cell the prior does not know
-    known = np.minimum(np.searchsorted(vp.alphabet, obf.cells), vp.alphabet.size - 1)
-    known[obf.hidden_mask | (vp.alphabet[known] != obf.cells)] = -1
+def _reconstruct(obfuscated: list[ObfuscatedTrace], vp: _ViterbiPrior) -> np.ndarray:
+    """:func:`reconstruct_trace` of every trace, end to end, in one decode.
 
-    out = obf.cells.copy()
-    i = 0
-    while i < n:
-        if known[i] >= 0:
-            i += 1
-            continue
-        j = i
-        while j < n and known[j] < 0:
-            j += 1
-        # decode segment [i, j) with anchors at i-1 and j when pinned
-        states = _viterbi_segment(vp, buckets, i, j,
-                                  left=known[i - 1] if i > 0 and known[i - 1] >= 0 else None,
-                                  right=known[j] if j < n else None)
-        out[i:j] = vp.alphabet[states]
-        i = j
-    return out
+    The free runs of all traces are decoded together: sorted by the time
+    bucket of their first point, longest first, cut into chunks of about
+    ``_CHUNK_BYTES``, and each chunk advanced one position at a time.
+    """
+    cells = np.concatenate([o.cells for o in obfuscated])
+    buckets = np.concatenate([_bucket_of(o.timestamps, vp.prior.time_buckets)
+                              for o in obfuscated])
+    n = cells.size
+    head = np.zeros(n + 1, dtype=bool)   # the first point of a trace, and n
+    head[np.cumsum([0] + [o.cells.size for o in obfuscated])] = True
+    tail = head[1:]                      # the last point of a trace
+    # state index of each point, -1 = free: hidden, or a cell the prior
+    # does not know; decoding fills in the free ones
+    state = np.minimum(np.searchsorted(vp.alphabet, cells), vp.alphabet.size - 1)
+    state[(cells == HIDDEN) | (vp.alphabet[state] != cells)] = -1
+    free = state < 0
+    # maximal free runs [lo, hi) within a trace, anchored at lo - 1 and hi
+    # when those are pinned points of the same trace
+    lo = np.flatnonzero(free & (head[:n] | ~np.roll(free, 1)))
+    hi = np.flatnonzero(free & (tail | ~np.roll(free, -1))) + 1
+    if not lo.size:
+        return cells
+    left = np.where(head[lo], -1, state[lo - 1])
+    after = np.minimum(hi, n - 1)
+    right = np.where(tail[hi - 1], -1, state[after])
+
+    length = hi - lo
+    order = np.lexsort((-length, buckets[lo]))
+    size = (4 * length[order] + 64) * vp.alphabet.size
+    chunk = (np.cumsum(size) - size) // _CHUNK_BYTES
+    for runs in np.split(order, np.flatnonzero(np.diff(chunk)) + 1):
+        runs = runs[np.argsort(-length[runs], kind="stable")]
+        _decode_chunk(vp, buckets, lo[runs], length[runs], left[runs], right[runs],
+                      buckets[after[runs]], state)
+    return vp.alphabet[state]
 
 
-def _viterbi_segment(vp: _ViterbiPrior, buckets, i, j, left, right) -> np.ndarray:
+def _decode_chunk(vp, buckets, lo, length, left, right, right_buckets, state) -> None:
+    """Viterbi over K free runs in lock-step, writing their state indices
+    into ``state``.  The runs come longest first, so those still running at
+    position t are a prefix: the first ``running[t]``."""
+    running = np.searchsorted(-length, -np.arange(length[0]))
     v = vp.alphabet.size
-    length = j - i
-    first = vp.view(int(buckets[i]))
-    score = first.log_p0 if left is None else first.row(left)
-    back = np.empty((length, v), dtype=np.int64)
-    for t in range(1, length):
-        score = vp.view(int(buckets[i + t])).step(score, back[t])
-    if right is not None:
-        # one more transition into the pinned right anchor
-        final = score + vp.view(int(buckets[j])).column(right)
-    else:
-        final = score
-    states = np.empty(length, dtype=np.int64)
-    states[-1] = int(np.argmax(final))
-    for t in range(length - 1, 0, -1):
-        states[t - 1] = back[t, states[t]]
-    return states
+    score = np.empty((lo.size, v))
+    for view, rows in _groups(vp, buckets[lo]):
+        score[rows] = view.rows(left[rows])
+    last = np.empty_like(score)   # each run's score at its last point
+    backs = []
+    for t in range(1, length[0]):
+        k = running[t]
+        last[k:running[t - 1]] = score[k:]
+        best, back = np.empty((k, v)), np.empty((k, v), dtype=np.int32)
+        for view, rows in _groups(vp, buckets[lo[:k] + t]):
+            best[rows], back[rows] = view.step(score[:k][rows])
+        score = best
+        backs.append(back)
+    last[:running[-1]] = score
+    # one more transition into the pinned right anchor
+    pinned = np.flatnonzero(right >= 0)
+    if pinned.size:
+        for view, rows in _groups(vp, right_buckets[pinned]):
+            at = pinned[rows]
+            last[at] += view.columns(right[at])
+    cur = np.argmax(last, axis=1)
+    for t in range(length[0] - 1, 0, -1):
+        k = running[t]
+        state[lo[:k] + t] = cur[:k]
+        cur[:k] = backs[t - 1][np.arange(k), cur[:k]]
+    state[lo] = cur
 
 
 def sequence_attack(truth: Corpus, obfuscated: list[ObfuscatedTrace],
@@ -216,19 +308,13 @@ def sequence_attack(truth: Corpus, obfuscated: list[ObfuscatedTrace],
     points are excluded."""
     if len(truth.traces) != len(obfuscated):
         raise DomainError("truth corpus and obfuscated list must align")
-    vp = _ViterbiPrior(prior)
-    correct = 0
-    total = 0
-    for trace, obf in zip(truth.traces, obfuscated):
-        if not obf.hidden_mask.any():
-            continue
-        recovered = _reconstruct(obf, vp)
-        mask = obf.hidden_mask
-        correct += int(np.sum(recovered[mask] == trace.cells[mask]))
-        total += int(mask.sum())
-    if total == 0:
+    attacked = [i for i, obf in enumerate(obfuscated) if obf.hidden_mask.any()]
+    if not attacked:
         raise DomainError("nothing to attack: no hidden points in the corpus")
-    return correct / total
+    recovered = _reconstruct([obfuscated[i] for i in attacked], _ViterbiPrior(prior))
+    mask = np.concatenate([obfuscated[i].hidden_mask for i in attacked])
+    cells = np.concatenate([truth.traces[i].cells for i in attacked])
+    return int(np.sum(recovered[mask] == cells[mask])) / int(mask.sum())
 
 
 def run_sequence_attack(truth: Corpus, prior: MarkovGenerator, p_hide: float,

@@ -473,7 +473,7 @@ class TestEvaluate:
         # every check that needs no draw runs before the permutation test
         assert len(mmd_calls) == (name == "n_permutations")
 
-    @pytest.mark.parametrize("p_hide", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("p_hide", ["1.5", "-0.1", "nan", "0"])
     def test_p_hide_outside_domain_fails_before_any_metric(self, tmp_path, corpus_file,
                                                            monkeypatch, capsys, p_hide):
         syn = _make_syn(tmp_path, corpus_file)
@@ -535,6 +535,17 @@ class TestAttack:
         assert 0.0 <= priv["membership"]["auc"] <= 1.0
         assert 0.0 <= priv["sequence_attack_accuracy"] <= 1.0
         assert (tmp_path / "privacy_scores.csv").exists()
+
+    @pytest.mark.parametrize("p_hide", ["0", "1.5"])
+    def test_p_hide_outside_domain_fails_before_reading_input(self, tmp_path, corpus_file,
+                                                              capsys, p_hide):
+        out = tmp_path / "privacy.json"
+        capsys.readouterr()
+        assert run("--seed", "9", "attack", "--syn", str(corpus_file), "--targets",
+                   str(tmp_path / "missing.csv"), "--out", str(out),
+                   f"--p-hide={p_hide}") == EXIT_DOMAIN
+        assert "p_hide" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_privacy_schema_matches_evaluate(self, tmp_path, corpus_file, monkeypatch):
         syn = _make_syn(tmp_path, corpus_file)

@@ -257,6 +257,18 @@ class TestIngest:
             dataio.load_targets(path, SPEC, 600)
         assert err.value.line == 3
 
+    def test_whitespace_only_target_row_is_skipped(self, tmp_path):
+        rows = ["user_id,timestamp,lat,lon,is_member", "u1,0,46.0,7.0,1",
+                "u1,600,46.0,7.0,1", "u2,0,46.5,8.0,0", "u2,600,46.5,8.0,0"]
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text("\n".join(rows) + "\n")
+        blank.write_text("\n".join(rows[:2] + ["   "] + rows[2:] + ["\t"]) + "\n")
+        want = dataio.load_targets(plain, SPEC, 600)
+        got = dataio.load_targets(blank, SPEC, 600)
+        for a, b in zip(want, got):
+            assert [t.user_id for t in a] == [t.user_id for t in b] and len(a) == 1
+            assert np.array_equal(a[0].cells, b[0].cells)
+
     def test_bad_sampling_period(self):
         with pytest.raises(DomainError):
             ingest(_csv([]), SPEC, 0)

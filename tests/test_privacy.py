@@ -120,9 +120,11 @@ class TestSequenceAttack:
         # one dense 3,000 x 3,000 float matrix is 72 MB
         prior = MarkovGenerator.fit(_uniform_corpus(3000, 20, 1000, seed=20), order=1)
         assert prior.alphabet.size > 2900
-        truth = _uniform_corpus(3000, 4, 200, seed=21)
+        truth = _uniform_corpus(3000, 5, 200, seed=21)
         rng = np.random.default_rng(22)
-        obfuscated = [hide_locations(t, 0.5, rng) for t in truth.traces]
+        # and one fully hidden trace: a single 200-step run
+        obfuscated = [hide_locations(t, 0.5 if i < 4 else 1.0, rng)
+                      for i, t in enumerate(truth.traces)]
         tracemalloc.start()
         try:
             sequence_attack(truth, obfuscated, prior)
@@ -138,7 +140,6 @@ class _DenseViterbiPrior:
     def __init__(self, prior):
         self.prior = prior
         self.alphabet = prior.alphabet
-        self.index = {int(c): i for i, c in enumerate(prior.alphabet)}
 
     def log_trans(self, bucket):
         return np.log(self.prior.transition_matrix(bucket))
@@ -165,12 +166,32 @@ def _dense_viterbi_segment(vp, buckets, i, j, left, right):
     return states
 
 
-def _dense_reconstruct(obf, vp):
+def _sparse_viterbi_segment(vp, buckets, i, j, left, right):
+    """Reference: one segment at a time through the sparse bucket views,
+    each step on a single score row."""
+    v = vp.alphabet.size
+    length = j - i
+    score = vp.view(int(buckets[i])).rows(np.array([-1 if left is None else left]))
+    back = np.empty((length, v), dtype=np.int64)
+    for t in range(1, length):
+        score, back[t] = vp.view(int(buckets[i + t])).step(score)
+    final = score[0]
+    if right is not None:
+        final = final + vp.view(int(buckets[j])).columns(np.array([right]))[0]
+    states = np.empty(length, dtype=np.int64)
+    states[-1] = int(np.argmax(final))
+    for t in range(length - 1, 0, -1):
+        states[t - 1] = back[t, states[t]]
+    return states
+
+
+def _segment_reconstruct(obf, vp, viterbi_segment):
     """Reference: pin each observed cell the prior knows by a dict lookup,
-    then decode each run of free points with the dense decoder."""
+    then decode each run of free points on its own."""
     n = len(obf.cells)
     buckets = _bucket_of(obf.timestamps, vp.prior.time_buckets)
-    known = [-1 if hidden else vp.index.get(int(c), -1)
+    index = {int(c): i for i, c in enumerate(vp.alphabet)}
+    known = [-1 if hidden else index.get(int(c), -1)
              for c, hidden in zip(obf.cells, obf.hidden_mask)]
     out = obf.cells.copy()
     i = 0
@@ -181,12 +202,22 @@ def _dense_reconstruct(obf, vp):
         j = i
         while j < n and known[j] < 0:
             j += 1
-        states = _dense_viterbi_segment(vp, buckets, i, j,
-                                        left=known[i - 1] if i > 0 else None,
-                                        right=known[j] if j < n else None)
+        states = viterbi_segment(vp, buckets, i, j,
+                                 left=known[i - 1] if i > 0 else None,
+                                 right=known[j] if j < n else None)
         out[i:j] = vp.alphabet[states]
         i = j
     return out
+
+
+def _dense_reconstruct(obf, prior):
+    return _segment_reconstruct(obf, _DenseViterbiPrior(prior), _dense_viterbi_segment)
+
+
+def _obfuscated(cells, hours):
+    cells = np.asarray(cells, dtype=np.int64)
+    return ObfuscatedTrace("u", cells, np.asarray(hours, dtype=np.int64) * 3600,
+                           cells == HIDDEN)
 
 
 @st.composite
@@ -226,49 +257,85 @@ class TestSparseViterbiExactness:
         bucket = data.draw(st.integers(0, prior.time_buckets - 1))
         dense = np.log(prior.transition_matrix(bucket))
         view = privacy._ViterbiPrior(prior).view(bucket)
-        for i in range(v):
-            assert np.array_equal(view.row(i), dense[i])
-            assert np.array_equal(view.column(i), dense[:, i])
-        # scores a few ulps apart: where adding a log probability carries a
-        # sum past a power of two, unequal scores can round to equal sums
+        # every state, then some repeated and in any order; -1 (no context)
+        # is the start row
+        drawn = data.draw(st.lists(st.integers(0, v - 1), max_size=2 * v))
+        picks = np.concatenate([np.arange(v), np.array(drawn, dtype=np.int64)])
+        assert np.array_equal(view.rows(picks), dense[picks])
+        assert np.array_equal(view.rows(np.array([-1, picks[0]])),
+                              [np.log(prior.stationary_distribution(bucket)),
+                               dense[picks[0]]])
+        assert np.array_equal(view.columns(picks), dense[:, picks].T)
+        # K rows of scores a few ulps apart: where adding a log probability
+        # carries a sum past a power of two, unequal scores can round to
+        # equal sums, and a lower unseen context a few ulps below the best
+        # one can tie with it
         base = data.draw(st.sampled_from([-0.7, -1.9, -7.9, -15.6, -31.3]))
-        ulps = data.draw(st.lists(st.sampled_from([0, 1, 2, 3, 8, 2 ** 40]),
-                                  min_size=v, max_size=v))
+        ulps = data.draw(st.lists(st.lists(st.sampled_from([0, 1, 2, 3, 8, 2 ** 40]),
+                                           min_size=v, max_size=v),
+                                  min_size=2, max_size=6))
         score = base + np.asarray(ulps) * np.spacing(base)
-        back = np.empty(v, dtype=np.int64)
-        best = view.step(score, back)
-        cand = score[:, None] + dense
-        assert np.array_equal(best, cand.max(axis=0))
-        assert np.array_equal(back, np.argmax(cand, axis=0))
+        best, back = view.step(score)
+        for s, b, k in zip(score, best, back):
+            cand = s[:, None] + dense
+            assert np.array_equal(b, cand.max(axis=0))
+            assert np.array_equal(k, np.argmax(cand, axis=0))
 
     @settings(max_examples=300, deadline=None)
     @given(prior=_priors(), data=st.data())
     def test_paths_equal_dense_decoder(self, prior, data):
-        v = prior.alphabet.size
         length = data.draw(st.integers(1, 8))
-        hours = data.draw(st.lists(st.integers(0, 23), min_size=length + 1,
-                                   max_size=length + 1))
-        buckets = _bucket_of(np.asarray(hours) * 3600, prior.time_buckets)
-        anchor = st.none() | st.integers(0, v - 1)
+        hours = data.draw(st.lists(st.integers(0, 23), min_size=length + 2,
+                                   max_size=length + 2))
+        # one hidden run between optional pinned anchors
+        anchor = st.just([]) | st.sampled_from(prior.alphabet.tolist()).map(lambda c: [c])
         left, right = data.draw(anchor), data.draw(anchor)
-        got = privacy._viterbi_segment(privacy._ViterbiPrior(prior), buckets,
-                                       0, length, left, right)
-        want = _dense_viterbi_segment(_DenseViterbiPrior(prior), buckets,
-                                      0, length, left, right)
-        assert np.array_equal(got, want)
+        cells = left + [HIDDEN] * length + right
+        obf = _obfuscated(cells, hours[1 - len(left):length + 1 + len(right)])
+        assert np.array_equal(reconstruct_trace(obf, prior), _dense_reconstruct(obf, prior))
 
         # whole traces, with observed cells the prior does not know (9)
-        cells = np.asarray(data.draw(st.lists(
-            st.sampled_from([HIDDEN, 9, *prior.alphabet.tolist()]),
-            min_size=length, max_size=length)))
-        obf = ObfuscatedTrace("u", cells, np.asarray(hours[:length]) * 3600,
-                              cells == HIDDEN)
-        got = reconstruct_trace(obf, prior)
+        cells = data.draw(st.lists(st.sampled_from([HIDDEN, 9, *prior.alphabet.tolist()]),
+                                   min_size=length, max_size=length))
+        obf = _obfuscated(cells, hours[:length])
+        assert np.array_equal(reconstruct_trace(obf, prior), _dense_reconstruct(obf, prior))
+
+    @settings(max_examples=300, deadline=None)
+    @given(prior=_priors(), data=st.data())
+    def test_corpus_decode_equals_per_segment_decoder(self, prior, data):
+        v = prior.alphabet.size
+        # truth cells, with cells the prior does not know (9), and which of
+        # them are hidden; some traces are hidden throughout
+        point = st.tuples(st.sampled_from([9, *prior.alphabet.tolist()]),
+                          st.sampled_from([True, True, False]))
+        traces = data.draw(st.lists(st.lists(point, min_size=1, max_size=12),
+                                    min_size=1, max_size=6))
+        if data.draw(st.booleans()):
+            traces.append([(c, True) for c, _ in traces[0]])
+        truth, obfuscated = [], []
+        for i, points in enumerate(traces):
+            cells, hidden = (np.array(x) for x in zip(*points))
+            # steps of up to 5 h, so a run can change time bucket inside
+            step = data.draw(st.sampled_from([600, 3600, 5 * 3600]))
+            ts = data.draw(st.integers(0, 86_400)) + step * np.arange(cells.size)
+            truth.append(GridTrace(f"u{i}", cells, ts))
+            obfuscated.append(ObfuscatedTrace(f"u{i}", np.where(hidden, HIDDEN, cells),
+                                              ts, hidden))
+        vp = privacy._ViterbiPrior(prior)
+        want = [_segment_reconstruct(o, vp, _sparse_viterbi_segment) for o in obfuscated]
+        # a 1-byte budget gives each run a chunk of its own; at 100 or 300
+        # bytes a state a chunk holds a few short runs, and a run of over 9
+        # points overruns the smaller one
+        cap = data.draw(st.sampled_from([1, 100 * v, 300 * v, privacy._CHUNK_BYTES]))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(privacy, "_ViterbiPrior", _DenseViterbiPrior)
-            mp.setattr(privacy, "_reconstruct", _dense_reconstruct)
-            want = reconstruct_trace(obf, prior)
-        assert np.array_equal(got, want)
+            mp.setattr(privacy, "_CHUNK_BYTES", cap)
+            got = privacy._reconstruct(obfuscated, privacy._ViterbiPrior(prior))
+            assert np.array_equal(got, np.concatenate(want))
+            mask = np.concatenate([o.hidden_mask for o in obfuscated])
+            if mask.any():
+                hits = sum(int(np.sum(w[o.hidden_mask] == t.cells[o.hidden_mask]))
+                           for w, o, t in zip(want, obfuscated, truth))
+                assert sequence_attack(_corpus(truth), obfuscated, prior) == hits / int(mask.sum())
 
 
 def visit_frequency(trace):
