@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import io
 import json
 import logging
 import math
@@ -423,13 +424,26 @@ def save_corpus(corpus: Corpus, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         if corpus.traces:
-            lat, lon = geogrid.decode(
-                corpus.spec, np.concatenate([t.cells for t in corpus.traces]))
-            ts = np.concatenate([t.timestamps for t in corpus.traces])
-            users = [t.user_id for t in corpus.traces for _ in range(len(t))]
-            # repr of a Python float, not of np.float64 ("np.float64(...)")
-            writer.writerows(zip(users, ts.tolist(),
-                                 map(repr, lat.tolist()), map(repr, lon.tolist())))
+            cells, at = np.unique(np.concatenate([t.cells for t in corpus.traces]),
+                                  return_inverse=True)
+            lat, lon = geogrid.decode(corpus.spec, cells)
+            # each cell's ",lat,lon" row end as csv.writer writes it: repr of
+            # a Python float, not of np.float64 ("np.float64(...)")
+            ends = [f",{la!r},{lo!r}\r\n" for la, lo in zip(lat.tolist(), lon.tolist())]
+            at = at.tolist()
+            buf = io.StringIO()
+            quote = csv.writer(buf)
+            start = 0
+            for trace in corpus.traces:
+                # "user_id," as csv.writer starts a row of several fields
+                buf.seek(0)
+                buf.truncate()
+                quote.writerow([trace.user_id, ""])
+                user = buf.getvalue()[:-2]
+                stop = start + len(trace)
+                fh.write("".join([f"{user}{t}{ends[c]}" for t, c in
+                                  zip(trace.timestamps.tolist(), at[start:stop])]))
+                start = stop
     meta = {
         "format_version": FORMAT_VERSION,
         "grid_spec": corpus.spec.to_dict(),

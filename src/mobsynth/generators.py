@@ -46,9 +46,10 @@ class MarkovGenerator:
         self.time_buckets = int(time_buckets)
         self.alpha = float(alpha)
         self.alphabet = np.asarray(alphabet, dtype=np.int64)
-        # column-major, so the column slices _prefix_rows searches are contiguous
+        # column-major, so the column slices the lookups read are contiguous
         self.counts = [np.asfortranarray(table, dtype=np.int64) for table in counts]
         self.global_counts = np.asarray(global_counts, dtype=np.int64)
+        self._prefixes = [_prefix_keys(table, self.alphabet.size) for table in self.counts]
 
     @classmethod
     def fit(cls, corpus: Corpus, order: int = 1, time_buckets: int = 24,
@@ -67,34 +68,57 @@ class MarkovGenerator:
             # a trace's first point is no transition, so even order 0 skips it
             at = np.flatnonzero(pos >= max(k, 1))
             steps = np.column_stack([buckets[at]] + [sym[at - j] for j in range(k, -1, -1)])
-            rows, n = np.unique(steps, axis=0, return_counts=True)
-            counts.append(np.column_stack([rows, n]))
+            steps = steps[np.lexsort(steps.T[::-1])]
+            new = np.ones(len(steps), dtype=bool)
+            new[1:] = np.any(steps[1:] != steps[:-1], axis=1)
+            first = np.flatnonzero(new)
+            counts.append(np.column_stack([steps[first], np.diff(first, append=len(steps))]))
         return cls(corpus.spec, corpus.sampling_period, order, time_buckets,
                    alpha, alphabet, counts, np.bincount(sym, minlength=alphabet.size))
 
     def _distributions(self, contexts, bucket: int) -> np.ndarray:
-        """Smoothed next-symbol distribution of each context, backing off
-        k, k-1, ..., 0 to its longest suffix seen in ``bucket``."""
-        blocks = [_prefix_rows(table, (bucket,))[:, 1:] for table in self.counts]
+        """Smoothed next-symbol distribution of each row of an (n, j) block
+        of contexts, backing off k, k-1, ..., 0 to its longest suffix seen
+        in ``bucket``.  A symbol outside the alphabet is never seen."""
+        contexts = np.asarray(contexts, dtype=np.int64)
+        j = contexts.shape[1]
         counts = np.zeros((len(contexts), self.alphabet.size))
-        for i, context in enumerate(contexts):
-            for k in range(min(self.order, len(context)), -1, -1):
-                rows = _prefix_rows(blocks[k], context[len(context) - k:])
-                if rows.size:
-                    counts[i, rows[:, -2]] = rows[:, -1]
-                    break
-            else:
-                counts[i] = self.global_counts
+        todo = np.arange(len(contexts))
+        for k in range(min(self.order, j), -1, -1):
+            at, lo, hi = self._seen(k, bucket, contexts[todo, j - k:])
+            rows = _ranges(lo, hi)
+            table = self.counts[k]
+            counts[np.repeat(todo[at], hi - lo), table[rows, -2]] = table[rows, -1]
+            todo = np.delete(todo, at)
+        counts[todo] = self.global_counts
         total = counts.sum(axis=1, keepdims=True) + self.alpha * self.alphabet.size
         counts += self.alpha
         return np.divide(counts, total, out=counts)
 
+    def _seen(self, k: int, bucket: int, contexts: np.ndarray):
+        """The rows of an (m, k) block of contexts seen in ``bucket`` at
+        order k, and the range [lo, hi) of ``counts[k]`` rows each one has."""
+        keys, starts = self._prefixes[k]
+        v = self.alphabet.size
+        g = np.searchsorted(keys[0], bucket)
+        if g == keys[0].size or keys[0][g] != bucket:
+            return np.empty((3, 0), dtype=np.int64)
+        at, rank = np.arange(len(contexts)), np.full(len(contexts), g)
+        for col, key in enumerate(keys[1:]):
+            x = contexts[at, col]
+            q = rank * v + x
+            rank = np.searchsorted(key, q)
+            hit = (0 <= x) & (x < v) & (rank < key.size)
+            hit[hit] = key[rank[hit]] == q[hit]
+            at, rank = at[hit], rank[hit]
+        return at, starts[rank], starts[rank + 1]
+
     def transition_matrix(self, bucket: int) -> np.ndarray:
         """Order-1 reduction: smoothed P(next | current, bucket)."""
-        return self._distributions([(j,) for j in range(self.alphabet.size)], bucket)
+        return self._distributions(np.arange(self.alphabet.size)[:, None], bucket)
 
     def stationary_distribution(self, bucket: int) -> np.ndarray:
-        return self._distributions([()], bucket)[0]
+        return self._distributions(np.empty((1, 0), dtype=np.int64), bucket)[0]
 
     def sparse_transitions(self, bucket: int):
         """``transition_matrix(bucket)`` without the V x V array.
@@ -106,8 +130,8 @@ class MarkovGenerator:
         probability is the float ``transition_matrix`` holds.
         """
         v = self.alphabet.size
-        table = (_prefix_rows(self.counts[1], (bucket,)) if self.order
-                 else np.empty((0, 4), dtype=np.int64))
+        table = self.counts[1] if self.order else np.empty((0, 4), dtype=np.int64)
+        table = table[slice(*table[:, 0].searchsorted([bucket, bucket + 1]))]
         ctx, nxt, n = table[:, 1], table[:, 2], table[:, 3]
         seen = np.unique(ctx)
         total = np.bincount(ctx, weights=n, minlength=v) + self.alpha * v
@@ -130,7 +154,7 @@ class MarkovGenerator:
             u = np.stack([np.random.default_rng([seed, i]).uniform(size=trace_len)
                           for i in range(lo, lo + len(block))])
             for t in range(trace_len):
-                contexts = block[:, max(0, t - self.order):t].tolist()
+                contexts = block[:, max(0, t - self.order):t]
                 cdf = np.cumsum(self._distributions(contexts, int(buckets[t])), axis=1)
                 # rounding can leave cdf[:, -1] below the uniform draw
                 block[:, t] = np.minimum((cdf < u[:, t, None]).sum(axis=1), v - 1)
@@ -164,12 +188,31 @@ class MarkovGenerator:
                         alpha, alphabet, counts, global_counts)
 
 
-def _prefix_rows(table: np.ndarray, key) -> np.ndarray:
-    """Rows of a sorted count table whose leading columns equal ``key``."""
-    lo, hi = 0, table.shape[0]
-    for j, x in enumerate(key):
-        lo, hi = lo + table[lo:hi, j].searchsorted([x, x + 1])
-    return table[lo:hi]
+def _prefix_keys(table: np.ndarray, v: int):
+    """Ascending keys of the distinct row prefixes (bucket, ctx_1..ctx_j) of
+    a sorted order-k count table, one array for each j = 0..k, and the first
+    row of each full (bucket, context) prefix with the row count appended.
+
+    A bucket is its own key; a longer prefix's key is the rank of its
+    one-shorter prefix among those keys, times v, plus ctx_j.  Looking up a
+    context one column at a time is then one ``searchsorted`` per column,
+    at any order, with no key past (rows * v).
+    """
+    key, keys = table[:, 0], []
+    for j in range(table.shape[1] - 2):
+        if j:
+            key = rank * v + table[:, j]
+        new = np.ones(key.size, dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        keys.append(key[new])
+        rank = np.cumsum(new) - 1
+    return keys, np.flatnonzero(np.append(new, True))
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The index ranges [lo, hi) end to end."""
+    n = hi - lo
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
 
 
 def _read_counts(payload, order: int, time_buckets: int, v: int):

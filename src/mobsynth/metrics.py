@@ -119,6 +119,9 @@ def topn_report(real: Corpus, syn: Corpus, n: int = 50) -> TopNReport:
         raise IncompatibilityError("corpora must share the grid spec")
     if n < 1:
         raise DomainError(f"topn: n must be >= 1, got {n}")
+    for side, corpus in (("real", real), ("synthetic", syn)):
+        if not corpus.traces:
+            raise InsufficientDataError(f"topn: the {side} corpus has no traces")
     values, counts = np.unique(corpus_runs(real.traces)[1], return_counts=True)
     if n > values.size:
         logger.warning("topN=%d exceeds %d distinct real cells; clamping", n, values.size)
@@ -341,6 +344,8 @@ def _fit_decay(lags: np.ndarray, mi: np.ndarray):
 def mi_decay(corpus: Corpus, tau_max: int, min_count: int = MI_MIN_SYMBOL_COUNT) -> MiDecayCurve:
     if tau_max < 1:
         raise DomainError("tau_max must be >= 1")
+    if not corpus.traces:
+        raise InsufficientDataError("mi_decay: the corpus has no traces")
     shortest = min(len(t) for t in corpus.traces)
     if tau_max >= shortest:
         logger.warning("tau_max %d >= shortest trace %d; clamping", tau_max, shortest)

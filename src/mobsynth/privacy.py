@@ -15,7 +15,7 @@ from scipy import sparse
 
 from .dataio import Corpus, GridTrace
 from .errors import DomainError
-from .generators import MarkovGenerator, _bucket_of
+from .generators import MarkovGenerator, _bucket_of, _ranges
 from .metrics import corpus_runs
 
 HIDDEN = -1
@@ -93,7 +93,6 @@ class _BucketView:
         self.unseen = np.setdiff1d(np.arange(self.log_p0.size, dtype=np.int32), self.seen)
         # rows of seen[k] are [row_bounds[k], row_bounds[k + 1])
         self.row_bounds = np.searchsorted(ctx, np.append(self.seen, self.log_p0.size))
-        self.row_of = np.repeat(np.arange(self.seen.size), np.diff(self.row_bounds))
         # the same rows sorted by (next, context): one group per column
         by_col = np.lexsort((ctx, self.next))
         self.col_ctx, self.col_log = ctx[by_col].astype(np.int32), self.log_seen[by_col]
@@ -156,15 +155,15 @@ class _BucketView:
             best = np.full((n, v), -np.inf)
             back = np.zeros((n, v), dtype=np.int32)
         if self.seen.size:
-            # the floor: a seen row's observed entries exceed its floor, so
-            # the best floor only counts in the columns its row leaves empty
+            # the floor: the best floor is merged into every column.  In a
+            # column its row observed, that row's observed entry is no lower
+            # than its floor (rounding is monotone) and carries the same
+            # index, so the floor there never wins nor breaks a tie that the
+            # observed rows, reduced below, would not
             floor = score[:, self.seen] + self.log_floor
             k = np.argmax(floor, axis=1)
-            off = np.ones((n, v), dtype=bool)
-            r, obs = np.nonzero(self.row_of == k[:, None])
-            off[r, self.next[obs]] = False
             val, arg = floor[rows, k, None], self.seen[k, None]
-            take = off & _beats(val, arg, best, back)
+            take = _beats(val, arg, best, back)
             np.copyto(best, val, where=take)
             np.copyto(back, arg, where=take)
             # the observed rows, reduced per column; lowest context on ties
@@ -194,12 +193,6 @@ def _lookup(keys: np.ndarray, x: np.ndarray):
     at = np.flatnonzero(k < keys.size)
     at = at[keys[k[at]] == x[at]]
     return at, k[at]
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The index ranges [lo, hi) end to end."""
-    n = hi - lo
-    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
 
 
 def _groups(vp: _ViterbiPrior, buckets: np.ndarray):

@@ -487,6 +487,24 @@ class TestEvaluate:
         # refused before the report directory is made, so before top-N runs
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("side", ["real", "syn"])
+    def test_empty_corpus_is_domain_error(self, tmp_path, corpus_file, monkeypatch,
+                                          capsys, side):
+        # ingest of a header-only file writes a valid corpus with no traces
+        raw, empty = tmp_path / "header.csv", tmp_path / "empty.csv"
+        raw.write_text("user_id,timestamp,lat,lon\n")
+        assert run("ingest", "--input", str(raw), "--out", str(empty)) == EXIT_OK
+        corpora = {"real": corpus_file, "syn": _make_syn(tmp_path, corpus_file)}
+        corpora[side] = empty
+        outdir = tmp_path / "report"
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        capsys.readouterr()
+        assert run("--seed", "6", "evaluate", "--real", str(corpora["real"]),
+                   "--syn", str(corpora["syn"]), "--outdir", str(outdir)) == EXIT_DOMAIN
+        side_name = {"real": "real", "syn": "synthetic"}[side]
+        assert f"the {side_name} corpus has no traces" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_outdir_env_override(self, tmp_path, corpus_file, monkeypatch):
         syn = _make_syn(tmp_path, corpus_file)
         outdir = tmp_path / "env_out"

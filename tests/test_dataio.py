@@ -338,6 +338,65 @@ class TestSimulator:
             GroundTruthSimulator(GridSpec(0, 1, 0, 1, level=1), 1, 5, seed=0)
 
 
+def _reference_save_corpus(corpus, path):
+    """save_corpus's CSV as one csv.writer row per point."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dataio.CSV_HEADER)
+        if corpus.traces:
+            lat, lon = geogrid.decode(
+                corpus.spec, np.concatenate([t.cells for t in corpus.traces]))
+            ts = np.concatenate([t.timestamps for t in corpus.traces])
+            users = [t.user_id for t in corpus.traces for _ in range(len(t))]
+            writer.writerows(zip(users, ts.tolist(),
+                                 map(repr, lat.tolist()), map(repr, lon.tolist())))
+
+
+def _writer_corpus(users, lengths, seed):
+    """Traces over a few cells, each seen many times, both grid corners included."""
+    rng = np.random.default_rng(seed)
+    cells = np.array([0, 1, 777, 40000, SPEC.n_cells - 1])
+    return Corpus(spec=SPEC, sampling_period=600, traces=[
+        GridTrace(user, rng.choice(cells, size=n), rng.integers(0, 10 ** 9) + 600 * np.arange(n))
+        for user, n in zip(users, lengths)])
+
+
+class TestCorpusWriterExactness:
+    @pytest.mark.parametrize("users, lengths", [
+        (["a,b", 'say "hi"', "x\ny", "", " pad ", "plain"], [3, 2, 4, 2, 5, 6]),
+        ([], []),                                   # header only
+        (["u0", "u1", "a,b"], [1, 1, 1]),           # one-point traces
+    ])
+    def test_bytes_equal_row_writer(self, tmp_path, users, lengths):
+        corpus = _writer_corpus(users, lengths, seed=len(users))
+        dataio.save_corpus(corpus, tmp_path / "got.csv")
+        _reference_save_corpus(corpus, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(users=st.lists(st.text(alphabet='ab ,"\r\n\u00e9', max_size=5), max_size=5),
+           data=st.data())
+    def test_any_user_ids_bytes_equal_row_writer(self, tmp_path_factory, users, data):
+        lengths = data.draw(st.lists(st.integers(1, 4), min_size=len(users),
+                                     max_size=len(users)))
+        corpus = _writer_corpus(users, lengths, seed=data.draw(st.integers(0, 99)))
+        d = tmp_path_factory.mktemp("writer")
+        dataio.save_corpus(corpus, d / "got.csv")
+        _reference_save_corpus(corpus, d / "want.csv")
+        assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+    def test_round_trip(self, tmp_path):
+        corpus = _writer_corpus(["a,b", 'say "hi"', "x\ny", "one", "plain"],
+                                [3, 2, 4, 1, 6], seed=3)
+        dataio.save_corpus(corpus, tmp_path / "c.csv")
+        loaded = dataio.load_corpus(tmp_path / "c.csv")
+        kept = [t for t in corpus.traces if len(t) >= 2]  # ingest drops one-point users
+        assert [t.user_id for t in loaded.traces] == [t.user_id for t in kept]
+        for a, b in zip(kept, loaded.traces, strict=True):
+            assert np.array_equal(a.cells, b.cells)
+            assert np.array_equal(a.timestamps, b.timestamps)
+
+
 class TestPersistence:
     def test_array_roundtrip(self):
         for a in (np.arange(5, dtype=np.int64),

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mobsynth.generators import MarkovGenerator, VineGenerator
 from mobsynth.geogrid import GridSpec, curve_position
 
 SPEC = GridSpec(45.8, 47.8, 5.9, 10.5, level=8)
+DATA = Path(__file__).parent / "data"
 
 
 def _small_corpus(seed=1, users=6, steps=120):
@@ -168,6 +170,23 @@ def _reference_fit(corpus, order, time_buckets):
     return alphabet, counts, global_counts
 
 
+def _reference_tables(corpus, order, time_buckets):
+    """The count tables as np.unique(axis=0) builds them: each distinct
+    (bucket, ctx_1..ctx_k, next) row once, sorted, with its count."""
+    _, sym = np.unique(np.concatenate([t.cells for t in corpus.traces]),
+                       return_inverse=True)
+    buckets = generators._bucket_of(np.concatenate([t.timestamps for t in corpus.traces]),
+                                    time_buckets)
+    pos = np.concatenate([np.arange(len(t)) for t in corpus.traces])
+    tables = []
+    for k in range(order + 1):
+        at = np.flatnonzero(pos >= max(k, 1))
+        steps = np.column_stack([buckets[at]] + [sym[at - j] for j in range(k, -1, -1)])
+        rows, n = np.unique(steps, axis=0, return_counts=True)
+        tables.append(np.column_stack([rows, n]))
+    return tables
+
+
 def _reference_distribution(ref, order, alpha, context, bucket):
     """The earlier one-context distribution over _reference_fit's dense vectors."""
     _, counts, global_counts = ref
@@ -202,6 +221,10 @@ class TestCountTableExactness:
         ref = _reference_fit(corpus, order, time_buckets)
         assert np.array_equal(model.alphabet, ref[0])
         v = model.alphabet.size
+        tables = _reference_tables(corpus, order, time_buckets)
+        assert len(model.counts) == len(tables)
+        for got, want in zip(model.counts, tables):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
         def same(context, bucket):
             return np.array_equal(model._distributions([context], bucket)[0],
@@ -230,6 +253,51 @@ class TestCountTableExactness:
         for bucket in range(time_buckets):
             assert np.array_equal(loaded.transition_matrix(bucket),
                                   model.transition_matrix(bucket))
+
+    @settings(max_examples=100, deadline=None)
+    @given(traces=_traces, order=st.sampled_from([0, 1, 2, 3]),
+           time_buckets=st.sampled_from([1, 3, 24]), data=st.data())
+    def test_one_batch_mixes_every_backoff_level(self, traces, order, time_buckets, data):
+        corpus = Corpus(spec=SPEC, sampling_period=3600, traces=[
+            GridTrace(f"u{i}", 37 * np.array(cells) + 5,
+                      start + 3600 * np.arange(len(cells)))
+            for i, (start, cells) in enumerate(traces)])
+        model = MarkovGenerator.fit(corpus, order=order, time_buckets=time_buckets,
+                                    alpha=0.5)
+        ref = _reference_fit(corpus, order, time_buckets)
+        v = model.alphabet.size
+        # a context length j below the order backs off from level j; a
+        # bucket no trace reaches backs off to the global counts
+        j = data.draw(st.integers(0, order))
+        bucket = data.draw(st.integers(0, time_buckets - 1))
+        # the contexts seen at each level k <= j, behind j - k copies of the
+        # symbol V no trace holds, back off to exactly level k
+        batch = [(v,) * (j - k) + ctx for k in range(j + 1)
+                 for b, ctx in ref[1][k] if b == bucket]
+        batch += data.draw(st.lists(st.tuples(*[st.integers(0, v)] * j), max_size=12))
+        batch = data.draw(st.permutations(batch + [(v,) * j]))
+        got = model._distributions(np.array(batch, dtype=np.int64).reshape(len(batch), j),
+                                   bucket)
+        for row, ctx in zip(got, batch):
+            assert np.array_equal(row, _reference_distribution(ref, order, 0.5, ctx, bucket))
+
+
+class TestEarlierModelFile:
+    """tests/data holds an order-2 Markov model file, and a corpus generated
+    from it, both written while the count tables were built by
+    np.unique(axis=0) and corpora written by one csv.writer row per point."""
+
+    def test_loads_and_generates_the_same_bytes(self, tmp_path):
+        model = dataio.load_model(DATA / "markov_order2.json")
+        dataio.save_corpus(model.generate(5, 40, 0, seed=2), tmp_path / "syn.csv")
+        assert (tmp_path / "syn.csv").read_bytes() == \
+            (DATA / "markov_order2_syn.csv").read_bytes()
+
+    def test_fit_writes_the_same_model_file(self, tmp_path):
+        model = MarkovGenerator.fit(_small_corpus(), order=2, time_buckets=3)
+        dataio.save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == \
+            (DATA / "markov_order2.json").read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -61,6 +61,13 @@ class TestTopNReport:
         rep = topn_report(real, real, n=50)
         assert rep.n == 2
 
+    @pytest.mark.parametrize("side", ["real", "synthetic"])
+    def test_empty_corpus(self, side):
+        full, empty = _corpus([_trace([1, 2, 1])]), _corpus([])
+        real, syn = (empty, full) if side == "real" else (full, empty)
+        with pytest.raises(InsufficientDataError, match=f"the {side} corpus"):
+            topn_report(real, syn)
+
     def test_spec_mismatch(self):
         other = Corpus(spec=GridSpec(0, 1, 0, 1, level=4),
                        traces=[_trace([0, 1])], sampling_period=600)
@@ -152,6 +159,8 @@ class TestMiDecay:
     def test_tau_validation(self):
         with pytest.raises(DomainError):
             mi_decay(_corpus([_trace([1, 2])]), tau_max=0)
+        with pytest.raises(InsufficientDataError, match="no traces"):
+            mi_decay(_corpus([]), tau_max=2)
 
     def test_lagged_mi_nonnegative(self):
         sym, trace_id = np.array([0, 1, 0, 1, 0, 1]), np.zeros(6, dtype=np.int64)

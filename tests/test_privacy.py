@@ -281,6 +281,28 @@ class TestSparseViterbiExactness:
             assert np.array_equal(b, cand.max(axis=0))
             assert np.array_equal(k, np.argmax(cand, axis=0))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1e17])
+    def test_best_floor_row_with_observed_columns(self, alpha):
+        # context 1 (score 0) has the best floor and observes columns 0 and
+        # 2, where the floor merged into every column meets its observed
+        # entry; at alpha 1e17, 1 + alpha rounds to alpha and the two tie
+        counts = [np.array([[0, 0, 1], [0, 3, 2]]),
+                  np.array([[0, 1, 0, 3], [0, 1, 2, 1], [0, 2, 2, 5]])]
+        prior = MarkovGenerator(SPEC, 600, 1, 1, alpha, np.arange(10, 14), counts,
+                                np.array([1, 1, 2, 1]))
+        dense = np.log(prior.transition_matrix(0))
+        view = privacy._ViterbiPrior(prior).view(0)
+        score = np.array([[-9.0, 0.0, -9.0, -9.0],
+                          [-0.5, 0.0, -0.5, -0.5],
+                          [0.0, 0.0, 0.0, 0.0]])
+        floor = score[:, view.seen] + view.log_floor
+        assert np.all(view.seen[np.argmax(floor, axis=1)] == 1)
+        best, back = view.step(score)
+        for s, b, k in zip(score, best, back):
+            cand = s[:, None] + dense
+            assert np.array_equal(b, cand.max(axis=0))
+            assert np.array_equal(k, np.argmax(cand, axis=0))
+
     @settings(max_examples=300, deadline=None)
     @given(prior=_priors(), data=st.data())
     def test_paths_equal_dense_decoder(self, prior, data):
