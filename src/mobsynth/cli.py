@@ -87,6 +87,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                     value = action.type(value)
                 except ValueError as exc:
                     raise ParseError(f"config key {key!r}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise ParseError(f"config key {key!r}: {value!r} is not one of {action.choices}")
             setattr(args, key, value)
 
 
@@ -146,11 +148,9 @@ def cmd_fit(args) -> int:
             max_scores=args.max_scores,
             bandwidth_scale=args.bandwidth_scale, max_rows=args.max_rows,
             seed=_require_seed(args))
-    elif args.model_type == "markov":
+    else:  # "markov": argparse and _apply_config admit no other choice
         model = generators.MarkovGenerator.fit(
             corpus, order=args.order, time_buckets=args.time_buckets, alpha=args.alpha)
-    else:
-        raise DomainError(f"unknown model type {args.model_type!r}")
     fit_seconds = time.perf_counter() - t0
     dataio.save_model(model, args.out)
     print(f"fit {args.model_type} model in {fit_seconds:.2f}s -> {args.out}")

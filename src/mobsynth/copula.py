@@ -7,7 +7,8 @@ density estimate on the normal-score (probit) scale.  Conditional CDFs
 sequential D-vine fitting exact.  Sampling is exact too: a conditional draw
 picks a mixture component by its weight and then draws from that Gaussian,
 with no root find.  Only the h-inverse solves for a root, by Brent's method
-on the probit scale.
+on the probit scale.  ``vine_fit`` and ``VineModel`` share one tree step of
+the D-vine h-recursion (``_next_level``).
 
 Each row of an h-function, h-inverse or conditional draw is a mixture over
 the kernel centers inside that row's own tail window: the centers whose
@@ -369,51 +370,27 @@ class VineModel:
     def depth(self) -> int:
         return len(self.trees)
 
-    # -- conditional machinery --------------------------------------------
-
-    def _edge(self, i, j):
-        """Pair copula of (x_i, x_j | between); callers stay within depth."""
-        return self.trees[j - i - 1][i]
-
     def _cond_cdfs(self, u_cond):
         """Values a_t = F(u_{d-1-t} | u_{d-t..d-2}) for the h-chain of the
         last variable given u_cond (n, d-1) on the uniform scale; returns
-        a list indexed by t-1 for t = 1..min(depth, d-1)."""
-        last = self.dim - 1
-        memo_c = {}
-        memo_d = {}
-
-        def c_val(i, j):  # F(x_i | x_{i+1..j})
-            if i == j:
-                return u_cond[:, i]
-            if (i, j) not in memo_c:
-                memo_c[(i, j)] = self._edge(i, j).h_u_given_v(c_val(i, j - 1), d_val(i + 1, j))
-            return memo_c[(i, j)]
-
-        def d_val(i, j):  # F(x_j | x_{i..j-1})
-            if i == j:
-                return u_cond[:, j]
-            if (i, j) not in memo_d:
-                memo_d[(i, j)] = self._edge(i, j).h_v_given_u(d_val(i + 1, j), c_val(i, j - 1))
-            return memo_d[(i, j)]
-
-        return [c_val(last - t, last - 1) for t in range(1, min(self.depth, last) + 1)]
-
-    def _conditional_u(self, u_cond, p):
-        """Inverse-Rosenblatt draw of the last variable on the uniform scale
-        given u_cond (n, d-1) and uniforms p (n,).  Each step draws directly
-        from the conditional mixture (``sample_v_given_u``)."""
-        last = self.dim - 1
-        a = self._cond_cdfs(u_cond)
-        q = np.asarray(p, dtype=float)
-        for t in range(len(a), 0, -1):
-            q = self._edge(last - t, last).sample_v_given_u(q, a[t - 1])
-        return q
+        a list indexed by t-1 for t = 1..min(depth, d-1).  Only the last
+        min(depth, d-1) columns enter, so a truncated wide vine pays only
+        for the h-functions its draw needs."""
+        k = min(self.depth, self.dim - 1)
+        start = self.dim - 1 - k
+        left = [u_cond[:, j] for j in range(start, self.dim - 1)]
+        right = left[1:]
+        a = left[-1:]  # empty for the independence vine
+        for t in range(k - 1):
+            left, right = _next_level(self.trees[t][start:], left, right)
+            a.append(left[-1])
+        return a
 
     # -- public sampling ----------------------------------------------------
 
     def conditional_sample(self, cond_values, rng):
-        """Draw the last variable given data-scale values of all others.
+        """Draw the last variable given data-scale values of all others, by
+        the inverse Rosenblatt transform with exact mixture draws.
 
         ``cond_values`` is an (n, d-1) matrix, one conditioning row per
         draw; the n draws are training-sample atoms of the last margin.
@@ -426,9 +403,22 @@ class VineModel:
             [np.clip(self.margins[j].pit(cond[:, j]), _EPS_U, 1 - _EPS_U) for j in range(self.dim - 1)]
         )
         p = rng.uniform(size=cond.shape[0])
-        p = np.clip(p, _EPS_U, 1 - _EPS_U)
-        u = self._conditional_u(u_cond, p)
-        return self.margins[-1].quantile(u)
+        q = np.clip(p, _EPS_U, 1 - _EPS_U)
+        a = self._cond_cdfs(u_cond)
+        for t in reversed(range(len(a))):
+            # tree t+1's last edge pairs the last variable with u_{d-2-t}
+            q = self.trees[t][-1].sample_v_given_u(q, a[t])
+        return self.margins[-1].quantile(q)
+
+
+def _next_level(level, left, right):
+    """One D-vine h-recursion step: from the arguments left[j] = F(x_j | between)
+    and right[j] = F(x_{j+t} | between) of the edges ``level`` of tree t, the
+    arguments of tree t+1, each list one shorter."""
+    new_left = [level[j].h_u_given_v(left[j], right[j]) for j in range(len(left) - 1)]
+    new_right = [level[j + 1].h_v_given_u(right[j + 1], left[j + 1])
+                 for j in range(len(right) - 1)]
+    return new_left, new_right
 
 
 def default_trunc_level(d: int) -> int:
@@ -472,9 +462,10 @@ def vine_fit(data, trunc_level=None, max_scores=1000,
     left = [u[:, j] for j in range(d - 1)]       # F(x_j | between)
     right = [u[:, j + 1] for j in range(d - 1)]  # F(x_{j+t} | between)
     for t in range(1, trunc_level + 1):
-        n_edges = d - t
+        if t > 1:
+            left, right = _next_level(trees[-1], left, right)
         level = []
-        for j in range(n_edges):
+        for j in range(d - t):
             level.append(KernelPairCopula.fit(
                 np.clip(left[j], _EPS_U, 1 - _EPS_U),
                 np.clip(right[j], _EPS_U, 1 - _EPS_U),
@@ -482,12 +473,4 @@ def vine_fit(data, trunc_level=None, max_scores=1000,
                 bandwidth_scale=bandwidth_scale,
             ))
         trees.append(level)
-        if t == trunc_level:
-            break
-        new_left = []
-        new_right = []
-        for j in range(n_edges - 1):
-            new_left.append(level[j].h_u_given_v(left[j], right[j]))
-            new_right.append(level[j + 1].h_v_given_u(right[j + 1], left[j + 1]))
-        left, right = new_left, new_right
     return VineModel(margins, trees)

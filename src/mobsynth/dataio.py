@@ -245,9 +245,8 @@ class GroundTruthSimulator:
     """Seeded time-inhomogeneous Markov mobility model over hotspot cells.
 
     Each user has a home and a work hotspot drawn from a Zipf popularity
-    law.  Hours 20-08 pull toward home, 09-17 toward work, the rest toward
-    the upcoming anchor with extra noise.  The per-user transition matrix
-    at any hour is exposed for oracle tests.
+    law; the hour of day sets which one pulls (:meth:`_rule`).  The
+    per-user transition matrix at any hour is exposed for oracle tests.
     """
 
     def __init__(self, spec: GridSpec, n_users: int, n_hotspots: int, seed: int,
@@ -269,49 +268,41 @@ class GroundTruthSimulator:
 
         # anchors belong to the population: the same population_seed yields
         # the same users, so disjoint trajectory draws stay comparable
-        m = n_hotspots
-        self.homes = np.array([self._draw_pop(pop_rng) for _ in range(n_users)])
-        self.works = np.empty(n_users, dtype=np.int64)
-        for i in range(n_users):
-            w = self._draw_pop(pop_rng)
-            while w == self.homes[i] and m > 1:
-                w = self._draw_pop(pop_rng)
-            self.works[i] = w
+        self.homes = np.searchsorted(self._pop_cdf, pop_rng.uniform(size=n_users))
+        self.works = self.homes.copy()
+        for i in range(n_users):  # redraw until work differs from home
+            while self.works[i] == self.homes[i]:
+                self.works[i] = np.searchsorted(self._pop_cdf, pop_rng.uniform())
         self.n_users = n_users
-        self.n_hotspots = m
+        self.n_hotspots = n_hotspots
 
         self.rng = np.random.default_rng(seed)
 
-    def _draw_pop(self, rng) -> int:
-        return int(np.searchsorted(self._pop_cdf, rng.uniform()))
+    def _rule(self, hour: float):
+        """(every user's anchor, stay chance at it, stay chance elsewhere) at
+        ``hour``: the anchor is work from 08 to 17 and home otherwise, and the
+        transit hours 08-09 and 17-20 are noisier, with both chances cubed."""
+        h = hour % 24
+        anchors = self.works if 8 <= h < 17 else self.homes
+        p = self.params
+        if 8 <= h < 9 or 17 <= h < 20:
+            return anchors, p.stay_at_anchor ** 3.0, p.stay_elsewhere ** 3.0
+        return anchors, p.stay_at_anchor, p.stay_elsewhere
 
     def anchor(self, user: int, hour: float) -> int:
-        h = hour % 24
-        if h >= 20 or h < 8:
-            return int(self.homes[user])
-        if 9 <= h < 17:
-            return int(self.works[user])
-        # transit: heading to work in the morning, home in the evening
-        return int(self.works[user]) if h < 12 else int(self.homes[user])
-
-    def _noise_weight(self, hour: float) -> float:
-        h = hour % 24
-        in_regime = h >= 20 or h < 8 or 9 <= h < 17
-        return 1.0 if in_regime else 3.0  # transit hours are noisier
+        return int(self._rule(hour)[0][user])
 
     def transition_row(self, user: int, state: int, hour: float) -> np.ndarray:
         """Exact next-hotspot distribution from ``state`` at ``hour``."""
-        p = self.params
-        a = self.anchor(user, hour)
-        noise = self._noise_weight(hour)
-        stay = p.stay_at_anchor if state == a else p.stay_elsewhere
-        stay = stay ** noise if noise > 1 else stay
+        anchors, stay_at_anchor, stay_elsewhere = self._rule(hour)
+        a = anchors[user]
+        stay = stay_at_anchor if state == a else stay_elsewhere
         row = np.zeros(self.n_hotspots)
         rest = 1.0 - stay
         row[state] += stay
         if state != a:
-            row[a] += rest * p.pull_to_anchor
-            rest *= (1.0 - p.pull_to_anchor)
+            row[a] += rest * self.params.pull_to_anchor
+            rest *= (1.0 - self.params.pull_to_anchor)
         row += rest * self.popularity
         return row
 
@@ -327,30 +318,16 @@ class GroundTruthSimulator:
         pi = np.abs(pi)
         return pi / pi.sum()
 
-    def simulate_chain(self, user: int, n_steps: int, hour: float, rng) -> np.ndarray:
-        """Fixed-hour hotspot-index chain, for count-based oracle checks."""
-        p = self.params
-        a = self.anchor(user, hour)
-        noise = self._noise_weight(hour)
-        out = np.empty(n_steps, dtype=np.int64)
-        state = a
-        u = rng.uniform(size=n_steps)
-        v = rng.uniform(size=n_steps)
-        for i in range(n_steps):
-            state = self._step(state, a, u[i], v[i], noise, p)
-            out[i] = state
-        return out
-
-    def _step(self, state, a, u, v, noise, p) -> int:
-        stay = p.stay_at_anchor if state == a else p.stay_elsewhere
-        stay = stay ** noise if noise > 1 else stay
-        if u < stay:
-            return state
-        rest = 1.0 - stay
-        if state != a:
-            if u < stay + rest * p.pull_to_anchor:
-                return a
-        return int(np.searchsorted(self._pop_cdf, v))
+    def _step(self, states, hour, u, v) -> np.ndarray:
+        """Every user's next hotspot index at ``hour``: u < stay keeps the
+        state, then away from the anchor a ``pull_to_anchor`` share of the
+        rest goes to it, and otherwise v picks a hotspot by popularity."""
+        anchors, stay_at_anchor, stay_elsewhere = self._rule(hour)
+        to_anchor = stay_elsewhere + (1.0 - stay_elsewhere) * self.params.pull_to_anchor
+        at = states == anchors
+        stay = np.where(at, stay_at_anchor, stay_elsewhere)
+        moved = np.where(~at & (u < to_anchor), anchors, np.searchsorted(self._pop_cdf, v))
+        return np.where(u < stay, states, moved)
 
     def simulate(self, trace_len: int, sampling_period: int, start_time: int = 0) -> Corpus:
         if trace_len < 1:
@@ -358,18 +335,12 @@ class GroundTruthSimulator:
         if sampling_period <= 0:
             raise DomainError(f"sampling_period must be positive, got {sampling_period}")
         timestamps = time_grid(start_time, sampling_period, trace_len)
-        hours = hour_of_day(timestamps)
-        p = self.params
-        states = self.homes.copy()
+        states = self.homes
         path = np.empty((self.n_users, trace_len), dtype=np.int64)
-        for i in range(trace_len):
-            h = hours[i]
-            noise = self._noise_weight(h)
+        for i, hour in enumerate(hour_of_day(timestamps)):
             u = self.rng.uniform(size=self.n_users)
             v = self.rng.uniform(size=self.n_users)
-            for k in range(self.n_users):
-                a = self.anchor(k, h)
-                states[k] = self._step(states[k], a, u[k], v[k], noise, p)
+            states = self._step(states, hour, u, v)
             path[:, i] = states
         traces = [
             GridTrace(f"gt_{k}", self.hotspots[path[k]], timestamps)

@@ -615,11 +615,15 @@ class TestConfig:
         with pytest.raises(ParseError):
             read_config(cfg)
 
-    @pytest.mark.parametrize("line", ["users=abc", "period=6e2"])
-    def test_config_value_of_wrong_type_is_parse_error(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, command", [
+        ("users=abc", ["simulate"]), ("period=6e2", ["simulate"]),
+        # a value outside the option's choices, as --model-type foo would be
+        ("model_type=foo", ["fit", "--corpus", "missing.csv"])],
+        ids=["users=abc", "period=6e2", "model_type=foo"])
+    def test_config_value_of_wrong_type_is_parse_error(self, tmp_path, capsys, line, command):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        assert run("--seed", "1", "--config", str(cfg), "simulate",
+        assert run("--seed", "1", "--config", str(cfg), *command,
                    "--out", str(tmp_path / "c.csv")) == EXIT_PARSE
         assert repr(line.split("=")[0]) in capsys.readouterr().err
 

@@ -418,3 +418,57 @@ class TestVine:
         a = model.conditional_sample(cond, np.random.default_rng(24))
         b = rebuilt.conditional_sample(cond, np.random.default_rng(24))
         assert np.array_equal(a, b)
+
+
+def _memo_cond_cdfs(model, u_cond):
+    """The memoised h-chain the level recursion replaced: a_t for
+    t = 1..min(depth, d-1), each F(x_i | x_{i+1..j}) or F(x_j | x_{i..j-1})
+    computed once on demand."""
+    last = model.dim - 1
+    memo_c = {}
+    memo_d = {}
+
+    def edge(i, j):
+        return model.trees[j - i - 1][i]
+
+    def c_val(i, j):  # F(x_i | x_{i+1..j})
+        if i == j:
+            return u_cond[:, i]
+        if (i, j) not in memo_c:
+            memo_c[(i, j)] = edge(i, j).h_u_given_v(c_val(i, j - 1), d_val(i + 1, j))
+        return memo_c[(i, j)]
+
+    def d_val(i, j):  # F(x_j | x_{i..j-1})
+        if i == j:
+            return u_cond[:, j]
+        if (i, j) not in memo_d:
+            memo_d[(i, j)] = edge(i, j).h_v_given_u(d_val(i + 1, j), c_val(i, j - 1))
+        return memo_d[(i, j)]
+
+    a = [c_val(last - t, last - 1) for t in range(1, min(model.depth, last) + 1)]
+    return a, edge
+
+
+class TestHRecursionExactness:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_memo_reference_at_every_depth(self, d):
+        rng = np.random.default_rng(30 + d)
+        data = rng.normal(size=(150, d)).cumsum(axis=1)
+        full = vine_fit(data, trunc_level=d - 1, max_scores=60)
+        cond = data[:40, :-1]
+        u_cond = np.column_stack([np.clip(full.margins[j].pit(cond[:, j]), 1e-9, 1 - 1e-9)
+                                  for j in range(d - 1)])
+        for depth in range(d):
+            model = VineModel(full.margins, full.trees[:depth])
+            got = model._cond_cdfs(u_cond)
+            want, edge = _memo_cond_cdfs(model, u_cond)
+            assert len(got) == len(want) == depth
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            # the draw walks the same edges, deepest first
+            p = np.random.default_rng(depth).uniform(size=cond.shape[0])
+            q = np.clip(p, 1e-9, 1 - 1e-9)
+            for t in range(depth, 0, -1):
+                q = edge(d - 1 - t, d - 1).sample_v_given_u(q, want[t - 1])
+            draws = model.conditional_sample(cond, np.random.default_rng(depth))
+            assert np.array_equal(draws, full.margins[-1].quantile(q))

@@ -274,6 +274,130 @@ class TestIngest:
             ingest(_csv([]), SPEC, 0)
 
 
+# -- scalar reference: the simulator the array step replaced, one user and
+#    one step at a time --
+
+class ScalarSimulator:
+    def __init__(self, spec, n_users, n_hotspots, seed, population_seed=None, params=None):
+        self.params = params or SimulatorParams()
+        pop_rng = np.random.default_rng(seed if population_seed is None else population_seed)
+        self.hotspots = np.sort(pop_rng.choice(spec.n_cells, size=n_hotspots, replace=False))
+        weights = 1.0 / np.arange(1, n_hotspots + 1) ** self.params.popularity_exponent
+        pop_rng.shuffle(weights)
+        self._pop_cdf = np.cumsum(weights / weights.sum())
+        self.homes = np.array([self._draw_pop(pop_rng) for _ in range(n_users)])
+        self.works = np.empty(n_users, dtype=np.int64)
+        for i in range(n_users):
+            w = self._draw_pop(pop_rng)
+            while w == self.homes[i]:
+                w = self._draw_pop(pop_rng)
+            self.works[i] = w
+        self.n_users = n_users
+        self.rng = np.random.default_rng(seed)
+
+    def _draw_pop(self, rng):
+        return int(np.searchsorted(self._pop_cdf, rng.uniform()))
+
+    def anchor(self, user, hour):
+        h = hour % 24
+        if h >= 20 or h < 8:
+            return int(self.homes[user])
+        if 9 <= h < 17:
+            return int(self.works[user])
+        # transit: heading to work in the morning, home in the evening
+        return int(self.works[user]) if h < 12 else int(self.homes[user])
+
+    def _noise_weight(self, hour):
+        h = hour % 24
+        in_regime = h >= 20 or h < 8 or 9 <= h < 17
+        return 1.0 if in_regime else 3.0  # transit hours are noisier
+
+    def _step(self, state, a, u, v, noise, p):
+        stay = p.stay_at_anchor if state == a else p.stay_elsewhere
+        stay = stay ** noise if noise > 1 else stay
+        if u < stay:
+            return state
+        rest = 1.0 - stay
+        if state != a:
+            if u < stay + rest * p.pull_to_anchor:
+                return a
+        return int(np.searchsorted(self._pop_cdf, v))
+
+    def simulate_chain(self, user, n_steps, hour, rng):
+        """Fixed-hour hotspot-index chain, for count-based oracle checks."""
+        p = self.params
+        a = self.anchor(user, hour)
+        noise = self._noise_weight(hour)
+        out = np.empty(n_steps, dtype=np.int64)
+        state = a
+        u = rng.uniform(size=n_steps)
+        v = rng.uniform(size=n_steps)
+        for i in range(n_steps):
+            state = self._step(state, a, u[i], v[i], noise, p)
+            out[i] = state
+        return out
+
+    def simulate(self, trace_len, sampling_period, start_time=0):
+        """(cells, timestamps) with one row of cells per user."""
+        timestamps = start_time + sampling_period * np.arange(trace_len, dtype=np.int64)
+        hours = hour_of_day(timestamps)
+        p = self.params
+        states = self.homes.copy()
+        path = np.empty((self.n_users, trace_len), dtype=np.int64)
+        for i in range(trace_len):
+            h = hours[i]
+            noise = self._noise_weight(h)
+            u = self.rng.uniform(size=self.n_users)
+            v = self.rng.uniform(size=self.n_users)
+            for k in range(self.n_users):
+                a = self.anchor(k, h)
+                states[k] = self._step(states[k], a, u[k], v[k], noise, p)
+            path[:, i] = states
+        return self.hotspots[path], timestamps
+
+
+# hours 08-09 and 17-20 are the transit hours, where the anchor changes and
+# the noise is raised; these starts put a trace's first steps around them
+_TRANSIT_STARTS = [0, 7 * 3600 + 1800, 8 * 3600, 8 * 3600 + 1800, 9 * 3600 - 600,
+                   16 * 3600 + 3000, 17 * 3600, 19 * 3600 + 1800, 20 * 3600 - 600]
+
+
+class TestSimulatorExactness:
+    """The array simulator against the scalar reference above, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_users=st.integers(1, 30), n_hotspots=st.integers(2, 40),
+           seed=st.integers(0, 2 ** 32 - 1),
+           population_seed=st.none() | st.integers(0, 2 ** 32 - 1),
+           params=st.sampled_from([
+               None, SimulatorParams(0.95, 0.3),          # default, gates
+               SimulatorParams(0.0, 0.0, 0.0, 1.0),      # never stays, never pulled
+               SimulatorParams(1.0, 1.0, 1.0, 1.0),      # always stays
+               SimulatorParams(1.0, 0.0, 1.0, 0.5),      # always pulled home
+               SimulatorParams(0.0, 1.0, 0.5, 0.0),      # uniform popularity
+               SimulatorParams(0.999, 0.001, 0.999, 3.0)]),
+           period=st.sampled_from([600, 1800, 3600, 86400]),
+           start=st.sampled_from(_TRANSIT_STARTS) | st.integers(0, 3 * 86400),
+           trace_len=st.integers(1, 60))
+    def test_matches_scalar_reference(self, n_users, n_hotspots, seed, population_seed,
+                                      params, period, start, trace_len):
+        sim = GroundTruthSimulator(SPEC, n_users, n_hotspots, seed,
+                                   population_seed=population_seed, params=params)
+        ref = ScalarSimulator(SPEC, n_users, n_hotspots, seed,
+                              population_seed=population_seed, params=params)
+        assert np.array_equal(sim.homes, ref.homes)
+        assert np.array_equal(sim.works, ref.works)
+        corpus = sim.simulate(trace_len, period, start_time=start)
+        cells, timestamps = ref.simulate(trace_len, period, start_time=start)
+        assert [t.user_id for t in corpus.traces] == [f"gt_{k}" for k in range(n_users)]
+        for trace, want in zip(corpus.traces, cells, strict=True):
+            assert np.array_equal(trace.cells, want)
+            assert np.array_equal(trace.timestamps, timestamps)
+        for hour in np.arange(0.0, 48.0, 0.25):
+            assert [sim.anchor(k, hour) for k in range(n_users)] == \
+                [ref.anchor(k, hour) for k in range(n_users)]
+
+
 class TestSimulator:
     def test_determinism(self):
         a = simulate_ground_truth(SPEC, 5, 50, 20, seed=9)
@@ -305,7 +429,7 @@ class TestSimulator:
         # analytic transition rows within 0.02 per entry
         sim = GroundTruthSimulator(SPEC, 1, 8, seed=4)
         rng = np.random.default_rng(0)
-        chain = sim.simulate_chain(0, 200_000, hour=11.0, rng=rng)
+        chain = ScalarSimulator(SPEC, 1, 8, seed=4).simulate_chain(0, 200_000, hour=11.0, rng=rng)
         m = sim.n_hotspots
         counts = np.zeros((m, m))
         np.add.at(counts, (chain[:-1], chain[1:]), 1.0)
@@ -319,7 +443,7 @@ class TestSimulator:
     def test_stationary_distribution_matches_long_run(self):
         sim = GroundTruthSimulator(SPEC, 1, 8, seed=4)
         rng = np.random.default_rng(1)
-        chain = sim.simulate_chain(0, 100_000, hour=23.0, rng=rng)
+        chain = ScalarSimulator(SPEC, 1, 8, seed=4).simulate_chain(0, 100_000, hour=23.0, rng=rng)
         emp = np.bincount(chain, minlength=sim.n_hotspots) / chain.size
         pi = sim.stationary_distribution(0, 23.0)
         assert 0.5 * np.abs(emp - pi).sum() < 0.05
@@ -330,6 +454,8 @@ class TestSimulator:
             assert sim.anchor(u, 23.0) == sim.homes[u]
             assert sim.anchor(u, 2.0) == sim.homes[u]
             assert sim.anchor(u, 11.0) == sim.works[u]
+            assert sim.anchor(u, 8.5) == sim.works[u]    # morning transit: to work
+            assert sim.anchor(u, 18.0) == sim.homes[u]   # evening transit: home
 
     def test_validation(self):
         with pytest.raises(DomainError):
