@@ -4,6 +4,9 @@ A corpus on disk is a CSV in the ingestion schema
 (``user_id,timestamp,lat,lon``) plus a ``<name>.meta.json`` sidecar that
 carries the grid spec and sampling period, so downstream consumers can
 verify compatibility without re-deriving anything.
+
+In memory a :class:`Corpus` holds every trace end to end in flat int64
+columns, which ingestion, the simulator and the generators write.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import logging
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,17 +62,56 @@ class GridTrace:
         return self.cells.size
 
 
-@dataclass
 class Corpus:
-    spec: GridSpec
-    traces: list[GridTrace] = field(default_factory=list)
-    sampling_period: int = 600
+    """Traces as flat int64 columns: trace k is rows ``offsets[k]:offsets[k + 1]``
+    of ``cells`` and ``timestamps`` and belongs to ``user_ids[k]``.  Each of
+    ``traces``, built on first use, is a GridTrace over views of its rows."""
+
+    def __init__(self, spec: GridSpec, traces=(), sampling_period: int = 600):
+        empty = [np.empty(0, dtype=np.int64)]
+        self.spec = spec
+        self.sampling_period = sampling_period
+        self.user_ids = [t.user_id for t in traces]
+        self.cells = np.concatenate(empty + [t.cells for t in traces])
+        self.timestamps = np.concatenate(empty + [t.timestamps for t in traces])
+        self.offsets = np.cumsum([0] + [len(t) for t in traces])
+
+    @classmethod
+    def _from_columns(cls, spec, user_ids, cells, timestamps, offsets, sampling_period):
+        """The corpus over ready-made columns, which every producer builds."""
+        corpus = cls(spec, sampling_period=sampling_period)
+        corpus.user_ids, corpus.cells, corpus.timestamps, corpus.offsets = (
+            user_ids, cells, timestamps, offsets)
+        return corpus
+
+    @cached_property
+    def traces(self) -> list[GridTrace]:
+        bounds = self.offsets.tolist()
+        return [GridTrace(u, self.cells[a:b], self.timestamps[a:b])
+                for u, a, b in zip(self.user_ids, bounds[:-1], bounds[1:])]
 
     def __len__(self):
-        return len(self.traces)
+        return self.offsets.size - 1
 
     def n_points(self) -> int:
-        return int(sum(len(t) for t in self.traces))
+        return self.cells.size
+
+    def trace_index(self) -> np.ndarray:
+        """The index of the trace each point belongs to."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def trace_positions(self) -> np.ndarray:
+        """The index of each point within its trace."""
+        return np.arange(self.cells.size) - self.offsets[self.trace_index()]
+
+
+def grid_corpus(spec: GridSpec, prefix: str, cells, timestamps, sampling_period) -> Corpus:
+    """n traces on one time grid, as simulated or generated: row k of the
+    (n, len(timestamps)) ``cells`` is the trace of user ``{prefix}{k}``."""
+    n, length = cells.shape
+    return Corpus._from_columns(spec, [f"{prefix}{k}" for k in range(n)], cells.ravel(),
+                                np.tile(timestamps, n), np.arange(n + 1) * length,
+                                sampling_period)
 
 
 def time_grid(start_time: int, sampling_period: int, n: int) -> np.ndarray:
@@ -113,8 +156,7 @@ def ingest(csv_source, spec: GridSpec, sampling_period: int) -> Corpus:
     finally:
         if close:
             fh.close()
-    return Corpus(spec=spec, traces=_regularize(rows, sampling_period),
-                  sampling_period=int(sampling_period))
+    return _regularize(rows, spec, int(sampling_period))
 
 
 def load_targets(path, spec: GridSpec, sampling_period: int):
@@ -141,15 +183,14 @@ def load_targets(path, spec: GridSpec, sampling_period: int):
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = _parse_rows(labelled(csv.reader(fh)), spec)
-    by_user = {t.user_id: t for t in _regularize(rows, sampling_period)}
-    members, nonmembers = [], []
-    for user, is_member in labels.items():
-        if user in by_user:
-            (members if is_member else nonmembers).append(by_user[user])
+    corpus = _regularize(rows, spec, sampling_period)
+    by_user = dict(zip(corpus.user_ids, corpus.traces))
+    members = [by_user[u] for u, is_member in labels.items() if is_member and u in by_user]
+    nonmembers = [by_user[u] for u, is_member in labels.items() if not is_member and u in by_user]
     return members, nonmembers
 
 
-def _regularize(parsed, sampling_period) -> list[GridTrace]:
+def _regularize(parsed, spec: GridSpec, sampling_period) -> Corpus:
     names, user, ts, cells = parsed
     # stable, so the last row of each (user, timestamp) run is the file's last
     order = np.lexsort((ts, user))
@@ -161,25 +202,27 @@ def _regularize(parsed, sampling_period) -> list[GridTrace]:
     lo, hi = bounds[:-1], bounds[1:]
     # steps after each user's first point: no value past the last one, so no int64 wrap
     spans = (ts[hi - 1] - ts[lo]) // sampling_period
-    total = 0
-    for name, n_points, span in zip(names, (hi - lo).tolist(), spans.tolist()):
-        total += span + 1 if n_points >= 2 else 0
-        if total > MAX_GRID_POINTS:
-            raise DomainError(f"user {name!r} spans {span + 1} grid points at sampling "
-                              f"period {sampling_period} s; a corpus holds at most "
-                              f"{MAX_GRID_POINTS}")
-    traces = []
-    n_short = 0
-    for name, a, b, span in zip(names, lo, hi, spans):
-        if b - a < 2:
-            n_short += 1
-            continue
-        grid_ts = ts[a] + np.arange(span + 1, dtype=np.int64) * sampling_period
-        idx = np.searchsorted(ts[a:b], grid_ts, side="right") - 1
-        traces.append(GridTrace(name, cells[a:b][idx], grid_ts))
-    if n_short:
-        logger.warning("dropped %d user(s) with fewer than 2 surviving points", n_short)
-    return traces
+    kept = hi - lo >= 2
+    # each user's grid points, capped so that their running total cannot wrap
+    n = np.where(kept, np.minimum(spans, MAX_GRID_POINTS) + 1, 0)
+    offsets = np.cumsum(np.append(0, n))
+    if offsets[-1] > MAX_GRID_POINTS:
+        k = int(np.argmax(offsets[1:] > MAX_GRID_POINTS))
+        raise DomainError(f"user {names[k]!r} spans {int(spans[k]) + 1} grid points at "
+                          f"sampling period {sampling_period} s; a corpus holds at most "
+                          f"{MAX_GRID_POINTS}")
+    if not kept.all():
+        logger.warning("dropped %d user(s) with fewer than 2 surviving points",
+                       np.count_nonzero(~kept))
+    # carry-forward: grid point offsets[u] + j takes user u's last point at or
+    # before ts[lo[u]] + j * sampling_period.  Keyed by the first grid point at
+    # or after it, the points ascend over the corpus, so one search finds them
+    keys = offsets[user] - (ts[lo][user] - ts) // sampling_period
+    at = np.searchsorted(keys, np.arange(offsets[-1]), side="right") - 1
+    step = np.arange(offsets[-1]) - np.repeat(offsets[:-1], n)
+    return Corpus._from_columns(spec, np.array(names, dtype=object)[kept].tolist(), cells[at],
+                                np.repeat(ts[lo], n) + step * sampling_period,
+                                offsets[np.append(kept, True)], sampling_period)
 
 
 def _blank(row: list[str]) -> bool:
@@ -265,6 +308,7 @@ class GroundTruthSimulator:
         pop_rng.shuffle(weights)
         self.popularity = weights / weights.sum()
         self._pop_cdf = np.cumsum(self.popularity)
+        self._pop_cdf[-1] = 1.0  # rounding can leave it below the largest uniform draw
 
         # anchors belong to the population: the same population_seed yields
         # the same users, so disjoint trajectory draws stay comparable
@@ -342,11 +386,7 @@ class GroundTruthSimulator:
             v = self.rng.uniform(size=self.n_users)
             states = self._step(states, hour, u, v)
             path[:, i] = states
-        traces = [
-            GridTrace(f"gt_{k}", self.hotspots[path[k]], timestamps)
-            for k in range(self.n_users)
-        ]
-        return Corpus(spec=self.spec, traces=traces, sampling_period=int(sampling_period))
+        return grid_corpus(self.spec, "gt_", self.hotspots[path], timestamps, int(sampling_period))
 
 
 def simulate_ground_truth(spec: GridSpec, n_users: int, trace_len: int,
@@ -394,9 +434,8 @@ def save_corpus(corpus: Corpus, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        if corpus.traces:
-            cells, at = np.unique(np.concatenate([t.cells for t in corpus.traces]),
-                                  return_inverse=True)
+        if len(corpus):
+            cells, at = np.unique(corpus.cells, return_inverse=True)
             lat, lon = geogrid.decode(corpus.spec, cells)
             # each cell's ",lat,lon" row end as csv.writer writes it: repr of
             # a Python float, not of np.float64 ("np.float64(...)")
@@ -404,17 +443,16 @@ def save_corpus(corpus: Corpus, path) -> None:
             at = at.tolist()
             buf = io.StringIO()
             quote = csv.writer(buf)
-            start = 0
-            for trace in corpus.traces:
+            bounds = corpus.offsets.tolist()
+            # one string per trace: one per corpus would hold every row at once
+            for user_id, start, stop in zip(corpus.user_ids, bounds[:-1], bounds[1:]):
                 # "user_id," as csv.writer starts a row of several fields
                 buf.seek(0)
                 buf.truncate()
-                quote.writerow([trace.user_id, ""])
+                quote.writerow([user_id, ""])
                 user = buf.getvalue()[:-2]
-                stop = start + len(trace)
-                fh.write("".join([f"{user}{t}{ends[c]}" for t, c in
-                                  zip(trace.timestamps.tolist(), at[start:stop])]))
-                start = stop
+                fh.write("".join([f"{user}{t}{ends[c]}" for t, c in zip(
+                    corpus.timestamps[start:stop].tolist(), at[start:stop])]))
     meta = {
         "format_version": FORMAT_VERSION,
         "grid_spec": corpus.spec.to_dict(),

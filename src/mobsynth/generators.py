@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import copula, dataio, geogrid
-from .dataio import Corpus, GridTrace, hour_of_day
+from .dataio import Corpus, grid_corpus, hour_of_day
 from .errors import (DomainError, IncompatibilityError, InsufficientDataError,
                      ParseError)
 
@@ -54,15 +54,13 @@ class MarkovGenerator:
     @classmethod
     def fit(cls, corpus: Corpus, order: int = 1, time_buckets: int = 24,
             alpha: float = 0.01) -> "MarkovGenerator":
-        if not corpus.traces:
+        if not len(corpus):
             raise InsufficientDataError("corpus is empty")
         if time_buckets < 1:
             raise DomainError(f"time_buckets must be >= 1, got {time_buckets}")
-        alphabet, sym = np.unique(np.concatenate([t.cells for t in corpus.traces]),
-                                  return_inverse=True)
-        buckets = _bucket_of(np.concatenate([t.timestamps for t in corpus.traces]),
-                             time_buckets)
-        pos = np.concatenate([np.arange(len(t)) for t in corpus.traces])
+        alphabet, sym = np.unique(corpus.cells, return_inverse=True)
+        buckets = _bucket_of(corpus.timestamps, time_buckets)
+        pos = corpus.trace_positions()
         counts = []
         for k in range(order + 1):
             # a trace's first point is no transition, so even order 0 skips it
@@ -158,8 +156,7 @@ class MarkovGenerator:
                 cdf = np.cumsum(self._distributions(contexts, int(buckets[t])), axis=1)
                 # rounding can leave cdf[:, -1] below the uniform draw
                 block[:, t] = np.minimum((cdf < u[:, t, None]).sum(axis=1), v - 1)
-        traces = [GridTrace(f"syn_{i}", self.alphabet[s], timestamps) for i, s in enumerate(sym)]
-        return Corpus(spec=self.spec, traces=traces, sampling_period=self.sampling_period)
+        return grid_corpus(self.spec, "syn_", self.alphabet[sym], timestamps, self.sampling_period)
 
     def to_payload(self) -> dict:
         return {
@@ -304,22 +301,7 @@ class VineGenerator:
         d = min(trunc_level, w + 1) + 1  # the last d path variables
         if max_rows is not None and max_rows < 0:
             raise DomainError(f"max_rows must be >= 0 (0 or None: no cap), got {max_rows}")
-        usable = [t for t in corpus.traces if len(t) >= w + 1]
-        if not usable:
-            raise InsufficientDataError(f"no trace is longer than the window w={w}")
-        rng = np.random.default_rng(seed)
-        spec = corpus.spec
-        period_hours = corpus.sampling_period / 3600.0
-
-        rows = []
-        for trace in usable:
-            pos = geogrid.curve_position(spec, trace.cells, rng.uniform(size=len(trace)))
-            tod = (hour_of_day(trace.timestamps)
-                   + rng.uniform(0.0, period_hours, size=len(trace))) % HOURS_PER_DAY
-            n = len(trace)
-            path = [pos[k:n - w + k] for k in range(w - 1)] + [tod[w:], pos[w - 1:n - 1], pos[w:]]
-            rows.append(np.column_stack(path[-d:]))
-        data = np.concatenate(rows, axis=0)
+        data = cls._path_rows(corpus, w, d, np.random.default_rng(seed))
         if max_rows and data.shape[0] > max_rows:
             # even thinning keeps every trace represented and bounds fit cost
             keep = np.linspace(0, data.shape[0] - 1, max_rows).astype(int)
@@ -327,19 +309,37 @@ class VineGenerator:
         vine = copula.vine_fit(data, trunc_level=d - 1, max_scores=max_scores,
                                bandwidth_scale=bandwidth_scale, var_names=_var_names(w)[-d:])
 
-        start_windows = cls._collect_start_windows(usable, w)
-        return cls(spec, corpus.sampling_period, w, vine, start_windows)
+        start_windows = cls._collect_start_windows(corpus, w)
+        return cls(corpus.spec, corpus.sampling_period, w, vine, start_windows)
 
     @staticmethod
-    def _collect_start_windows(traces, w, cap=5000) -> np.ndarray:
-        """(window cells..., start hour bucket) rows pooled over the corpus."""
-        rows = []
-        for trace in traces:
-            hours = hour_of_day(trace.timestamps).astype(int)
-            n = len(trace)
-            for t in range(0, n - w, max(1, (n - w) // 64)):
-                rows.append(np.concatenate([trace.cells[t:t + w], [hours[t]]]))
-        rows = np.asarray(rows, dtype=np.int64)
+    def _path_rows(corpus, w, d, rng) -> np.ndarray:
+        """One row of the last d jittered path variables per point with a full window."""
+        lengths = np.diff(corpus.offsets)
+        usable = lengths >= w + 1
+        if not usable.any():
+            raise InsufficientDataError(f"no trace is longer than the window w={w}")
+        # the jitter stream: per usable trace, one draw per point for its position,
+        # then one per point for its time of day; uniform(0, h) is h * uniform()
+        points = np.repeat(usable, lengths)
+        u = rng.uniform(size=2 * np.count_nonzero(points))
+        of_tod = np.repeat(np.arange(2 * lengths.size) % 2 == 1, np.repeat(lengths * usable, 2))
+        pos = geogrid.curve_position(corpus.spec, corpus.cells[points], u[~of_tod])
+        tod = (hour_of_day(corpus.timestamps[points])
+               + corpus.sampling_period / 3600.0 * u[of_tod]) % HOURS_PER_DAY
+        at = np.flatnonzero(corpus.trace_positions()[points] >= w)
+        path = [(pos, w - k) for k in range(w - 1)] + [(tod, 0), (pos, 1), (pos, 0)]
+        return np.column_stack([x[at - lag] for x, lag in path[-d:]])
+
+    @staticmethod
+    def _collect_start_windows(corpus, w, cap=5000) -> np.ndarray:
+        """(window cells..., start hour bucket) rows pooled over the corpus: a
+        trace of n points starts one every max(1, (n - w) // 64) points below n - w."""
+        position = corpus.trace_positions()
+        n = np.diff(corpus.offsets)[corpus.trace_index()] - w
+        start = np.flatnonzero((position < n) & (position % np.maximum(1, n // 64) == 0))
+        rows = np.column_stack([corpus.cells[start[:, None] + np.arange(w)],
+                                hour_of_day(corpus.timestamps[start]).astype(int)])
         if rows.shape[0] > cap:
             keep = np.linspace(0, rows.shape[0] - 1, cap).astype(int)
             rows = rows[keep]
@@ -378,9 +378,8 @@ class VineGenerator:
             # re-jitter so the autoregressive state keeps the
             # within-cell-uniform distribution the vine was fitted on
             positions[:, t] = geogrid.curve_position(spec, cell_t, rng.uniform(size=n_traces))
-        cells = geogrid.cell_from_position(spec, positions)
-        traces = [GridTrace(f"syn_{i}", cells[i], timestamps) for i in range(n_traces)]
-        return Corpus(spec=spec, traces=traces, sampling_period=self.sampling_period)
+        return grid_corpus(spec, "syn_", geogrid.cell_from_position(spec, positions), timestamps,
+                           self.sampling_period)
 
     def to_payload(self) -> dict:
         return {

@@ -1,8 +1,8 @@
 """Realism battery: topN visit statistics, MMD two-sample permutation test
 on time-aligned trace embeddings, and mutual-information decay over lags.
 
-All three run on whole-corpus arrays: visit runs and MI lag pairs come from
-the concatenated traces, split at trace boundaries.  The MMD permutation
+All three run on the corpus columns: visit runs and MI lag pairs come from
+the flat cells, split at the trace offsets.  The MMD permutation
 null takes each permuted U-statistic from ``k @ A``, A a block of 0/1
 indicator columns of the permuted X sides, so it matches a sum over the
 permuted kernel ``k[p][:, p]`` to about 1e-15, not bit for bit.  TopN
@@ -35,23 +35,22 @@ PERMUTATION_BLOCK = 2 ** 16
 # visit runs
 # ---------------------------------------------------------------------------
 
-def corpus_runs(traces):
-    """Maximal runs of identical cells in every trace, concatenated in trace
-    order: arrays (trace index, cell, start index into the concatenated
-    points, length).  A run never crosses from one trace into the next."""
-    cells = np.concatenate([t.cells for t in traces])
-    lengths = np.array([len(t) for t in traces])
+def corpus_runs(corpus: Corpus):
+    """Maximal runs of identical cells in every trace, in trace order: arrays
+    (trace index, cell, start row in the corpus columns, length).  A run
+    never crosses from one trace into the next."""
+    cells = corpus.cells
     first = np.zeros(cells.size, dtype=bool)
-    first[np.cumsum(lengths) - lengths] = True
+    first[corpus.offsets[:-1]] = True
     first[1:] |= cells[1:] != cells[:-1]
     starts = np.flatnonzero(first)
-    trace_of_run = np.repeat(np.arange(lengths.size), lengths)[starts]
-    return trace_of_run, cells[starts], starts, np.diff(np.append(starts, cells.size))
+    return (corpus.trace_index()[starts], cells[starts], starts,
+            np.diff(np.append(starts, cells.size)))
 
 
 def visit_runs(trace: GridTrace):
     """Maximal runs of identical cells: arrays (cell, start_index, length)."""
-    return corpus_runs([trace])[1:]
+    return corpus_runs(Corpus(None, [trace]))[1:]
 
 
 def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -93,7 +92,7 @@ class TopNReport:
 
 def _corpus_run_stats(corpus: Corpus, cells_of_interest: np.ndarray, edges: np.ndarray):
     """Visit probabilities, visit-time and dwell histograms for given cells."""
-    _, run_cells, starts, lengths = corpus_runs(corpus.traces)
+    _, run_cells, starts, lengths = corpus_runs(corpus)
     n = cells_of_interest.size
     order = np.argsort(cells_of_interest)
     # cells are >= 0, so a run whose cell is not of interest lands on the -1
@@ -101,8 +100,7 @@ def _corpus_run_stats(corpus: Corpus, cells_of_interest: np.ndarray, edges: np.n
     pos = np.searchsorted(ascending[:-1], run_cells)
     hit = ascending[pos] == run_cells
     row = order[pos[hit]]
-    timestamps = np.concatenate([t.timestamps for t in corpus.traces])
-    hours = hour_of_day(timestamps[starts[hit]]).astype(int)
+    hours = hour_of_day(corpus.timestamps[starts[hit]]).astype(int)
     dwell_sec = lengths[hit].astype(float) * corpus.sampling_period
     bins = np.clip(np.searchsorted(edges, dwell_sec, side="right") - 1, 0, DWELL_BINS - 1)
     visit_counts = np.bincount(row, minlength=n).astype(float)
@@ -120,9 +118,9 @@ def topn_report(real: Corpus, syn: Corpus, n: int = 50) -> TopNReport:
     if n < 1:
         raise DomainError(f"topn: n must be >= 1, got {n}")
     for side, corpus in (("real", real), ("synthetic", syn)):
-        if not corpus.traces:
+        if not len(corpus):
             raise InsufficientDataError(f"topn: the {side} corpus has no traces")
-    values, counts = np.unique(corpus_runs(real.traces)[1], return_counts=True)
+    values, counts = np.unique(corpus_runs(real)[1], return_counts=True)
     if n > values.size:
         logger.warning("topN=%d exceeds %d distinct real cells; clamping", n, values.size)
         n = values.size
@@ -173,9 +171,9 @@ class MmdResult:
 
 
 def embed_corpus(corpus: Corpus, length: int) -> np.ndarray:
-    """Each trace as its curve-position vector over the common time grid."""
-    return np.stack([geogrid.curve_position(corpus.spec, t.cells[:length])
-                     for t in corpus.traces])
+    """Each trace's first ``length`` points as a row of curve positions."""
+    return geogrid.curve_position(
+        corpus.spec, corpus.cells[corpus.offsets[:-1, None] + np.arange(length)])
 
 
 def _mmd_stats(k: np.ndarray, n: int, m: int):
@@ -201,10 +199,10 @@ def mmd_test(real: Corpus, syn: Corpus, n_permutations: int = 500,
         raise IncompatibilityError("corpora must share the sampling period")
     if n_permutations < 0:
         raise DomainError(f"n_permutations must be >= 0, got {n_permutations}")
-    n, m = len(real.traces), len(syn.traces)
+    n, m = len(real), len(syn)
     if n < 5 or m < 5:
         raise InsufficientDataError("mmd_test needs at least 5 traces per side")
-    length = min(min(len(t) for t in real.traces), min(len(t) for t in syn.traces))
+    length = int(min(np.diff(real.offsets).min(), np.diff(syn.offsets).min()))
     x = embed_corpus(real, length)
     y = embed_corpus(syn, length)
     pooled = np.vstack([x, y])
@@ -296,13 +294,11 @@ def _symbolize(corpus: Corpus, min_count: int):
     Returns the symbols of all traces concatenated, the trace index of each
     point, and the alphabet size.
     """
-    _, inverse, counts = np.unique(np.concatenate([t.cells for t in corpus.traces]),
-                                   return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(corpus.cells, return_inverse=True, return_counts=True)
     kept = counts >= min_count
     # kept cells are numbered in cell order; the merged symbol comes after them
     symbols = np.where(kept, np.cumsum(kept) - 1, np.count_nonzero(kept))[inverse]
-    trace_id = np.repeat(np.arange(len(corpus.traces)), [len(t) for t in corpus.traces])
-    return symbols, trace_id, np.count_nonzero(kept) + (0 if kept.all() else 1)
+    return symbols, corpus.trace_index(), np.count_nonzero(kept) + (0 if kept.all() else 1)
 
 
 def _entropy_mm(counts: np.ndarray, n: int) -> float:
@@ -316,17 +312,16 @@ def _entropy_mm(counts: np.ndarray, n: int) -> float:
 def lagged_mi_bits(symbols: np.ndarray, trace_id: np.ndarray, n_symbols: int,
                    lag: int) -> float:
     """Bias-corrected plug-in I(X_t; X_{t+lag}) pooled across traces: the
-    pairs (t, t + lag) of concatenated symbols that lie in one trace."""
+    pairs (t, t + lag) of concatenated symbols that lie in one trace.  Only
+    pairs seen are counted, in the row-major order of the n_symbols^2 table,
+    so each entropy sums the same terms in the same order the table would."""
     same = trace_id[:-lag] == trace_id[lag:]
-    joint = np.bincount(symbols[:-lag][same] * n_symbols + symbols[lag:][same],
-                        minlength=n_symbols * n_symbols)
-    total = int(np.count_nonzero(same))
-    if total == 0:
+    a, b = symbols[:-lag][same], symbols[lag:][same]
+    if a.size == 0:
         return 0.0
-    jm = joint.reshape(n_symbols, n_symbols)
-    h_a = _entropy_mm(jm.sum(axis=1), total)
-    h_b = _entropy_mm(jm.sum(axis=0), total)
-    h_ab = _entropy_mm(joint, total)
+    h_a = _entropy_mm(np.bincount(a), a.size)
+    h_b = _entropy_mm(np.bincount(b), a.size)
+    h_ab = _entropy_mm(np.unique(a * n_symbols + b, return_counts=True)[1], a.size)
     return max(h_a + h_b - h_ab, 0.0)
 
 
@@ -344,14 +339,14 @@ def _fit_decay(lags: np.ndarray, mi: np.ndarray):
 def mi_decay(corpus: Corpus, tau_max: int, min_count: int = MI_MIN_SYMBOL_COUNT) -> MiDecayCurve:
     if tau_max < 1:
         raise DomainError("tau_max must be >= 1")
-    if not corpus.traces:
+    if not len(corpus):
         raise InsufficientDataError("mi_decay: the corpus has no traces")
-    shortest = min(len(t) for t in corpus.traces)
+    shortest = int(np.diff(corpus.offsets).min())
     if tau_max >= shortest:
         logger.warning("tau_max %d >= shortest trace %d; clamping", tau_max, shortest)
         tau_max = shortest - 1
     symbols, trace_id, n_symbols = _symbolize(corpus, min_count)
-    usable = sum(max(len(t) - tau_max, 0) for t in corpus.traces)
+    usable = int(np.maximum(np.diff(corpus.offsets) - tau_max, 0).sum())
     if usable < 50 * n_symbols ** 2:
         logger.warning("only %d pairs at tau_max=%d for alphabet %d; MI may be noisy",
                        usable, tau_max, n_symbols)

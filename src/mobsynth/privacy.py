@@ -299,15 +299,15 @@ def sequence_attack(truth: Corpus, obfuscated: list[ObfuscatedTrace],
                     prior: MarkovGenerator) -> float:
     """Fraction of hidden cells recovered exactly; traces without hidden
     points are excluded."""
-    if len(truth.traces) != len(obfuscated):
+    if len(truth) != len(obfuscated):
         raise DomainError("truth corpus and obfuscated list must align")
     attacked = [i for i, obf in enumerate(obfuscated) if obf.hidden_mask.any()]
     if not attacked:
         raise DomainError("nothing to attack: no hidden points in the corpus")
     recovered = _reconstruct([obfuscated[i] for i in attacked], _ViterbiPrior(prior))
     mask = np.concatenate([obfuscated[i].hidden_mask for i in attacked])
-    cells = np.concatenate([truth.traces[i].cells for i in attacked])
-    return int(np.sum(recovered[mask] == cells[mask])) / int(mask.sum())
+    hidden = truth.cells[np.concatenate([obf.hidden_mask for obf in obfuscated])]
+    return int(np.sum(recovered[mask] == hidden)) / hidden.size
 
 
 def run_sequence_attack(truth: Corpus, prior: MarkovGenerator, p_hide: float,
@@ -321,13 +321,13 @@ def run_sequence_attack(truth: Corpus, prior: MarkovGenerator, p_hide: float,
 # membership inference attack
 # ---------------------------------------------------------------------------
 
-def _run_counts(traces: list[GridTrace], cells: np.ndarray) -> sparse.csr_matrix:
+def _run_counts(corpus: Corpus, cells: np.ndarray) -> sparse.csr_matrix:
     """Sparse (traces x cells) matrix of each trace's visit (run) counts per
     cell; ``cells`` ascends and holds every cell the traces visit."""
-    trace_of_run, run_cells, _, _ = corpus_runs(traces)
+    trace_of_run, run_cells, _, _ = corpus_runs(corpus)
     return sparse.coo_matrix((np.ones(run_cells.size, dtype=np.int64),
                               (trace_of_run, np.searchsorted(cells, run_cells))),
-                             shape=(len(traces), cells.size)).tocsr()
+                             shape=(len(corpus), cells.size)).tocsr()
 
 
 def membership_scores(syn: Corpus, targets: list[GridTrace]) -> np.ndarray:
@@ -340,8 +340,9 @@ def membership_scores(syn: Corpus, targets: list[GridTrace]) -> np.ndarray:
     each target reads only its own cells' synthetic columns, and equal
     distances give equal scores.
     """
-    cells = np.unique(np.concatenate([t.cells for t in syn.traces + targets]))
-    q = _run_counts(syn.traces, cells).tocsc()
+    targets = Corpus(syn.spec, targets, syn.sampling_period)
+    cells = np.union1d(syn.cells, targets.cells)
+    q = _run_counts(syn, cells).tocsc()
     q_runs = np.asarray(q.sum(axis=1)).ravel()
     p = _run_counts(targets, cells)
     scores = np.empty(len(targets))

@@ -106,6 +106,11 @@ def _logged():
         _logger.removeHandler(handler)
 
 
+def _regularize(parsed, period):
+    """The column regularizer's traces, as the reference returns them."""
+    return dataio._regularize(parsed, SPEC, period).traces
+
+
 def _run(parse, regularize, text, period):
     """(traces as plain tuples, or the ParseError's (line, message)), log lines."""
     with _logged() as records:
@@ -145,6 +150,55 @@ class TestGridTrace:
         assert hours.tolist() == [0.0, 1.0, 2.0]
 
 
+_GRID_TRACES = st.lists(
+    st.tuples(st.lists(st.integers(0, SPEC.n_cells - 1), min_size=1, max_size=12),
+              st.integers(0, 10 ** 6), st.sampled_from([1, 600, 3600])),
+    max_size=6).map(lambda rows: [
+        GridTrace(f"u{i}", cells, start + step * np.arange(len(cells)))
+        for i, (cells, start, step) in enumerate(rows)])
+
+
+def _plain(traces):
+    return [(t.user_id, t.cells.tolist(), t.timestamps.tolist()) for t in traces]
+
+
+class TestColumnarCorpus:
+    @settings(max_examples=200, deadline=None)
+    @given(traces=_GRID_TRACES)
+    def test_columns_concatenate_the_traces(self, traces):
+        # one-point traces and the empty corpus both come up
+        corpus = Corpus(SPEC, traces, 600)
+        assert corpus.cells.dtype == corpus.timestamps.dtype == np.int64
+        assert corpus.cells.tolist() == [c for t in traces for c in t.cells.tolist()]
+        assert corpus.timestamps.tolist() == [x for t in traces for x in t.timestamps.tolist()]
+        assert corpus.offsets.tolist() == np.cumsum([0] + [len(t) for t in traces]).tolist()
+        assert len(corpus) == len(traces)
+        assert corpus.n_points() == sum(len(t) for t in traces)
+        assert corpus.trace_index().tolist() == [k for k, t in enumerate(traces)
+                                                 for _ in range(len(t))]
+        assert corpus.trace_positions().tolist() == [j for t in traces for j in range(len(t))]
+        assert _plain(corpus.traces) == _plain(traces)
+        again = Corpus(SPEC, corpus.traces, 600)
+        assert _plain(again.traces) == _plain(traces)
+        assert again.offsets.tolist() == corpus.offsets.tolist()
+
+    def test_every_producer_gives_views_of_its_columns(self):
+        from mobsynth.generators import MarkovGenerator, VineGenerator
+
+        sim = simulate_ground_truth(SPEC, 6, 60, 10, seed=3)
+        (lat, lon), (lat2, lon2) = _centres(100, 200)
+        ingested = ingest(_csv([("u1", 0, lat, lon), ("u1", 1800, lat2, lon2),
+                                ("u2", 600, lat2, lon2), ("u2", 700, lat, lon)]), SPEC, 600)
+        vine = VineGenerator.fit(sim, window=2, max_scores=200, max_rows=500)
+        corpora = [sim, ingested, MarkovGenerator.fit(sim).generate(4, 30, 0, seed=1),
+                   vine.generate(4, 30, 0, seed=1)]
+        for corpus in corpora:
+            assert len(corpus.traces) == len(corpus) > 1
+            for trace in corpus.traces:
+                assert np.shares_memory(trace.cells, corpus.cells)
+                assert np.shares_memory(trace.timestamps, corpus.timestamps)
+
+
 class TestColumnParserExactness:
     """Column parse + regularize against the per-row reference above."""
 
@@ -163,7 +217,7 @@ class TestColumnParserExactness:
         csv.writer(buf).writerows(lines)
         text = buf.getvalue() + data.draw(st.sampled_from(["", "\n", "u9,0\n"]))
         expected = _run(ref_parse_rows, ref_regularize, text, period)
-        assert _run(dataio._parse_rows, dataio._regularize, text, period) == expected
+        assert _run(dataio._parse_rows, _regularize, text, period) == expected
 
     def test_trace_order_is_first_point_inside_the_box(self):
         (a,), (b,) = _centres(5), _centres(9)
@@ -171,7 +225,7 @@ class TestColumnParserExactness:
                      ("u2", 600, *a), ("u1", 1200, *b)]).getvalue()
         expected = _run(ref_parse_rows, ref_regularize, text, 600)
         assert [t[0] for t in expected[0]] == ["u2", "u1"]
-        assert _run(dataio._parse_rows, dataio._regularize, text, 600) == expected
+        assert _run(dataio._parse_rows, _regularize, text, 600) == expected
 
 
 class TestIngest:
@@ -285,6 +339,7 @@ class ScalarSimulator:
         weights = 1.0 / np.arange(1, n_hotspots + 1) ** self.params.popularity_exponent
         pop_rng.shuffle(weights)
         self._pop_cdf = np.cumsum(weights / weights.sum())
+        self._pop_cdf[-1] = 1.0
         self.homes = np.array([self._draw_pop(pop_rng) for _ in range(n_users)])
         self.works = np.empty(n_users, dtype=np.int64)
         for i in range(n_users):
@@ -398,7 +453,22 @@ class TestSimulatorExactness:
                 [ref.anchor(k, hour) for k in range(n_users)]
 
 
+class _LargestDraw:
+    """A generator whose every uniform draw is the largest one, 1 - 2^-53."""
+
+    def uniform(self, size=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
 class TestSimulator:
+    def test_largest_draw_picks_the_last_hotspot(self):
+        # at population seed 4 the popularity CDF of 3,000 hotspots sums to
+        # 1 - 5 * 2^-53, below the largest draw; every user leaves its anchor
+        sim = GroundTruthSimulator(SPEC, 3, 3000, seed=0, population_seed=4)
+        sim.rng = _LargestDraw()
+        corpus = sim.simulate(2, 600)
+        assert np.all(corpus.cells == sim.hotspots[-1])
+
     def test_determinism(self):
         a = simulate_ground_truth(SPEC, 5, 50, 20, seed=9)
         b = simulate_ground_truth(SPEC, 5, 50, 20, seed=9)

@@ -397,7 +397,40 @@ def _full_window_fit(corpus, window, trunc_level, max_scores, bandwidth_scale=0.
     vine = vine_fit(data, trunc_level=trunc_level, max_scores=max_scores,
                     bandwidth_scale=bandwidth_scale)
     return VineGenerator(corpus.spec, corpus.sampling_period, w, vine,
-                         VineGenerator._collect_start_windows(usable, w))
+                         VineGenerator._collect_start_windows(
+                             Corpus(corpus.spec, usable, corpus.sampling_period), w))
+
+
+def _loop_start_windows(traces, w, cap=5000):
+    """Reference: the per-trace, per-window loop the array code replaced."""
+    rows = []
+    for trace in traces:
+        hours = hour_of_day(trace.timestamps).astype(int)
+        n = len(trace)
+        for t in range(0, n - w, max(1, (n - w) // 64)):
+            rows.append(np.concatenate([trace.cells[t:t + w], [hours[t]]]))
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.shape[0] > cap:
+        keep = np.linspace(0, rows.shape[0] - 1, cap).astype(int)
+        rows = rows[keep]
+    return rows
+
+
+class TestStartWindowsExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+           w=st.integers(1, 6), cap=st.sampled_from([3, 40, 5000]), seed=st.integers(0, 99))
+    def test_equals_per_window_loop(self, lengths, w, cap, seed):
+        # traces shorter than the window, and long ones that start a window
+        # only every few points, both come up
+        rng = np.random.default_rng(seed)
+        corpus = Corpus(SPEC, [GridTrace(f"u{i}", rng.integers(0, 50, size=n),
+                                         rng.integers(0, 86400) + 600 * np.arange(n))
+                               for i, n in enumerate(lengths)], 600)
+        got = VineGenerator._collect_start_windows(corpus, w, cap)
+        want = _loop_start_windows(corpus.traces, w, cap)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want.reshape(-1, w + 1))
 
 
 class TestTruncatedVineExactness:

@@ -241,7 +241,7 @@ class TestTopNExactness:
 
     def test_runs_split_at_trace_boundaries(self):
         traces = [_trace([3, 3]), _trace([3, 4, 4]), _trace([4])]
-        trace_of_run, cells, starts, lengths = metrics.corpus_runs(traces)
+        trace_of_run, cells, starts, lengths = metrics.corpus_runs(_corpus(traces))
         assert trace_of_run.tolist() == [0, 1, 1, 2]
         assert cells.tolist() == [3, 3, 4, 4]
         assert starts.tolist() == [0, 2, 3, 5]
@@ -396,3 +396,42 @@ class TestMiDecayExactness:
             curve = mi_decay(corpus, tau_max=shortest - 1, min_count=min_count)
             want = [_loop_lagged_mi_bits(ref_traces, n_symbols, t) for t in curve.lags]
             assert curve.mi_bits.tolist() == want
+
+
+def _dense_lagged_mi_bits(symbols, trace_id, n_symbols, lag):
+    """Reference: the pair counts as one dense n_symbols^2 table."""
+    same = trace_id[:-lag] == trace_id[lag:]
+    joint = np.bincount(symbols[:-lag][same] * n_symbols + symbols[lag:][same],
+                        minlength=n_symbols * n_symbols)
+    total = int(np.count_nonzero(same))
+    if total == 0:
+        return 0.0
+    jm = joint.reshape(n_symbols, n_symbols)
+    h_a = metrics._entropy_mm(jm.sum(axis=1), total)
+    h_b = metrics._entropy_mm(jm.sum(axis=0), total)
+    h_ab = metrics._entropy_mm(joint, total)
+    return max(h_a + h_b - h_ab, 0.0)
+
+
+class TestSparseMutualInformation:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_symbols=st.integers(1, 60),
+           lengths=st.lists(st.integers(1, 80), min_size=1, max_size=8))
+    def test_equals_dense_table(self, data, n_symbols, lengths):
+        # skewed symbols, so some never occur and some pairs repeat often
+        symbols = np.asarray(data.draw(st.lists(
+            st.integers(0, n_symbols - 1) | st.sampled_from([0, n_symbols - 1]),
+            min_size=sum(lengths), max_size=sum(lengths))), dtype=np.int64)
+        trace_id = np.repeat(np.arange(len(lengths)), lengths)
+        for lag in data.draw(st.lists(st.integers(1, max(lengths) + 2),
+                                      min_size=4, max_size=4)):
+            assert (lagged_mi_bits(symbols, trace_id, n_symbols, lag)
+                    == _dense_lagged_mi_bits(symbols, trace_id, n_symbols, lag))
+
+    def test_holds_no_alphabet_squared_array(self):
+        # about 4,000 symbols: one dense table of their pairs is 128 MB
+        rng = np.random.default_rng(40)
+        corpus = _corpus([_trace(rng.integers(0, 4000, size=2500), user=f"u{i}")
+                          for i in range(40)])
+        assert metrics._symbolize(corpus, metrics.MI_MIN_SYMBOL_COUNT)[2] > 3990
+        assert _peak(lambda: mi_decay(corpus, tau_max=2)) < 16 * 2 ** 20

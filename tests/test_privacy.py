@@ -412,7 +412,7 @@ _tied_scores = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.3, np.nextafter(
 
 class TestMembership:
     def test_visit_frequency(self):
-        counts = privacy._run_counts([_trace([4, 4, 9, 4])], np.array([4, 9]))
+        counts = privacy._run_counts(_corpus([_trace([4, 4, 9, 4])]), np.array([4, 9]))
         # runs: 4, 9, 4
         assert counts.toarray().tolist() == [[2, 1]]
         assert visit_frequency(_trace([4, 4, 9, 4])) == {4: 2 / 3, 9: 1 / 3}
