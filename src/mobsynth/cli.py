@@ -182,11 +182,9 @@ def cmd_evaluate(args) -> int:
     mi_syn = metrics.mi_decay(syn, tau_max=args.tau_max)
     mmd = metrics.mmd_test(real, syn, n_permutations=args.n_permutations, rng=rng)
 
-    members = nonmembers = None
-    if args.targets:
-        members, nonmembers = dataio.load_targets(args.targets, real.spec,
-                                                  real.sampling_period)
-    priv, mem = privacy.battery(syn, real, args.p_hide, rng, members, nonmembers)
+    targets, n_members = (dataio.load_targets(args.targets, real.spec, real.sampling_period)
+                          if args.targets else (None, 0))
+    priv, mem = privacy.battery(syn, real, args.p_hide, rng, targets, n_members)
     timings = {"evaluate_seconds": time.perf_counter() - t0}
     outdir = _outdir(args)  # only once every metric has run
     if mem is not None:
@@ -220,11 +218,9 @@ def cmd_attack(args) -> int:
     seed = _require_seed(args)
     privacy.check_p_hide(args.p_hide, attack=True)
     syn = dataio.load_corpus(args.syn)
-    members, nonmembers = dataio.load_targets(args.targets, syn.spec, syn.sampling_period)
-    truth = dataio.Corpus(spec=syn.spec, traces=members + nonmembers,
-                          sampling_period=syn.sampling_period)
-    priv, mem = privacy.battery(syn, truth, args.p_hide, np.random.default_rng(seed),
-                                members, nonmembers)
+    targets, n_members = dataio.load_targets(args.targets, syn.spec, syn.sampling_period)
+    priv, mem = privacy.battery(syn, targets, args.p_hide, np.random.default_rng(seed),
+                                targets, n_members)
     payload = {"format_version": FORMAT_VERSION, "privacy": priv}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)

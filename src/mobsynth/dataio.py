@@ -18,9 +18,12 @@ import json
 import logging
 import math
 import os
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,25 +141,16 @@ def hour_of_day(timestamps) -> np.ndarray:
 def ingest(csv_source, spec: GridSpec, sampling_period: int) -> Corpus:
     """Read raw points, grid-project and regularize onto a uniform time step.
 
-    Per user: rows are sorted by time, duplicate timestamps collapse to the
-    last row, and gaps are filled by previous-observation carry-forward.
-    Out-of-bounds points are dropped and counted; users left with fewer than
-    two points are dropped with a warning.
+    ``csv_source`` is a path, a binary file or a text file (see
+    :func:`_read_points`).  Per user: rows are sorted by time, duplicate
+    timestamps collapse to the last row, and gaps are filled by
+    previous-observation carry-forward.  Out-of-bounds points are dropped and
+    counted; users left with fewer than two points are dropped with a warning.
     """
     if sampling_period <= 0:
         raise DomainError(f"sampling_period must be positive, got {sampling_period}")
-    close = False
-    if isinstance(csv_source, (str, os.PathLike)):
-        fh = open(csv_source, "r", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh = csv_source
-    try:
-        rows = _parse_rows(csv.reader(fh), spec)
-    finally:
-        if close:
-            fh.close()
-    return _regularize(rows, spec, int(sampling_period))
+    return _regularize(_inside(_read_points(csv_source, len(CSV_HEADER)), spec), spec,
+                       int(sampling_period))
 
 
 def load_targets(path, spec: GridSpec, sampling_period: int):
@@ -165,29 +159,17 @@ def load_targets(path, spec: GridSpec, sampling_period: int):
     a user_id seen with both labels is a ParseError.
 
     Rows go through the same parsing and regularization as :func:`ingest`.
-    Returns (members, nonmembers), each in order of first appearance.
+    Returns the targets as one corpus, members first and then non-members,
+    each in order of first appearance, and the number of members.
     """
-    labels: dict[str, bool] = {}
-
-    def labelled(reader):
-        for lineno, row in enumerate(reader, start=1):
-            if not _blank(row) and not (lineno == 1 and row[0].strip().lower() == "user_id"):
-                if len(row) < 5:
-                    raise ParseError("targets file needs user_id,timestamp,lat,lon,is_member",
-                                     line=lineno)
-                user, is_member = row[0].strip(), row[4].strip() in ("1", "true", "yes")
-                if labels.setdefault(user, is_member) != is_member:
-                    raise ParseError(f"user_id {user!r} is labelled both member and "
-                                     "non-member", line=lineno)
-            yield row
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = _parse_rows(labelled(csv.reader(fh)), spec)
-    corpus = _regularize(rows, spec, sampling_period)
-    by_user = dict(zip(corpus.user_ids, corpus.traces))
-    members = [by_user[u] for u, is_member in labels.items() if is_member and u in by_user]
-    nonmembers = [by_user[u] for u, is_member in labels.items() if not is_member and u in by_user]
-    return members, nonmembers
+    points = _read_points(path, len(CSV_HEADER) + 1)
+    is_member = _user_labels(points.names, points.user, points.member, points.line)
+    members = set(compress(points.names, is_member))
+    n_users = is_member.size
+    inside = _inside(points, spec, rank=np.where(is_member, 0, n_users) + np.arange(n_users))
+    del points  # not held while the grid is filled
+    corpus = _regularize(inside, spec, sampling_period)
+    return corpus, sum(u in members for u in corpus.user_ids)
 
 
 def _regularize(parsed, spec: GridSpec, sampling_period) -> Corpus:
@@ -225,50 +207,250 @@ def _regularize(parsed, spec: GridSpec, sampling_period) -> Corpus:
                                 offsets[np.append(kept, True)], sampling_period)
 
 
+# ---------------------------------------------------------------------------
+# CSV readers
+# ---------------------------------------------------------------------------
+
+# the array reader parses a file in blocks of whole lines of at most this many
+# bytes; a block's index arrays and S columns take a few times as much
+_BLOCK_BYTES = 2 ** 16
+_LF, _CR, _COMMA, _LAST_ASCII = ord("\n"), ord("\r"), ord(","), 0x7e
+_LONE_CR = re.compile("(?<=\r)(?!\n)")
+_MEMBER_LABELS = ("1", "true", "yes")
+
+
+class _Points(NamedTuple):
+    """Every data row of a CSV file as columns.  ``user`` indexes ``names``,
+    the stripped user ids in order of first appearance; a targets file adds
+    each row's label and line number."""
+
+    names: list
+    user: np.ndarray
+    ts: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    member: np.ndarray | None = None
+    line: np.ndarray | None = None
+
+
+def _read_points(source, n_fields: int) -> _Points:
+    """The rows of a CSV of ``n_fields`` columns.  A path or binary file goes
+    through the array reader, or whole through the per-row reader where the
+    array reader leaves it; a text file goes through the per-row reader."""
+    if isinstance(source, io.TextIOBase):
+        return _parse_rows(csv.reader(source), n_fields)
+    if not hasattr(source, "read"):
+        with open(source, "rb") as fh:
+            return _read_points(fh, n_fields)
+    start = source.tell()
+    points = _parse_blocks(source, n_fields)
+    if points is None:
+        source.seek(start)
+        points = _parse_rows(csv.reader(_text_lines(source)), n_fields)
+    return points
+
+
+def _text_lines(fh):
+    """A binary file's lines as text, split where ``open(..., newline="")``
+    splits them: after LF, CRLF or a lone CR.  A line that is not UTF-8 is a
+    ParseError naming it."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: byte 0x{raw[exc.start]:02x} at byte {exc.start + 1} "
+                             "of the line", line=lineno) from exc
+        if raw.count(b"\r") == raw.endswith(b"\r\n"):  # no lone CR
+            yield line
+        else:
+            yield from filter(None, _LONE_CR.split(line))
+
+
 def _blank(row: list[str]) -> bool:
     """An empty or whitespace-only CSV row, which every reader skips."""
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _parse_rows(reader, spec: GridSpec):
-    """Validated rows inside the box as columns: (user names, user index,
-    timestamp, cell); users are numbered by their first row inside the box."""
+def _parse_rows(reader, n_fields: int) -> _Points:
+    """The per-row reader: each row of a csv reader checked as it is read,
+    with a ParseError naming the first bad line.  It reads every file the
+    array reader leaves, so its results and errors are the reference."""
+    labelled = n_fields > len(CSV_HEADER)
     names: dict[str, int] = {}
     user, ts, lat, lon = array("q"), array("q"), array("d"), array("d")
-    for lineno, row in enumerate(reader, start=1):
-        if lineno == 1 and row and row[0].strip().lower() == "user_id":
-            continue
-        if _blank(row):
-            continue
-        if len(row) < 4:
-            raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
+    member, line = array("b"), array("q")
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if lineno == 1 and row and row[0].strip().lower() == "user_id":
+                continue
+            if _blank(row):
+                continue
+            if len(row) < n_fields:
+                raise ParseError("targets file needs user_id,timestamp,lat,lon,is_member"
+                                 if labelled else f"expected 4 columns, got {len(row)}",
+                                 line=lineno)
+            user.append(names.setdefault(row[0].strip(), len(names)))
+            if labelled:  # a row's label counts before its values are checked
+                member.append(row[4].strip() in _MEMBER_LABELS)
+                line.append(lineno)
+            try:
+                t, la, lo = int(row[1]), float(row[2]), float(row[3])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+            if t < 0:
+                raise ParseError(f"negative timestamp {t}", line=lineno)
+            if t > _INT64_MAX:
+                raise ParseError(f"timestamp {t} does not fit in 64 bits", line=lineno)
+            if not (math.isfinite(la) and math.isfinite(lo)):
+                raise ParseError(f"non-finite coordinate ({row[2].strip()}, {row[3].strip()})",
+                                 line=lineno)
+            ts.append(t)
+            lat.append(la)
+            lon.append(lo)
+    except ParseError:
+        if labelled:  # a user labelled both ways on an earlier line is the first error
+            _user_labels(list(names), np.frombuffer(user, dtype=np.int64),
+                         np.frombuffer(member, dtype=bool), np.frombuffer(line, dtype=np.int64))
+        raise
+    return _Points(list(names), np.frombuffer(user, dtype=np.int64),
+                   np.frombuffer(ts, dtype=np.int64), np.frombuffer(lat), np.frombuffer(lon),
+                   *((np.frombuffer(member, dtype=bool), np.frombuffer(line, dtype=np.int64))
+                     if labelled else ()))
+
+
+def _parse_blocks(fh, n_fields: int) -> _Points | None:
+    """The array reader: the rows of a binary CSV file, parsed in blocks of
+    whole lines of at most ``_BLOCK_BYTES``.  It returns what the per-row
+    reader would, or None, and leaves the file to the per-row reader, where
+    a block is not plain (see :func:`_block_fields`), a value fails its cast
+    or a check, or one line fills the budget.  numpy's S->int64 and
+    S->float64 casts accept, on ASCII, exactly what ``int()`` and ``float()``
+    accept, with the same value, or raise."""
+    labelled = n_fields > len(CSV_HEADER)
+    # a row per line at most, so the columns are filled in place and never grown
+    start = fh.tell()
+    n_lines = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(_BLOCK_BYTES), b""))
+    fh.seek(start)
+    dtypes = (np.int64, np.int64, np.float64, np.float64, bool, np.int64)[:4 + 2 * labelled]
+    columns = [np.empty(n_lines, dtype) for dtype in dtypes]
+    names: dict[str, int] = {}
+    rest, lines, rows = b"", 0, 0
+    while True:
+        chunk = fh.read(_BLOCK_BYTES - len(rest))
+        block = rest + chunk
+        if not block:
+            break
+        cut = block.rfind(b"\n") + 1 if chunk else len(block)  # at EOF, the last line
+        if not cut:
+            return None
+        block, rest = block[:cut], block[cut:]
+        found = _block_fields(block, n_fields, first=lines == 0)
+        if found is None:
+            return None
+        header, fields = found
         try:
-            t, la, lo = int(row[1]), float(row[2]), float(row[3])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        if t < 0:
-            raise ParseError(f"negative timestamp {t}", line=lineno)
-        if t > _INT64_MAX:
-            raise ParseError(f"timestamp {t} does not fit in 64 bits", line=lineno)
-        if not (math.isfinite(la) and math.isfinite(lo)):
-            raise ParseError(f"non-finite coordinate ({row[2].strip()}, {row[3].strip()})",
-                             line=lineno)
-        user.append(names.setdefault(row[0].strip(), len(names)))
-        ts.append(t)
-        lat.append(la)
-        lon.append(lo)
-    lat, lon = np.frombuffer(lat), np.frombuffer(lon)
+            ts, lat, lon = (f.astype(t) for f, t in zip(fields[1:4], dtypes[1:4]))
+        except (ValueError, OverflowError):
+            return None
+        if np.any(ts < 0) or not np.all(np.isfinite(lat) & np.isfinite(lon)):
+            return None
+        # users numbered by first appearance: the block's in order of first row
+        uniq, first_row, user = np.unique(fields[0], return_index=True, return_inverse=True)
+        order = np.argsort(first_row)
+        ids = np.empty(uniq.size, dtype=np.int64)
+        ids[order] = [names.setdefault(u.decode().strip(), len(names))
+                      for u in uniq[order].tolist()]
+        values = [ids[user], ts, lat, lon]
+        if labelled:
+            uniq, label = np.unique(fields[4], return_inverse=True)
+            values.append(np.array([u.decode().strip() in _MEMBER_LABELS
+                                    for u in uniq.tolist()], dtype=bool)[label])
+            values.append(lines + header + 1 + np.arange(ts.size))
+        for column, block_values in zip(columns, values):
+            column[rows:rows + ts.size] = block_values
+        rows += ts.size
+        lines += header + ts.size
+    return _Points(list(names), *(column[:rows] for column in columns))
+
+
+def _block_fields(block: bytes, n_fields: int, first: bool):
+    """(header, fields) of a block of whole lines: whether it began with the
+    file's header line, which is dropped, and each column's fields as a
+    fixed-width S array.  None where the block is not plain: it holds a
+    quote, a byte past ASCII's last printable one, a control byte other than
+    LF and the CR of a CRLF, a blank line, a line without exactly
+    ``n_fields - 1`` commas or a field wider than csv allows, or its widths
+    are so uneven that its S columns pass the byte budget."""
+    b = np.frombuffer(block, dtype=np.uint8)
+    if b'"' in block or b.max() > _LAST_ASCII:
+        return None
+    lf = np.flatnonzero(b == _LF)
+    crlf = b[lf - 1] == _CR
+    crlf[lf == 0] = False
+    if np.count_nonzero(b < 0x20) != lf.size + np.count_nonzero(crlf):
+        return None
+    starts = np.append(0, lf + 1)
+    ends = lf - crlf
+    if block[-1] == _LF:
+        starts = starts[:-1]
+    else:
+        ends = np.append(ends, b.size)  # the file's last line, with no newline
+    header = int(first and block[:ends[0]].split(b",", 1)[0].strip().lower() == b"user_id")
+    starts, ends = starts[header:], ends[header:]
+    n = starts.size
+    if n == 0:
+        return header, [np.empty(0, "S1")] * n_fields
+    commas = np.flatnonzero(b[starts[0]:] == _COMMA) + starts[0]
+    if commas.size != n * (n_fields - 1):
+        return None
+    commas = commas.reshape(n, n_fields - 1).T
+    if np.any(commas[0] < starts) or np.any(commas[-1] >= ends):
+        return None
+    lo = [starts, *(commas + 1)]
+    width = [hi - a for a, hi in zip(lo, [*commas, ends])]
+    widest = [max(int(w.max()), 1) for w in width]
+    if max(widest) > csv.field_size_limit() or n * sum(widest) > 4 * _BLOCK_BYTES:
+        return None
+    padded = np.append(b, np.zeros(max(widest), dtype=np.uint8))
+    fields = []
+    for a, w, most in zip(lo, width, widest):
+        # field i is the S{most} string at byte a[i], cut to its width
+        column = np.ndarray(padded.size - most + 1, dtype=f"S{most}", buffer=padded,
+                            strides=1)[a]
+        column.view(np.uint8).reshape(n, most)[...] *= np.arange(most) < w[:, None]
+        fields.append(column)
+    return header, fields
+
+
+def _user_labels(names, user, member, line) -> np.ndarray:
+    """Each user's label, by index into ``names``, from the rows' ``user``,
+    ``member`` and ``line`` columns.  A user_id labelled both member and
+    non-member is a ParseError at its first row whose label differs from
+    its first row's."""
+    _, first_row = np.unique(user, return_index=True)
+    labels = member[first_row]
+    clash = np.flatnonzero(member != labels[user])
+    if clash.size:
+        k = clash[0]
+        raise ParseError(f"user_id {names[user[k]]!r} is labelled both member and non-member",
+                         line=int(line[k]))
+    return labels
+
+
+def _inside(points: _Points, spec: GridSpec, rank=None):
+    """The rows inside the grid's box, as :func:`_regularize` takes them:
+    (user names, user index, timestamp, cell).  Users are numbered by
+    ``rank``, one value per name, or else by their first row inside the box."""
+    names, user, ts, lat, lon = points[:5]
+    del points  # then rebinding user below frees the raw column before encode runs
     inside = ((spec.lat_min <= lat) & (lat <= spec.lat_max)
               & (spec.lon_min <= lon) & (lon <= spec.lon_max))
     n_oob = inside.size - np.count_nonzero(inside)
     if n_oob:
         logger.warning("dropped %d point(s) outside the grid bounding box", n_oob)
-    seen, first_row, user = np.unique(np.frombuffer(user, dtype=np.int64)[inside],
-                                      return_index=True, return_inverse=True)
-    order = np.argsort(first_row)
-    by_index = list(names)
-    return ([by_index[u] for u in seen[order]], np.argsort(order)[user],
-            np.frombuffer(ts, dtype=np.int64)[inside],
+    seen, first_row, user = np.unique(user[inside], return_index=True, return_inverse=True)
+    order = np.argsort(first_row if rank is None else rank[seen])
+    return ([names[u] for u in seen[order]], np.argsort(order)[user], ts[inside],
             geogrid.encode(spec, lat[inside], lon[inside]))
 
 
@@ -313,10 +495,15 @@ class GroundTruthSimulator:
         # anchors belong to the population: the same population_seed yields
         # the same users, so disjoint trajectory draws stay comparable
         self.homes = np.searchsorted(self._pop_cdf, pop_rng.uniform(size=n_users))
-        self.works = self.homes.copy()
-        for i in range(n_users):  # redraw until work differs from home
-            while self.works[i] == self.homes[i]:
-                self.works[i] = np.searchsorted(self._pop_cdf, pop_rng.uniform())
+        # each user in turn draws works until one differs from home: at a
+        # clash, that user and each later one move on to the next draw
+        self.works = np.searchsorted(self._pop_cdf, pop_rng.uniform(size=n_users))
+        clash = np.flatnonzero(self.works == self.homes)
+        while clash.size:
+            k = clash[0]
+            self.works[k:] = np.append(self.works[k + 1:],
+                                       np.searchsorted(self._pop_cdf, pop_rng.uniform()))
+            clash = k + np.flatnonzero(self.works[k:] == self.homes[k:])
         self.n_users = n_users
         self.n_hotspots = n_hotspots
 

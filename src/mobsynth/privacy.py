@@ -330,9 +330,9 @@ def _run_counts(corpus: Corpus, cells: np.ndarray) -> sparse.csr_matrix:
                              shape=(len(corpus), cells.size)).tocsr()
 
 
-def membership_scores(syn: Corpus, targets: list[GridTrace]) -> np.ndarray:
-    """Min over synthetic traces of the TV distance between visit (run)
-    frequencies.
+def membership_scores(syn: Corpus, targets: Corpus) -> np.ndarray:
+    """Each target trace's min over synthetic traces of the TV distance
+    between visit (run) frequencies.
 
     For a target with counts a (total A) and a synthetic trace with counts
     b (total B), 2AB TV = sum over the target's cells of |a B - b A|, plus
@@ -340,7 +340,6 @@ def membership_scores(syn: Corpus, targets: list[GridTrace]) -> np.ndarray:
     each target reads only its own cells' synthetic columns, and equal
     distances give equal scores.
     """
-    targets = Corpus(syn.spec, targets, syn.sampling_period)
     cells = np.union1d(syn.cells, targets.cells)
     q = _run_counts(syn, cells).tocsc()
     q_runs = np.asarray(q.sum(axis=1)).ravel()
@@ -379,15 +378,15 @@ def _auc_lower_is_member(member: np.ndarray, nonmember: np.ndarray) -> float:
     return float(half_wins / 2.0 / (member.size * nonmember.size))
 
 
-def membership_attack(syn: Corpus, members: list[GridTrace],
-                      nonmembers: list[GridTrace], rng,
+def membership_attack(syn: Corpus, targets: Corpus, n_members: int, rng,
                       calibration_fraction: float = 0.2) -> MembershipResult:
     """Threshold the nearest-synthetic-trace distance; the threshold is tuned
-    on a held-out calibration split, accuracy and AUC reported on the rest."""
-    if not members or not nonmembers:
+    on a held-out calibration split, accuracy and AUC reported on the rest.
+    The first ``n_members`` traces of ``targets`` are the members."""
+    if not 0 < n_members < len(targets):
         raise DomainError("need non-empty member and non-member sets")
-    m_scores = membership_scores(syn, members)
-    n_scores = membership_scores(syn, nonmembers)
+    scores = membership_scores(syn, targets)
+    m_scores, n_scores = scores[:n_members], scores[n_members:]
 
     def _split(scores):
         k = max(1, int(round(calibration_fraction * scores.size)))
@@ -422,14 +421,14 @@ def _best_threshold(member: np.ndarray, nonmember: np.ndarray) -> float:
 
 
 def battery(syn: Corpus, truth: Corpus, p_hide: float, rng,
-            members: list[GridTrace] | None = None,
-            nonmembers: list[GridTrace] | None = None):
+            targets: Corpus | None = None, n_members: int = 0):
     """The privacy battery against a published synthetic corpus.
 
     Fits the adversary's order-1, 24-bucket Markov prior on ``syn``, hides
     and reconstructs the points of ``truth``, and runs the membership attack
-    when targets are given.  ``rng`` is drawn from in that order.  Returns
-    the report block and the MembershipResult (None without targets).
+    when ``targets`` are given, of which the first ``n_members`` are members.
+    ``rng`` is drawn from in that order.  Returns the report block and the
+    MembershipResult (None without targets).
     """
     prior = MarkovGenerator.fit(syn, order=1, time_buckets=24)
     block = {
@@ -440,7 +439,7 @@ def battery(syn: Corpus, truth: Corpus, p_hide: float, rng,
         "membership": {"skipped": True},
     }
     mem = None
-    if members is not None or nonmembers is not None:
-        mem = membership_attack(syn, members, nonmembers, rng)
+    if targets is not None:
+        mem = membership_attack(syn, targets, n_members, rng)
         block["membership"] = mem.to_dict()
     return block, mem

@@ -211,7 +211,8 @@ class TestCriterion5Privacy:
         members = _sim(7000, users=150).traces
         nonmembers = _sim(7001, users=150).traces
         indep_syn = _sim(7002, users=150)
-        auc_floor = membership_attack(indep_syn, members, nonmembers,
+        targets = Corpus(spec=SPEC, traces=members + nonmembers, sampling_period=600)
+        auc_floor = membership_attack(indep_syn, targets, len(members),
                                       rng=np.random.default_rng(8)).auc
 
         # membership signal: generator fitted on the members themselves
@@ -222,7 +223,8 @@ class TestCriterion5Privacy:
             gen = MarkovGenerator.fit(Corpus(spec=SPEC, traces=mem,
                                              sampling_period=600), order=1)
             syn = gen.generate(len(mem), SIM_STEPS, 0, seed=rep)
-            aucs.append(membership_attack(syn, mem, non,
+            targets = Corpus(spec=SPEC, traces=mem + non, sampling_period=600)
+            aucs.append(membership_attack(syn, targets, len(mem),
                                           rng=np.random.default_rng(rep)).auc)
         aucs = np.asarray(aucs)
         t_res = ttest_1samp(aucs, 0.5, alternative="greater")

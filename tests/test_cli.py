@@ -137,6 +137,30 @@ class TestIngest:
         assert run("ingest", "--input", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o.csv")) == EXIT_NOT_FOUND
 
+    @pytest.mark.parametrize("kind", ["ingest", "corpus", "targets"])
+    def test_non_utf8_input_is_parse_error(self, tmp_path, corpus_file, capsys, kind):
+        # a Latin-1 e-acute in a user id, on line 4 of the file
+        text = corpus_file.read_bytes()
+        head = b"".join(text.splitlines(keepends=True)[:3])
+        bad = tmp_path / "bad.csv"
+        if kind == "targets":
+            lines = [line.rstrip(b"\r\n") + b",1\r\n" for line in head.splitlines()[1:]]
+            bad.write_bytes(b"user_id,timestamp,lat,lon,is_member\r\n" + b"".join(lines)
+                            + b"u\xe9,0,46.0,7.0,1\r\n")
+            argv = ["--seed", "9", "attack", "--syn", str(corpus_file), "--targets",
+                    str(bad), "--out", str(tmp_path / "p.json")]
+        else:
+            bad.write_bytes(head + b"u\xe9,0,46.0,7.0\r\n")
+            (tmp_path / "bad.csv.meta.json").write_bytes(
+                (tmp_path / "real.csv.meta.json").read_bytes())
+            argv = (["ingest", "--input", str(bad), "--out", str(tmp_path / "o.csv")]
+                    if kind == "ingest" else
+                    ["fit", "--corpus", str(bad), "--model-type", "markov",
+                     "--out", str(tmp_path / "m.json")])
+        assert run(*argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "type=ParseError" in err and "line 4:" in err and "0xe9" in err
+
 
 class TestFitGenerate:
     def test_markov_pipeline(self, tmp_path, corpus_file):

@@ -4,6 +4,11 @@ import io
 import json
 import logging
 import math
+import re
+import struct
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,6 +62,8 @@ def ref_parse_rows(reader, spec):
             raise ParseError(str(exc), line=lineno) from exc
         if ts < 0:
             raise ParseError(f"negative timestamp {ts}", line=lineno)
+        if ts > 2 ** 63 - 1:
+            raise ParseError(f"timestamp {ts} does not fit in 64 bits", line=lineno)
         if not (math.isfinite(lat) and math.isfinite(lon)):
             raise ParseError(f"non-finite coordinate ({row[2].strip()}, {row[3].strip()})",
                              line=lineno)
@@ -93,6 +100,36 @@ def ref_regularize(per_user, sampling_period):
     return traces
 
 
+def ref_load_targets(text, period):
+    """The targets reader the column label check replaced: (traces, members
+    first, and the number of members)."""
+    labels = {}
+
+    def labelled(reader):
+        for lineno, row in enumerate(reader, start=1):
+            if (row and not (len(row) == 1 and not row[0].strip())
+                    and not (lineno == 1 and row[0].strip().lower() == "user_id")):
+                if len(row) < 5:
+                    raise ParseError("targets file needs user_id,timestamp,lat,lon,is_member",
+                                     line=lineno)
+                user, is_member = row[0].strip(), row[4].strip() in ("1", "true", "yes")
+                if labels.setdefault(user, is_member) != is_member:
+                    raise ParseError(f"user_id {user!r} is labelled both member and "
+                                     "non-member", line=lineno)
+            yield row
+
+    traces = ref_regularize(ref_parse_rows(labelled(_text_reader(text)), SPEC), period)
+    by_user = {t.user_id: t for t in traces}
+    members = [by_user[u] for u, m in labels.items() if m and u in by_user]
+    return members + [by_user[u] for u, m in labels.items() if not m and u in by_user], \
+        len(members)
+
+
+def _text_reader(text):
+    """A csv reader over text, as over a file opened with newline=""."""
+    return csv.reader(io.StringIO(text, newline=""))
+
+
 @contextlib.contextmanager
 def _logged():
     """Messages the dataio logger emits inside the block."""
@@ -106,20 +143,37 @@ def _logged():
         _logger.removeHandler(handler)
 
 
-def _regularize(parsed, period):
-    """The column regularizer's traces, as the reference returns them."""
-    return dataio._regularize(parsed, SPEC, period).traces
-
-
-def _run(parse, regularize, text, period):
-    """(traces as plain tuples, or the ParseError's (line, message)), log lines."""
+def _run(read, text, period):
+    """(traces as plain tuples, or the ParseError's (line, message)), log
+    lines; ``read(text, period)`` gives traces, or (traces, member count)."""
     with _logged() as records:
         try:
-            traces = regularize(parse(csv.reader(io.StringIO(text)), SPEC), period)
-            out = [(t.user_id, t.cells.tolist(), t.timestamps.tolist()) for t in traces]
+            got = read(text, period)
+            traces, extra = got if isinstance(got, tuple) else (got, None)
+            out = ([(t.user_id, t.cells.tolist(), t.timestamps.tolist()) for t in traces], extra)
         except ParseError as exc:
             out = (exc.line, str(exc))
     return out, [r.getMessage() for r in records]
+
+
+def _reference(text, period):
+    return ref_regularize(ref_parse_rows(_text_reader(text), SPEC), period)
+
+
+def _per_row(text, period):
+    """ingest through the per-row reader, which a text file goes to."""
+    return ingest(io.StringIO(text, newline=""), SPEC, period).traces
+
+
+def _bytes_reader(text, period):
+    """ingest of the file's bytes: the array reader, or the per-row one
+    where the array reader leaves the file."""
+    return ingest(io.BytesIO(text.encode("utf-8")), SPEC, period).traces
+
+
+def _targets_reader(text, period):
+    targets, n_members = dataio.load_targets(io.BytesIO(text.encode("utf-8")), SPEC, period)
+    return targets.traces, n_members
 
 
 _IN_BOX = st.sampled_from(_centres(0, 1, 7, 300, 65535)) | st.tuples(
@@ -216,16 +270,201 @@ class TestColumnParserExactness:
         buf = io.StringIO()
         csv.writer(buf).writerows(lines)
         text = buf.getvalue() + data.draw(st.sampled_from(["", "\n", "u9,0\n"]))
-        expected = _run(ref_parse_rows, ref_regularize, text, period)
-        assert _run(dataio._parse_rows, _regularize, text, period) == expected
+        expected = _run(_reference, text, period)
+        assert _run(_per_row, text, period) == expected
+        assert _run(_bytes_reader, text, period) == expected
 
     def test_trace_order_is_first_point_inside_the_box(self):
         (a,), (b,) = _centres(5), _centres(9)
         text = _csv([("u1", 0, 0.0, 0.0), ("u2", 0, *a), ("u1", 600, *b),
                      ("u2", 600, *a), ("u1", 1200, *b)]).getvalue()
-        expected = _run(ref_parse_rows, ref_regularize, text, 600)
-        assert [t[0] for t in expected[0]] == ["u2", "u1"]
-        assert _run(dataio._parse_rows, _regularize, text, 600) == expected
+        expected = _run(_reference, text, 600)
+        assert [t[0] for t in expected[0][0]] == ["u2", "u1"]
+        assert _run(_per_row, text, 600) == expected
+        assert _run(_bytes_reader, text, 600) == expected
+
+    @pytest.mark.parametrize("budget", [None, 64, 150])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), period=st.sampled_from([300, 600]))
+    def test_array_reader_matches_per_row_reference(self, budget, data, period):
+        # with a budget of a few lines, every block boundary comes up
+        text = data.draw(_raw_files(n_fields=4))
+        with _block_bytes(budget):
+            assert _run(_bytes_reader, text, period) == _run(_reference, text, period)
+
+    @pytest.mark.parametrize("budget", [None, 64, 150])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_targets_match_per_row_reference(self, budget, data):
+        text = data.draw(_raw_files(n_fields=5))
+        with _block_bytes(budget):
+            assert _run(_targets_reader, text, 600) == _run(ref_load_targets, text, 600)
+
+    def test_first_of_a_label_clash_and_a_bad_row_is_the_error(self):
+        rows = ["u1,0,46.0,7.0,1", "u1,600,46.0,7.0,0", "u2,bad,46.0,7.0,0"]
+        for text, line in (("\n".join(rows), 2), ("\n".join(rows[::-1]), 1)):
+            expected = _run(ref_load_targets, text, 600)
+            assert expected[0][0] == line
+            assert _run(_targets_reader, text, 600) == expected
+
+    def test_array_reader_reads_every_file_of_a_pass(self, tmp_path, monkeypatch):
+        # a raw feed as the benchmark writes it, a corpus file and a targets
+        # file are each read whole by the array reader
+        sim = simulate_ground_truth(SPEC, 12, 80, 20, seed=4)
+        corpus_path, raw, targets = (tmp_path / n for n in ("c.csv", "raw.csv", "t.csv"))
+        dataio.save_corpus(sim, corpus_path)
+        rng = np.random.default_rng(5)
+        lat, lon = decode(SPEC, sim.cells)
+        rows = [[u, t, repr(a), repr(o)] for u, t, a, o in zip(
+            np.repeat(sim.user_ids, np.diff(sim.offsets)).tolist(), sim.timestamps.tolist(),
+            (lat + rng.uniform(-1e-4, 1e-4, lat.size)).tolist(), lon.tolist())]
+        rows += [["gt_0", 60, repr(SPEC.lat_max + 0.5), "7.0"], ["short", 0, "46.0", "7.0"]]
+        for path, header, body in ((raw, dataio.CSV_HEADER, rows),
+                                   (targets, dataio.CSV_HEADER + ["is_member"],
+                                    [r + [int(r[0] in sim.user_ids[:5])] for r in rows])):
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([header] + [body[i] for i in rng.permutation(len(body))])
+        want = [ingest(raw, SPEC, 600), dataio.load_corpus(corpus_path),
+                dataio.load_targets(targets, SPEC, 600)]
+
+        def per_row(*args):
+            raise AssertionError("the per-row reader ran")
+
+        monkeypatch.setattr(dataio, "_parse_rows", per_row)
+        got = [ingest(raw, SPEC, 600), dataio.load_corpus(corpus_path),
+               dataio.load_targets(targets, SPEC, 600)]
+        assert want[2][1] == got[2][1] == 5
+        for a, b in zip([*want[:2], want[2][0]], [*got[:2], got[2][0]]):
+            assert _plain(a.traces) == _plain(b.traces) and len(a) > 5
+
+    def test_array_reader_peak_memory(self, tmp_path, monkeypatch):
+        # a 72,000-row corpus file, read whole by each reader in turn
+        path = tmp_path / "c.csv"
+        dataio.save_corpus(simulate_ground_truth(SPEC, 500, 144, 286, seed=6), path)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                corpus = dataio.load_corpus(path)
+                return tracemalloc.get_traced_memory()[1], corpus
+            finally:
+                tracemalloc.stop()
+
+        array_peak, by_blocks = peak()
+        monkeypatch.setattr(dataio, "_parse_blocks", lambda fh, n_fields: None)
+        per_row_peak, by_rows = peak()
+        assert by_blocks.n_points() == by_rows.n_points() == 72_000
+        assert np.array_equal(by_blocks.cells, by_rows.cells)
+        assert array_peak <= per_row_peak
+
+    def test_non_utf8_line_is_parse_error(self):
+        head = "user_id,timestamp,lat,lon\nu1,0,46.0,7.0\n".encode()
+        with pytest.raises(ParseError, match="not UTF-8: byte 0xe9") as err:
+            ingest(io.BytesIO(head + b"u\xe9,600,46.0,7.0\n"), SPEC, 600)
+        assert err.value.line == 3
+        # a bad row before it is the first error
+        with pytest.raises(ParseError, match="negative timestamp") as err:
+            ingest(io.BytesIO(head + b"u1,-1,46.0,7.0\nu\xe9,600,46.0,7.0\n"), SPEC, 600)
+        assert err.value.line == 3
+
+
+_PLAIN_FIELDS = (st.sampled_from(["u0", "u1", "u2", " u1 "]),
+                 st.integers(0, 12).map(lambda k: str(300 * k)),
+                 (_IN_BOX | _OUT_OF_BOX).map(lambda p: repr(p[0])),
+                 (_IN_BOX | _OUT_OF_BOX).map(lambda p: repr(p[1])),
+                 st.sampled_from(["1", "0", "true", "yes", " 1 ", "no"]))
+# fields the per-row reader takes apart from the array reader, or refuses
+_ODD_FIELDS = (st.sampled_from(['"u,1"', '"u1"', "u\u00e9", "", "user_id", "u\t1"]),
+               st.sampled_from([" 600 ", "6_00", "+600", "0600", "-600", "-0", "600.0",
+                                "9223372036854775808", "", "\u0663\u0660\u0660", "1e3"]),
+               st.sampled_from([" 46.5 ", "4_6.5", "+46.5", "46.5e0", "inf", "nan", "1e400",
+                                "-inf", "north", "", "\t46.5"]),
+               st.sampled_from([" 7.5 ", "7_0.5", "7.", "1e400", "NaN", "-Infinity", ""]),
+               st.sampled_from(["TRUE", "1 ", "", '"1"']))
+
+
+@st.composite
+def _raw_files(draw, n_fields):
+    """A CSV's text: mostly plain rows, now and then an odd field, a row of
+    another field count, a blank or whitespace-only line, a lone CR or a
+    header past line 1; LF or CRLF lines, with or without a final newline."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(dataio.CSV_HEADER + ["is_member"][:n_fields - 4]))
+    for _ in range(draw(st.integers(0, 25))):
+        fields = [draw(f) for f in _PLAIN_FIELDS[:n_fields]]
+        odd = draw(st.integers(0, 30))
+        if odd < n_fields:
+            fields[odd] = draw(_ODD_FIELDS[odd])
+        elif odd == 6:
+            fields = fields[:3] if draw(st.booleans()) else fields + ["x"]
+        lines.append(",".join(fields))
+        if odd == 7:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "user_id,timestamp,lat,lon"])))
+        elif odd == 8:
+            lines[-1] += "\r"
+    ends = draw(st.sampled_from(["\n", "\r\n"]))
+    return ends.join(lines) + draw(st.sampled_from(["", ends]))
+
+
+@contextlib.contextmanager
+def _block_bytes(budget):
+    """The array reader's block budget set to ``budget`` (None: left as it is)."""
+    with mock.patch.object(dataio, "_BLOCK_BYTES", budget or dataio._BLOCK_BYTES):
+        yield
+
+
+# strings on which numpy's S casts must agree with int() and float()
+_CAST_EDGES = ["0", "5", "-5", "+5", " 5", "5 ", "\t5\t", "\x0b5\x0c", "\x1c5\x1f", "007",
+               "1_0", "1__0", "_10", "10_", "0x10", "0b1", "1e3", "1.0", "", " ", "+", "-",
+               "- 5", "1 5", "1,5", "9223372036854775807", "9223372036854775808",
+               "-9223372036854775808", "-9223372036854775809", "1" * 30, "1.5", ".5", "5.",
+               "-1.5e-5", "1E+5", "1e400", "-1e400", "1e-400", "inf", "-inf", "+Inf",
+               "infinity", "-Infinity", "infi", "nan", "-nan", "NaN", "nan(1)", "1.5e", "e5",
+               "1.5.5", "1_0.5", "1_000.000_1", "1.5_", "1._5", "1e1_0", "0x1p3", "1d5",
+               "1.5f", "  1.5  ", "46.123456789012345678901234", "2.2250738585072011e-308",
+               "4.9406564584124654e-324", "2.4703282292062328e-324", "1.7976931348623157e308",
+               "1.7976931348623159e308", "9007199254740993", "0." + "1" * 60]
+
+
+def _cast(kind, text):
+    """("ok", value) or ("raises",) for a Python or numpy cast of ``text``."""
+    try:
+        if kind in (int, float):
+            value = kind(text)
+            if kind is int and not -2 ** 63 <= value < 2 ** 63:
+                return ("raises",)
+        else:
+            value = np.array([text.encode()], dtype=f"S{max(len(text), 1)}").astype(kind)[0]
+            value = value.item()
+    except (ValueError, OverflowError):
+        return ("raises",)
+    return ("ok", struct.pack("<d", value) if isinstance(value, float) and value == value
+            else ("nan" if value != value else value))
+
+
+class TestCastContract:
+    """The array reader takes numpy's S->int64 and S->float64 casts for int()
+    and float(): on ASCII each gives the same value or raises where they do."""
+
+    @pytest.mark.parametrize("text", _CAST_EDGES)
+    def test_s_casts_match_int_and_float(self, text):
+        assert _cast(np.int64, text) == _cast(int, text)
+        assert _cast(np.float64, text) == _cast(float, text)
+
+    def test_float_cast_rounds_as_float_does(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-180, 180, 20_000)
+        texts = ([repr(v) for v in x.tolist()] + [f"{v:.25f}" for v in x[:5000].tolist()]
+                 + [f"{v:.3e}" for v in x[:5000].tolist()])
+        got = np.array([t.encode() for t in texts]).astype(np.float64)
+        assert got.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+    def test_numpy_meets_the_floor_the_contract_was_checked_on(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        floor = tuple(int(x) for x in re.search(r'"numpy>=([0-9.]+)"', pyproject)[1].split("."))
+        assert floor >= (2, 4)
+        assert tuple(int(x) for x in np.__version__.split(".")[:len(floor)]) >= floor
 
 
 class TestIngest:
@@ -317,11 +556,11 @@ class TestIngest:
         plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
         plain.write_text("\n".join(rows) + "\n")
         blank.write_text("\n".join(rows[:2] + ["   "] + rows[2:] + ["\t"]) + "\n")
-        want = dataio.load_targets(plain, SPEC, 600)
-        got = dataio.load_targets(blank, SPEC, 600)
-        for a, b in zip(want, got):
-            assert [t.user_id for t in a] == [t.user_id for t in b] and len(a) == 1
-            assert np.array_equal(a[0].cells, b[0].cells)
+        want, n_want = dataio.load_targets(plain, SPEC, 600)
+        got, n_got = dataio.load_targets(blank, SPEC, 600)
+        assert got.user_ids == want.user_ids == ["u1", "u2"] and n_got == n_want == 1
+        assert np.array_equal(got.cells, want.cells)
+        assert np.array_equal(got.offsets, want.offsets)
 
     def test_bad_sampling_period(self):
         with pytest.raises(DomainError):
@@ -451,6 +690,18 @@ class TestSimulatorExactness:
         for hour in np.arange(0.0, 48.0, 0.25):
             assert [sim.anchor(k, hour) for k in range(n_users)] == \
                 [ref.anchor(k, hour) for k in range(n_users)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_hotspots_where_most_work_draws_clash(self, seed):
+        # popularity 8:1, so about 8 in 10 users have the popular home and
+        # each work draw of theirs clashes with it with chance 8/9
+        params = SimulatorParams(popularity_exponent=3.0)
+        sim = GroundTruthSimulator(SPEC, 300, 2, seed, params=params)
+        ref = ScalarSimulator(SPEC, 300, 2, seed, params=params)
+        assert np.count_nonzero(sim.homes == np.argmax(sim.popularity)) > 200
+        assert np.array_equal(sim.homes, ref.homes)
+        assert np.array_equal(sim.works, ref.works)
+        assert np.all(sim.works != sim.homes)
 
 
 class _LargestDraw:

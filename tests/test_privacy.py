@@ -30,6 +30,11 @@ def _corpus(traces):
     return Corpus(spec=SPEC, traces=traces, sampling_period=600)
 
 
+def _targets(members, nonmembers):
+    """One targets corpus: the members' traces, then the non-members'."""
+    return _corpus(members.traces + nonmembers.traces)
+
+
 def _uniform_corpus(m_cells, n_traces, length, seed):
     rng = np.random.default_rng(seed)
     return _corpus([_trace(rng.integers(0, m_cells, size=length), user=f"u{i}")
@@ -424,19 +429,19 @@ class TestMembership:
                             min_size=1, max_size=5))
     def test_scores_match_dict_tv(self, syn, targets):
         syn = _corpus([_trace(c, user=f"s{i}") for i, c in enumerate(syn)])
-        targets = [_trace(c, user=f"t{i}") for i, c in enumerate(targets)]
+        targets = _corpus([_trace(c, user=f"t{i}") for i, c in enumerate(targets)])
         got = membership_scores(syn, targets)
         want = [min(_tv_sparse(visit_frequency(t), visit_frequency(s)) for s in syn.traces)
-                for t in targets]
+                for t in targets.traces]
         assert np.all(np.abs(got - want) <= 1e-12)
         # and each score is the exact rational distance, correctly rounded
-        exact = [min(_exact_tv(t, s) for s in syn.traces) for t in targets]
+        exact = [min(_exact_tv(t, s) for s in syn.traces) for t in targets.traces]
         assert got.tolist() == [float(x) for x in exact]
 
     def test_disjoint_support_scores_exactly_one(self):
         # ten runs of 1/10 each: a float sum of the frequencies is not 1
         syn = _corpus([_trace([50, 51])])
-        assert membership_scores(syn, [_trace(np.arange(10))]).tolist() == [1.0]
+        assert membership_scores(syn, _corpus([_trace(np.arange(10))])).tolist() == [1.0]
 
     @settings(max_examples=300, deadline=None)
     @given(member=_tied_scores, nonmember=_tied_scores)
@@ -456,7 +461,7 @@ class TestMembership:
                                        population_seed=50)
         other = simulate_ground_truth(SPEC, 12, 200, 10, seed=12,
                                       population_seed=51)
-        result = membership_attack(corpus, corpus.traces, other.traces,
+        result = membership_attack(corpus, _targets(corpus, other), len(corpus),
                                    np.random.default_rng(13))
         assert result.auc > 0.9
         assert result.accuracy > 0.7
@@ -465,19 +470,21 @@ class TestMembership:
 
     def test_uninformative_synthetic_gives_chance_auc(self):
         syn = _uniform_corpus(200, 30, 200, seed=14)
-        members = _uniform_corpus(200, 30, 200, seed=15).traces
-        nonmembers = _uniform_corpus(200, 30, 200, seed=16).traces
-        result = membership_attack(syn, members, nonmembers,
+        members = _uniform_corpus(200, 30, 200, seed=15)
+        nonmembers = _uniform_corpus(200, 30, 200, seed=16)
+        result = membership_attack(syn, _targets(members, nonmembers), len(members),
                                    np.random.default_rng(17))
         assert 0.3 < result.auc < 0.7
 
     def test_scores_shape(self):
         syn = _uniform_corpus(20, 5, 50, seed=18)
-        scores = membership_scores(syn, syn.traces[:3])
+        scores = membership_scores(syn, _corpus(syn.traces[:3]))
         assert scores.shape == (3,)
         assert np.all((scores >= 0) & (scores <= 1))
 
     def test_empty_sets_rejected(self):
         syn = _uniform_corpus(20, 5, 50, seed=19)
         with pytest.raises(DomainError):
-            membership_attack(syn, [], syn.traces, np.random.default_rng(0))
+            membership_attack(syn, syn, 0, np.random.default_rng(0))
+        with pytest.raises(DomainError):
+            membership_attack(syn, syn, len(syn), np.random.default_rng(0))
