@@ -6,8 +6,6 @@ errors map to distinct exit codes with one machine-parseable line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import os
 import sys
@@ -17,7 +15,6 @@ from datetime import datetime
 import numpy as np
 
 from . import dataio, generators, metrics, privacy
-from .dataio import FORMAT_VERSION
 from .errors import (DomainError, FormatVersionError, IncompatibilityError,
                      InsufficientDataError, ParseError)
 from .geogrid import GridSpec
@@ -47,10 +44,11 @@ DEFAULT_BBOX = "45.8,47.8,5.9,10.5"  # roughly a Switzerland-sized box
 
 
 def read_config(path) -> dict:
-    """Flat key=value file; '#' starts a comment."""
+    """Flat key=value file; '#' starts a comment.  A line that is not UTF-8
+    is a ParseError naming it, as in a CSV file."""
     config = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(dataio.text_lines(fh), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -191,7 +189,6 @@ def cmd_evaluate(args) -> int:
         _write_membership_csv(os.path.join(outdir, "membership_scores.csv"), mem)
 
     report = {
-        "format_version": FORMAT_VERSION,
         "config": {
             "seed": seed,
             "topn": args.topn,
@@ -221,10 +218,7 @@ def cmd_attack(args) -> int:
     targets, n_members = dataio.load_targets(args.targets, syn.spec, syn.sampling_period)
     priv, mem = privacy.battery(syn, targets, args.p_hide, np.random.default_rng(seed),
                                 targets, n_members)
-    payload = {"format_version": FORMAT_VERSION, "privacy": priv}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    dataio.write_json({"privacy": priv}, args.out, indent=1)
     scores_path = os.path.splitext(args.out)[0] + "_scores.csv"
     _write_membership_csv(scores_path, mem)
     print(f"privacy result -> {args.out}")
@@ -232,32 +226,19 @@ def cmd_attack(args) -> int:
 
 
 def _write_membership_csv(path, mem):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["target_index", "is_member", "score"])
-        for i, s in enumerate(mem.member_scores):
-            w.writerow([i, 1, repr(float(s))])
-        for i, s in enumerate(mem.nonmember_scores):
-            w.writerow([i, 0, repr(float(s))])
+    rows = [(i, 1, s) for i, s in enumerate(mem.member_scores.tolist())]
+    rows += [(i, 0, s) for i, s in enumerate(mem.nonmember_scores.tolist())]
+    dataio.write_table(path, ["target_index", "is_member", "score"], rows)
 
 
 def _write_plotting_csvs(outdir, top, mmd, mi_real, mi_syn):
-    with open(os.path.join(outdir, "topn.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rank", "cell", "real_p", "syn_p"])
-        for row in top.plotting_rows():
-            w.writerow(row)
-    with open(os.path.join(outdir, "mmd_permutations.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["perm_mmd2_unbiased"])
-        for s in mmd.perm_stats:
-            w.writerow([repr(float(s))])
+    dataio.write_table(os.path.join(outdir, "topn.csv"), ["rank", "cell", "real_p", "syn_p"],
+                       top.plotting_rows())
+    dataio.write_table(os.path.join(outdir, "mmd_permutations.csv"), ["perm_mmd2_unbiased"],
+                       zip(mmd.perm_stats.tolist()))
     for name, mi in (("mi_real.csv", mi_real), ("mi_syn.csv", mi_syn)):
-        with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["tau", "mi_bits"])
-            for tau, bits in zip(mi.lags, mi.mi_bits):
-                w.writerow([int(tau), repr(float(bits))])
+        dataio.write_table(os.path.join(outdir, name), ["tau", "mi_bits"],
+                           zip(mi.lags.tolist(), mi.mi_bits.tolist()))
 
 
 # ---------------------------------------------------------------------------

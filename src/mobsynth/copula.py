@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
+from scipy.stats import rankdata
 
 from .errors import DomainError, InsufficientDataError
 
@@ -81,18 +82,10 @@ class EmpiricalMargin:
 
 
 def pseudo_observations(data):
-    """Column-wise rank/(n+1) transform, strictly inside (0, 1)."""
+    """Column-wise rank/(n+1) transform, strictly inside (0, 1); tied values
+    rank in the order they come."""
     data = np.asarray(data, dtype=float)
-    n = data.shape[0]
-    order = np.argsort(data, axis=0, kind="stable")
-    ranks = np.empty_like(data)
-    rng_idx = np.arange(1, n + 1, dtype=float)
-    if data.ndim == 1:
-        ranks[order] = rng_idx
-    else:
-        for j in range(data.shape[1]):
-            ranks[order[:, j], j] = rng_idx
-    return ranks / (n + 1)
+    return rankdata(data, axis=0, method="ordinal") / (data.shape[0] + 1)
 
 
 def _to_scores(u):

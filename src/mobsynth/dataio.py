@@ -3,7 +3,9 @@
 A corpus on disk is a CSV in the ingestion schema
 (``user_id,timestamp,lat,lon``) plus a ``<name>.meta.json`` sidecar that
 carries the grid spec and sampling period, so downstream consumers can
-verify compatibility without re-deriving anything.
+verify compatibility without re-deriving anything.  This module owns every
+file format: each JSON file is written by :func:`write_json` and read by
+:func:`read_json`, and each CLI table is written by :func:`write_table`.
 
 In memory a :class:`Corpus` holds every trace end to end in flat int64
 columns, which ingestion, the simulator and the generators write.
@@ -141,11 +143,11 @@ def hour_of_day(timestamps) -> np.ndarray:
 def ingest(csv_source, spec: GridSpec, sampling_period: int) -> Corpus:
     """Read raw points, grid-project and regularize onto a uniform time step.
 
-    ``csv_source`` is a path, a binary file or a text file (see
-    :func:`_read_points`).  Per user: rows are sorted by time, duplicate
-    timestamps collapse to the last row, and gaps are filled by
-    previous-observation carry-forward.  Out-of-bounds points are dropped and
-    counted; users left with fewer than two points are dropped with a warning.
+    ``csv_source`` is a path or a binary file (see :func:`_read_points`).
+    Per user: rows are sorted by time, duplicate timestamps collapse to the
+    last row, and gaps are filled by previous-observation carry-forward.
+    Out-of-bounds points are dropped and counted; users left with fewer than
+    two points are dropped with a warning.
     """
     if sampling_period <= 0:
         raise DomainError(f"sampling_period must be positive, got {sampling_period}")
@@ -234,11 +236,9 @@ class _Points(NamedTuple):
 
 
 def _read_points(source, n_fields: int) -> _Points:
-    """The rows of a CSV of ``n_fields`` columns.  A path or binary file goes
-    through the array reader, or whole through the per-row reader where the
-    array reader leaves it; a text file goes through the per-row reader."""
-    if isinstance(source, io.TextIOBase):
-        return _parse_rows(csv.reader(source), n_fields)
+    """The rows of a CSV of ``n_fields`` columns, from a path or a binary
+    file.  They go through the array reader, or whole through the per-row
+    reader where the array reader leaves the file."""
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
             return _read_points(fh, n_fields)
@@ -246,14 +246,15 @@ def _read_points(source, n_fields: int) -> _Points:
     points = _parse_blocks(source, n_fields)
     if points is None:
         source.seek(start)
-        points = _parse_rows(csv.reader(_text_lines(source)), n_fields)
+        points = _parse_rows(csv.reader(text_lines(source)), n_fields)
     return points
 
 
-def _text_lines(fh):
+def text_lines(fh):
     """A binary file's lines as text, split where ``open(..., newline="")``
     splits them: after LF, CRLF or a lone CR.  A line that is not UTF-8 is a
-    ParseError naming it."""
+    ParseError naming it.  CSV input and the CLI's config file are read
+    through it."""
     for lineno, raw in enumerate(fh, start=1):
         try:
             line = raw.decode("utf-8")
@@ -279,6 +280,7 @@ def _parse_rows(reader, n_fields: int) -> _Points:
     names: dict[str, int] = {}
     user, ts, lat, lon = array("q"), array("q"), array("d"), array("d")
     member, line = array("b"), array("q")
+    lineno = 0
     try:
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1 and row and row[0].strip().lower() == "user_id":
@@ -307,10 +309,12 @@ def _parse_rows(reader, n_fields: int) -> _Points:
             ts.append(t)
             lat.append(la)
             lon.append(lo)
-    except ParseError:
+    except (ParseError, csv.Error) as exc:
         if labelled:  # a user labelled both ways on an earlier line is the first error
             _user_labels(list(names), np.frombuffer(user, dtype=np.int64),
                          np.frombuffer(member, dtype=bool), np.frombuffer(line, dtype=np.int64))
+        if isinstance(exc, csv.Error):  # raised reading the next row: a field too long, say
+            raise ParseError(str(exc), line=lineno + 1) from exc
         raise
     return _Points(list(names), np.frombuffer(user, dtype=np.int64),
                    np.frombuffer(ts, dtype=np.int64), np.frombuffer(lat), np.frombuffer(lon),
@@ -640,23 +644,12 @@ def save_corpus(corpus: Corpus, path) -> None:
                 user = buf.getvalue()[:-2]
                 fh.write("".join([f"{user}{t}{ends[c]}" for t, c in zip(
                     corpus.timestamps[start:stop].tolist(), at[start:stop])]))
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "grid_spec": corpus.spec.to_dict(),
-        "sampling_period": corpus.sampling_period,
-    }
-    with open(_meta_path(path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json({"grid_spec": corpus.spec.to_dict(), "sampling_period": corpus.sampling_period},
+               _meta_path(path), indent=1)
 
 
 def load_corpus(path, expected_spec: GridSpec | None = None) -> Corpus:
-    with open(_meta_path(path), "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"corrupted corpus metadata: {exc}") from exc
-    spec, sampling_period = _read_header(meta)
+    spec, sampling_period = _read_header(read_json(_meta_path(path), "corpus metadata"))
     if expected_spec is not None and spec != expected_spec:
         raise IncompatibilityError(
             f"corpus grid spec {spec} does not match expected {expected_spec}")
@@ -669,16 +662,9 @@ def load_corpus(path, expected_spec: GridSpec | None = None) -> Corpus:
 
 def save_model(model, path) -> None:
     """JSON envelope around a generator's payload (see generators module)."""
-    envelope = {
-        "format_version": FORMAT_VERSION,
-        "model_type": model.model_type,
-        "grid_spec": model.spec.to_dict(),
-        "sampling_period": model.sampling_period,
-        "payload": model.to_payload(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(envelope, fh, sort_keys=True)
-        fh.write("\n")
+    write_json({"model_type": model.model_type, "grid_spec": model.spec.to_dict(),
+                "sampling_period": model.sampling_period, "payload": model.to_payload()},
+               path)
 
 
 def load_model(path):
@@ -687,11 +673,7 @@ def load_model(path):
     :func:`read_scalar`; a field that fails is a ParseError naming it."""
     from . import generators
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            envelope = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"corrupted model file: {exc}") from exc
+    envelope = read_json(path, "model file")
     spec, sampling_period = _read_header(envelope)
     try:
         return generators.generator_from_payload(
@@ -704,32 +686,53 @@ REPORT_BLOCKS = ("topn", "mmd", "mi_decay", "privacy")
 
 
 def save_report(report: dict, path) -> None:
-    if "format_version" not in report:
-        report = {"format_version": FORMAT_VERSION, **report}
     missing = [b for b in REPORT_BLOCKS if b not in report]
     if missing:
         raise DomainError(f"report is missing metric blocks: {missing}")
+    write_json(report, path, indent=1)
+
+
+def write_json(envelope: dict, path, indent=None) -> None:
+    """Every JSON file the package writes: ``envelope`` stamped with
+    ``format_version``, keys sorted, and one final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True, default=_jsonify)
+        json.dump({**envelope, "format_version": FORMAT_VERSION}, fh, indent=indent,
+                  sort_keys=True)
         fh.write("\n")
 
 
-def load_report(path) -> dict:
+def read_json(path, what: str) -> dict:
+    """A file :func:`write_json` wrote, as a dict of this build's format
+    version.  A file that is not UTF-8 or not JSON is a ParseError naming
+    ``what``; a JSON value that is not an object is a ParseError too, and
+    another version a FormatVersionError."""
+    # parsed from the text handle: reading the bytes first would hold the file twice
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"corrupted report file: {exc}") from exc
-    _check_version(report)
-    missing = [b for b in REPORT_BLOCKS if b not in report]
-    if missing:
-        raise ParseError(f"report is missing metric blocks: {missing}")
-    return report
+            envelope = json.load(fh)
+        except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+            raise ParseError(f"corrupted {what}: {exc}") from exc
+    if not isinstance(envelope, dict):
+        raise ParseError(f"{what}: expected a JSON object, got {type(envelope).__name__}")
+    version = envelope.get("format_version")
+    if version != FORMAT_VERSION:
+        raise FormatVersionError(
+            f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}")
+    return envelope
+
+
+def write_table(path, header, rows) -> None:
+    """A CSV table of plotting or score rows under ``header``.  Values go in as
+    csv.writer writes them, so a float must be a Python float: np.float64
+    would be written as its repr, "np.float64(...)"."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _read_header(envelope):
     """Grid spec and sampling period of a corpus sidecar or model file, checked."""
-    _check_version(envelope)
     return (GridSpec.from_dict(envelope.get("grid_spec")),
             read_scalar(envelope, "sampling_period", int, "an integer > 0", lambda x: x > 0))
 
@@ -763,23 +766,3 @@ def read_array(obj, name: str, kinds: str, ndim: int) -> np.ndarray:
         raise ParseError(f"{name}: expected a {ndim}-d {kind} array, "
                          f"got {a.dtype} of shape {a.shape}")
     return a
-
-
-def _check_version(envelope) -> None:
-    if not isinstance(envelope, dict):
-        raise ParseError(f"expected a JSON object, got {type(envelope).__name__}")
-    version = envelope.get("format_version")
-    if version != FORMAT_VERSION:
-        raise FormatVersionError(
-            f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}")
-
-
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-

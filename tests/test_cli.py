@@ -627,6 +627,75 @@ class TestAttack:
         assert f"line {first_nonmember_line}:" in capsys.readouterr().err
 
 
+class TestFileLayer:
+    """dataio writes every JSON file and table, and an input it cannot
+    decode is a ParseError (exit 3), never exit 1."""
+
+    def test_non_utf8_sidecar_is_parse_error(self, tmp_path, corpus_file, capsys):
+        meta = tmp_path / "real.csv.meta.json"
+        meta.write_bytes(meta.read_bytes().replace(b'"grid_spec"', b'"grid_sp\xe9c"'))
+        assert run("fit", "--corpus", str(corpus_file), "--model-type", "markov",
+                   "--out", str(tmp_path / "m.json")) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "type=ParseError" in err and "corrupted corpus metadata" in err
+
+    def test_non_utf8_model_is_parse_error(self, tmp_path, corpus_file, capsys):
+        model = tmp_path / "m.json"
+        assert run("fit", "--corpus", str(corpus_file), "--model-type", "markov",
+                   "--out", str(model)) == EXIT_OK
+        model.write_bytes(model.read_bytes().replace(b'"payload"', b'"payl\xe9ad"'))
+        assert run("--seed", "1", "generate", "--model", str(model), "--out",
+                   str(tmp_path / "s.csv"), "--n-traces", "2",
+                   "--trace-len", "10") == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "type=ParseError" in err and "corrupted model file" in err
+
+    def test_non_utf8_config_line_is_parse_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"users=7\n# caf\xe9\n")
+        out = tmp_path / "c.csv"
+        assert run("--seed", "1", "--config", str(cfg), "simulate",
+                   "--out", str(out)) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "type=ParseError" in err and "line 2:" in err and "0xe9" in err
+        assert not out.exists()
+
+    def test_oversize_field_is_parse_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("user_id,timestamp,lat,lon\nu1,0,46.0,7.0\n"
+                       + "u" * 200_000 + ",600,46.0,7.0\n")
+        assert run("ingest", "--input", str(raw),
+                   "--out", str(tmp_path / "o.csv")) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "type=ParseError" in err and "line 3:" in err and "field limit" in err
+
+    def test_every_json_file_is_written_one_way(self, tmp_path, corpus_file, monkeypatch):
+        syn = _make_syn(tmp_path, corpus_file)
+        other = tmp_path / "other.csv"
+        assert run("--seed", "7", "simulate", "--out", str(other), "--users", "5",
+                   "--steps", "150", "--hotspots", "10") == EXIT_OK
+        targets = _targets_file(tmp_path, corpus_file, other)
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        assert run("--seed", "8", "evaluate", "--real", str(corpus_file),
+                   "--syn", str(syn), "--outdir", str(tmp_path / "report"),
+                   "--tau-max", "4", "--n-permutations", "10",
+                   "--targets", str(targets)) == EXIT_OK
+        assert run("--seed", "9", "attack", "--syn", str(syn), "--targets",
+                   str(targets), "--out", str(tmp_path / "priv.json")) == EXIT_OK
+        indents = {"real.csv.meta.json": 1, "other.csv.meta.json": 1, "syn.csv.meta.json": 1,
+                   "m.json": None, "report.json": 1, "priv.json": 1}
+        written = {p.name: p for p in tmp_path.rglob("*.json")}
+        assert set(written) == set(indents)
+        for name, indent in indents.items():
+            text = written[name].read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=indent, sort_keys=True) + "\n"
+            assert json.loads(text)["format_version"] == dataio.FORMAT_VERSION
+        # tables hold Python floats, never a numpy scalar's repr
+        tables = list(tmp_path.rglob("*.csv"))
+        assert len(tables) == 10
+        assert not any("np." in p.read_text(encoding="utf-8") for p in tables)
+
+
 class TestConfig:
     def test_read_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -80,6 +80,21 @@ class TestEmpiricalMargin:
         assert p > 0.01
 
 
+def ref_pseudo_observations(data):
+    """The per-column stable-argsort ranking pseudo_observations replaced."""
+    data = np.asarray(data, dtype=float)
+    n = data.shape[0]
+    order = np.argsort(data, axis=0, kind="stable")
+    ranks = np.empty_like(data)
+    rng_idx = np.arange(1, n + 1, dtype=float)
+    if data.ndim == 1:
+        ranks[order] = rng_idx
+    else:
+        for j in range(data.shape[1]):
+            ranks[order[:, j], j] = rng_idx
+    return ranks / (n + 1)
+
+
 class TestPseudoObservations:
     def test_simple_ranks(self):
         u = pseudo_observations(np.array([10.0, 30.0, 20.0]))
@@ -93,6 +108,21 @@ class TestPseudoObservations:
         for j in range(3):
             assert sorted(u[:, j]) == pytest.approx(
                 (np.arange(1, 51) / 51).tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_per_column_reference(self, data):
+        # values from a few levels make ties in most columns
+        n = data.draw(st.integers(1, 40))
+        shape = data.draw(st.sampled_from([(n,), (n, 1), (n, 3)]))
+        values = (st.sampled_from([-1.5, 0.0, 0.25, 2.0]) if data.draw(st.booleans())
+                  else st.floats(-1e6, 1e6))
+        x = np.array(data.draw(st.lists(values, min_size=int(np.prod(shape)),
+                                        max_size=int(np.prod(shape))))).reshape(shape)
+        got = pseudo_observations(x)
+        want = ref_pseudo_observations(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestKernelPairCopula:

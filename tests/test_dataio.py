@@ -29,7 +29,7 @@ SPEC = GridSpec(45.8, 47.8, 5.9, 10.5, level=8)
 def _csv(rows, header=True):
     lines = ["user_id,timestamp,lat,lon"] if header else []
     lines += [",".join(str(c) for c in r) for r in rows]
-    return io.StringIO("\n".join(lines) + "\n")
+    return io.BytesIO(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _centres(*cells):
@@ -161,8 +161,10 @@ def _reference(text, period):
 
 
 def _per_row(text, period):
-    """ingest through the per-row reader, which a text file goes to."""
-    return ingest(io.StringIO(text, newline=""), SPEC, period).traces
+    """ingest with the file's rows read by the per-row reader alone."""
+    lines = dataio.text_lines(io.BytesIO(text.encode("utf-8")))
+    points = dataio._parse_rows(csv.reader(lines), len(dataio.CSV_HEADER))
+    return dataio._regularize(dataio._inside(points, SPEC), SPEC, period).traces
 
 
 def _bytes_reader(text, period):
@@ -277,7 +279,7 @@ class TestColumnParserExactness:
     def test_trace_order_is_first_point_inside_the_box(self):
         (a,), (b,) = _centres(5), _centres(9)
         text = _csv([("u1", 0, 0.0, 0.0), ("u2", 0, *a), ("u1", 600, *b),
-                     ("u2", 600, *a), ("u1", 1200, *b)]).getvalue()
+                     ("u2", 600, *a), ("u1", 1200, *b)]).getvalue().decode()
         expected = _run(_reference, text, 600)
         assert [t[0] for t in expected[0][0]] == ["u2", "u1"]
         assert _run(_per_row, text, 600) == expected
@@ -306,6 +308,16 @@ class TestColumnParserExactness:
             expected = _run(ref_load_targets, text, 600)
             assert expected[0][0] == line
             assert _run(_targets_reader, text, 600) == expected
+
+    def test_oversize_field_is_parse_error_after_a_label_clash(self):
+        # csv refuses the field while reading its row, before the row's checks run
+        rows = ["u1,0,46.0,7.0,1", "u" * (csv.field_size_limit() + 1) + ",0,46.0,7.0,1"]
+        for text, line, message in (("\n".join(rows), 2, "field larger than field limit"),
+                                    ("\n".join([rows[0], "u1,600,46.0,7.0,0", rows[1]]), 2,
+                                     "labelled both member and non-member")):
+            with pytest.raises(ParseError, match=message) as err:
+                _targets_reader(text, 600)
+            assert err.value.line == line
 
     def test_array_reader_reads_every_file_of_a_pass(self, tmp_path, monkeypatch):
         # a raw feed as the benchmark writes it, a corpus file and a targets
@@ -897,6 +909,6 @@ class TestPersistence:
                   "mi_decay": {"taus": [1, 2]}, "privacy": {"auc": 0.5}}
         path = tmp_path / "r.json"
         dataio.save_report(report, path)
-        loaded = dataio.load_report(path)
-        assert loaded["topn"] == {"tv": 0.1}
-        assert loaded["format_version"] == dataio.FORMAT_VERSION
+        loaded = dataio.read_json(path, "report")
+        assert loaded == {**report, "format_version": dataio.FORMAT_VERSION}
+        assert path.read_text() == json.dumps(loaded, indent=1, sort_keys=True) + "\n"

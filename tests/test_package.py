@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -6,6 +7,7 @@ from pathlib import Path
 import mobsynth
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+PACKAGE = Path(mobsynth.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -30,3 +32,20 @@ def test_every_traced_entry_point_resolves():
         except AttributeError:
             missing.append(f"{module}.{path}")
     assert tracer.ENTRY_POINTS and missing == []
+
+
+def test_only_dataio_reads_or_writes_json_or_csv():
+    # one owner for the file formats: a command that wants a file asks dataio
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in ("json", "csv"):
+                    owners.setdefault(name.split(".")[0], set()).add(path.stem)
+    assert owners == {"json": {"dataio"}, "csv": {"dataio"}}
