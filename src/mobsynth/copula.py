@@ -15,10 +15,18 @@ the kernel centers inside that row's own tail window: the centers whose
 weight given the row's conditioning value is above ``tail`` of the total.
 The tail is 1e-10 for h and h-inverse, so h moves by at most about 1e-10
 against the mixture over every center, and 1e-5 for draws, far below
-sampling noise.  Rows are evaluated in padded blocks with left-to-right
-sums, so every row's result depends on that row alone: permuting the rows
-of a call, or splitting them across calls, leaves each output bit for bit
-the same.
+sampling noise.
+
+Rows are evaluated in blocks laid out (width, rows), C-ordered: a row's
+window is one column, copied out of the sorted centers through a strided
+view, and its weights are built in place there.  numpy's ``add.reduce``
+down axis 0 then sums every column top to bottom, one block row at a time,
+vectorised across columns (:func:`_row_sum`), and draws take their
+cumulative weights by ``cumsum`` down axis 0, which also runs top to
+bottom.  Padding has weight 0 and comes last, so every row's result
+depends on that row alone:
+permuting the rows of a call, or splitting them across calls, leaves each
+output bit for bit the same.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ _EPS_U = 1e-9           # clamp for values entering the probit transform
 _Z_BOUND = 9.0          # h-inverse searches z in [-9, 9]; ndtr(9) rounds to 1
 _Z_TOL = 1e-14          # h-inverse root tolerance on the probit scale
 _BLOCK_ELEMENTS = 2 ** 16  # per block: each float64 temporary, 512 KiB, stays in cache
+_BLOCK_COST = 8192      # padded elements that cost as much time as one more block
+_EXP_FLOOR = -700.0     # exp() stays normal, and fast, above this
 
 DEFAULT_MAX_SCORES = 2000
 
@@ -177,88 +187,150 @@ class KernelPairCopula:
         return self._per_row(_inside_unit(q, "sampling rank"), v, 1,
                              self._draw_rows, tail=1e-5)
 
+    def _sorted_centers(self, cond_axis, width=1):
+        """The kernel centers sorted along ``cond_axis``, and their values
+        on the other axis in the same order, each followed by at least
+        ``width - 1`` copies of its last value, so that a run of ``width``
+        centers from any real start is one strided read.  Cached per axis;
+        the padding grows by powers of two."""
+        m = self.scores.shape[0]
+        cached = self._axis_cache.get(cond_axis)
+        if cached is None:
+            order = np.argsort(self.scores[:, cond_axis], kind="stable")
+            cached = (self.scores[order, cond_axis], self.scores[order, 1 - cond_axis])
+        if cached[0].size < m + width - 1:
+            pad = 1 << (width - 1).bit_length()
+            cached = tuple(np.pad(vals[:m], (0, pad), mode="edge") for vals in cached)
+        self._axis_cache[cond_axis] = cached
+        return cached
+
     def _row_windows(self, flat_cond, cond_axis, tail):
-        """Yield (rows, centers, weights, width) blocks that cover each row once.
+        """Yield (rows, others, first, weights, width) blocks that cover each
+        row once.
 
         Row ``rows[i]`` keeps only the ``width[i]`` kernel centers inside
         its own tail reach along the conditioning axis: those whose
         posterior weight given the row's conditioning value exceeds roughly
-        ``tail`` of the total.  ``centers[i]`` holds them along the other
-        axis and ``weights[i]`` their normalised weights, both padded to
-        the block's widest row; padding has weight exactly 0.  Rows are
-        taken widest first in blocks of at most ``_BLOCK_ELEMENTS`` so the
-        temporaries stay in cache.  Sums over a row run left to right
-        (:func:`_row_sum`), so padding cannot change them and every row's
-        result depends on that row alone.
+        ``tail`` of the total.  They are the sorted centers from
+        ``first[i]`` on, and ``others[first[i] + j]`` is the j-th one's
+        value on the other axis.
+
+        ``weights`` is a (width, rows) C-ordered block: column i holds row
+        ``rows[i]``'s normalised weights, padded to the block's widest row
+        with weight exactly 0.  It is built in one buffer per call: the
+        centers are copied in through a strided view of the padded sorted
+        centers (:func:`_runs`), then turned into weights in place.  Each
+        column's least squared distance is known beforehand, and exponents
+        are floored at ``_EXP_FLOOR`` so the padding, whose centers lie
+        beyond the window, keeps ``exp`` off its slow underflow path before
+        it is zeroed.  Each column is summed top to bottom
+        (:func:`_row_sum`), so padding cannot change a sum.  The block is
+        overwritten by the next one.
+
+        Rows are taken widest first, in blocks of at most
+        ``_BLOCK_ELEMENTS`` elements so the temporaries stay in cache, and a
+        block ends early where the rows after it are so much narrower that
+        a block of their own saves more than ``_BLOCK_COST`` padded
+        elements.
         """
         z = _to_scores(np.asarray(flat_cond, dtype=float).reshape(-1))
+        if not z.size:
+            return
         b = self.bandwidth
-        if cond_axis not in self._axis_cache:
-            cond_centers = self.scores[:, cond_axis]
-            order = np.argsort(cond_centers, kind="stable")
-            self._axis_cache[cond_axis] = (
-                cond_centers[order], self.scores[order, 1 - cond_axis])
-        c_sorted, t_sorted = self._axis_cache[cond_axis]
-        m = c_sorted.size
+        m = self.scores.shape[0]
+        c_sorted = self._sorted_centers(cond_axis)[0][:m]
+        # searching sorted keys walks the centers once, not once per row
+        order = np.argsort(z)
+        z = z[order]
         # distance to the nearest center along the conditioning axis bounds
         # how far relevant components can sit: anything beyond
         # sqrt(d_min^2 + 2 b^2 log(m / tail)) holds < tail relative weight
         pos = np.searchsorted(c_sorted, z)
-        left = c_sorted[np.clip(pos - 1, 0, m - 1)]
-        right = c_sorted[np.clip(pos, 0, m - 1)]
-        d_min = np.minimum(np.abs(z - left), np.abs(z - right))
+        d_min = np.minimum(np.abs(z - c_sorted[np.maximum(pos - 1, 0)]),
+                           np.abs(z - c_sorted[np.minimum(pos, m - 1)]))
         reach = np.sqrt(d_min * d_min + 2.0 * b * b * np.log(m / tail))
         lo = np.minimum(np.searchsorted(c_sorted, z - reach), m - 1)
-        hi = np.clip(np.searchsorted(c_sorted, z + reach), lo + 1, m)
+        hi = np.maximum(np.searchsorted(c_sorted, z + reach), lo + 1)
         width = hi - lo
+        # the window's least squared distance, at one of the two window
+        # centers next to z; subtracting it keeps exp() from underflowing
+        last = hi - 1
+        near = np.minimum(np.abs(z - c_sorted[np.minimum(np.maximum(pos - 1, lo), last)]),
+                          np.abs(z - c_sorted[np.minimum(np.maximum(pos, lo), last)])) / b
+        least = near * near
         by_width = np.argsort(width, kind="stable")[::-1]
+        # each row's values in block order, so that a block takes slices
+        widths, z, least, lo = width[by_width], z[by_width], least[by_width], lo[by_width]
+        rows = order[by_width]
+        c_sorted, others = self._sorted_centers(cond_axis, int(widths[0]))
+        buf = np.empty(min(max(_BLOCK_ELEMENTS, int(widths[0])), int(widths[0]) * z.size))
         start = 0
         while start < z.size:
-            widest = int(width[by_width[start]])
-            rows = by_width[start:start + max(1, _BLOCK_ELEMENTS // widest)]
-            start += rows.size
-            offsets = np.arange(widest)
-            n = width[rows]
-            # padding repeats the row's last center, which leaves the min alone
-            cols = np.minimum(lo[rows, None] + offsets, hi[rows, None] - 1)
-            d = (z[rows, None] - c_sorted[cols]) / b
-            d2 = d * d
-            d2 -= d2.min(axis=1, keepdims=True)  # keep exp() from underflowing
-            w = np.where(offsets < n[:, None], np.exp(-0.5 * d2), 0.0)
-            w /= _row_sum(w)[:, None]
-            yield rows, t_sorted[cols], w, n
+            widest = int(widths[start])
+            stop = min(z.size, start + max(1, _BLOCK_ELEMENTS // widest))
+            saved = (widest - widths[start:stop]) * np.arange(stop - start, 0, -1)
+            split = int(np.argmax(saved))
+            if saved[split] > _BLOCK_COST:
+                stop = start + split
+            block = slice(start, stop)
+            start = stop
+            n = widths[block]
+            w = buf[:widest * n.size].reshape(widest, n.size)
+            np.copyto(w, _runs(c_sorted, lo[block], widest).T)
+            np.subtract(z[block], w, out=w)
+            w /= b
+            np.square(w, out=w)
+            w -= least[block]
+            w *= -0.5
+            # only padding reaches this floor: a window center's exponent
+            # is at least about -log(m / tail), far above it
+            np.maximum(w, _EXP_FLOOR, out=w)
+            np.exp(w, out=w)
+            if n[-1] < widest:
+                np.copyto(w[n[-1]:], 0.0, where=np.arange(n[-1], widest)[:, None] >= n)
+            w /= _row_sum(w)
+            yield rows[block], others, lo[block], w, n
 
     def _per_row(self, x, cond, cond_axis, kernel, tail=1e-10):
         """The per-row loop shared by h, h-inverse and draws: broadcast x
-        against cond, evaluate ``kernel(x_rows, centers, weights, width)``
-        on each block of :meth:`_row_windows`, clip to [1e-12, 1 - 1e-12]
-        and return the broadcast shape (a float for scalar inputs)."""
+        against cond, evaluate ``kernel(x_rows, others, first, weights,
+        width)`` on each block of :meth:`_row_windows`, clip to
+        [1e-12, 1 - 1e-12] and return the broadcast shape (a float for
+        scalar inputs)."""
         x = np.asarray(x, dtype=float)
         cond = np.asarray(cond, dtype=float)
         shape = np.broadcast(x, cond).shape
         flat_x = np.broadcast_to(x, shape).reshape(-1)
         out = np.empty(flat_x.size)
-        for rows, centers, w, n in self._row_windows(
+        for rows, *block in self._row_windows(
                 np.broadcast_to(cond, shape).reshape(-1), cond_axis, tail):
-            out[rows] = kernel(flat_x[rows], centers, w, n)
+            out[rows] = kernel(flat_x[rows], *block)
         out = np.clip(out, 1e-12, 1.0 - 1e-12)
         return out.reshape(shape) if shape else float(out[0])
 
-    def _h_rows(self, x, centers, w, n):
-        return _row_sum(w * _ndtr((_to_scores(x)[:, None] - centers) / self.bandwidth))
+    def _h_rows(self, x, others, first, w, n):
+        arg = np.empty_like(w)
+        np.copyto(arg, _runs(others, first, w.shape[0]).T)
+        np.subtract(_to_scores(x), arg, out=arg)
+        arg /= self.bandwidth
+        _ndtr(arg, out=arg)
+        arg *= w
+        return _row_sum(arg)
 
-    def _h_inverse_rows(self, p, centers, w, n):
-        return _invert_mixture(p, centers, w, self.bandwidth)
+    def _h_inverse_rows(self, p, others, first, w, n):
+        return _invert_mixture(p, _runs(others, first, w.shape[0]), w.T, self.bandwidth)
 
-    def _draw_rows(self, q, centers, w, n):
-        # cumulative weights, pinned to 1 from each row's last center on
-        cum = np.cumsum(w, axis=1)
-        cum[np.arange(w.shape[1]) >= n[:, None] - 1] = 1.0
-        k = np.count_nonzero(cum < q[:, None], axis=1)
+    def _draw_rows(self, q, others, first, w, n):
+        # the component is the first whose cumulative weight reaches q, and
+        # a row's last center takes what rounding leaves over; cumulative
+        # weights never fall down a column, so counting those below q and
+        # stopping at the last center finds it
+        cum = np.cumsum(w, axis=0)
+        k = np.minimum(np.count_nonzero(cum < q, axis=0), n - 1)
         at = np.arange(k.size)
-        prev = np.where(k > 0, cum[at, k - 1], 0.0)
-        r = np.clip((q - prev) / np.maximum(w[at, k], 1e-300), 1e-12, 1.0 - 1e-12)
-        return ndtr(centers[at, k] + self.bandwidth * ndtri(r))
+        prev = np.where(k > 0, cum[k - 1, at], 0.0)
+        r = np.clip((q - prev) / np.maximum(w[k, at], 1e-300), 1e-12, 1.0 - 1e-12)
+        return ndtr(others[first + k] + self.bandwidth * ndtri(r))
 
     # -- sampling ----------------------------------------------------------
 
@@ -285,25 +357,48 @@ def _inside_unit(x, what):
     return x
 
 
-def _ndtr(x):
+def _ndtr(x, out=None):
     """``ndtr(x)``, evaluated only where it is not exactly 0 or 1: in float64
-    it rounds to 1.0 from x = 8.3 on and underflows to 0.0 up to x = -37.7."""
-    out = (x >= 9.0).astype(float)
-    mid = np.flatnonzero(~((x >= 9.0) | (x <= -40.0)))
-    out.flat[mid] = ndtr(x.flat[mid])
+    it rounds to 1.0 from x = 8.3 on and underflows to 0.0 up to x = -37.7.
+    ``out`` may be ``x`` itself."""
+    high = x >= 9.0
+    mid = np.flatnonzero(~(high | (x <= -40.0)))
+    vals = ndtr(x.flat[mid])
+    if out is None:
+        out = np.empty(x.shape)
+    np.copyto(out, high)
+    out.flat[mid] = vals
     return out
 
 
-def _row_sum(vals):
-    """Row sums taken left to right: numpy's pairwise ``sum`` rounds by
-    length, so trailing zeros could change it."""
-    return np.cumsum(vals, axis=1)[:, -1]
+def _runs(vals, first, width):
+    """A (len(first), width) array whose row i is vals[first[i]:first[i] + width],
+    copied row by row out of a strided view of the contiguous 1-d ``vals``."""
+    step = vals.strides[0]
+    view = np.ndarray((vals.size - width + 1, width), vals.dtype, vals, 0, (step, step))
+    return view[first]
+
+
+def _row_sum(cols):
+    """The sum of each column of a (width, rows) block, taken top to bottom,
+    bit for bit ``np.cumsum(cols.T, axis=1)[:, -1]``.
+
+    numpy's pairwise ``sum`` rounds by length, so trailing zeros could
+    change it; it sums pairwise along a contiguous axis only.  So the block
+    is made C-ordered, which ``add.reduce`` then sums one row of the block
+    at a time, vectorised across columns.  A (width, 1) block is contiguous
+    along its only column and takes the sequential ``cumsum`` instead.
+    """
+    cols = np.ascontiguousarray(cols)
+    if cols.shape[1] == 1:
+        return np.cumsum(cols[:, 0])[-1:]
+    return np.add.reduce(cols, axis=0)
 
 
 def _mixture_gap(z, centers, w, b, p):
     """One row's mixture CDF at z, sum_i w[0, i] * Phi((z - centers[0, i]) / b),
     minus p."""
-    return _row_sum(w * _ndtr((z - centers) / b))[0] - p
+    return _row_sum((w * _ndtr((z - centers) / b)).T)[0] - p
 
 
 def _invert_mixture(p, centers, w, b):

@@ -280,10 +280,11 @@ def _parse_rows(reader, n_fields: int) -> _Points:
     names: dict[str, int] = {}
     user, ts, lat, lon = array("q"), array("q"), array("d"), array("d")
     member, line = array("b"), array("q")
-    lineno = 0
     try:
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row and row[0].strip().lower() == "user_id":
+        for record, row in enumerate(reader):
+            # the row's last line: a quoted field may span several
+            lineno = reader.line_num
+            if record == 0 and row and row[0].strip().lower() == "user_id":
                 continue
             if _blank(row):
                 continue
@@ -314,7 +315,7 @@ def _parse_rows(reader, n_fields: int) -> _Points:
             _user_labels(list(names), np.frombuffer(user, dtype=np.int64),
                          np.frombuffer(member, dtype=bool), np.frombuffer(line, dtype=np.int64))
         if isinstance(exc, csv.Error):  # raised reading the next row: a field too long, say
-            raise ParseError(str(exc), line=lineno + 1) from exc
+            raise ParseError(str(exc), line=reader.line_num) from exc
         raise
     return _Points(list(names), np.frombuffer(user, dtype=np.int64),
                    np.frombuffer(ts, dtype=np.int64), np.frombuffer(lat), np.frombuffer(lon),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import kendalltau, kstest
 
+from mobsynth import copula
 from mobsynth.copula import (EmpiricalMargin, KernelPairCopula, VineModel,
-                             _invert_mixture, _ndtr, _to_scores,
+                             _invert_mixture, _ndtr, _row_sum, _to_scores,
                              default_trunc_level, pseudo_observations, vine_fit)
 from mobsynth.errors import DomainError, InsufficientDataError
 
@@ -305,6 +307,24 @@ def test_ndtr_skips_only_exact_zeros_and_ones():
     assert np.isnan(_ndtr(np.array([[np.nan]]))[0, 0])
 
 
+@pytest.mark.parametrize("width, n_rows", [
+    (w, r) for w in (1, 2, 7, 8, 15, 16, 17, 128, 129, 1000) for r in (1, 2, 3, 16, 500, 2000)
+] + [(5000, r) for r in (1, 2, 3, 16, 200)])
+def test_row_sum_adds_each_row_left_to_right(width, n_rows):
+    # pins numpy's reduction order: the block kernel's sums must be the
+    # sequential ones, which a pairwise sum (numpy's ``sum`` along a
+    # contiguous axis, and on a (width, 1) block) does not give from
+    # width 8 on
+    rng = np.random.default_rng(width * 7919 + n_rows)
+    rows = rng.standard_normal((n_rows, width)) * rng.uniform(0.0, 10.0, (n_rows, width)) ** 6
+    want = np.cumsum(rows, axis=1)[:, -1]
+    # from a transposed (F-ordered) view and from the same block C-ordered
+    assert np.array_equal(_row_sum(rows.T), want)
+    assert np.array_equal(_row_sum(np.ascontiguousarray(rows.T)), want)
+    if width >= 16 and n_rows >= 16:  # the pairwise sum misses on some row
+        assert not np.array_equal(np.add.reduce(rows, axis=1), want)
+
+
 class TestRowWindows:
     """Each row is evaluated on its own tail window, independently of the
     other rows of the call."""
@@ -351,6 +371,44 @@ class TestRowWindows:
             assert np.array_equal(split, got[name])
         # (c) the dropped tail moves h by less than the tail bound
         assert np.max(np.abs(got["h"] - _all_center_h(cop, x, cond, cond_axis))) <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           n_scores=st.sampled_from([12, 300, 3000]),
+           bandwidth_scale=st.sampled_from([1.0, 0.05, 0.00625]),
+           n_rows=st.sampled_from([1, 7, 50]),
+           cond_axis=st.sampled_from([0, 1]),
+           block_elements=st.sampled_from([1, 40, 700]),
+           block_cost=st.sampled_from([0, 30]))
+    def test_matches_row_loop_in_small_and_split_blocks(self, seed, n_scores, bandwidth_scale,
+                                                        n_rows, cond_axis, block_elements,
+                                                        block_cost):
+        # small blocks force many blocks a call, one-row (width, 1) blocks and
+        # width splits; conditioning values at and beyond the largest center
+        # put windows at the end of the sorted centers, where the strided
+        # read runs into the padding
+        rng = np.random.default_rng(seed)
+        u = rng.choice(rng.uniform(size=5), n_scores)
+        u = np.clip(u + rng.uniform(-1e-3, 1e-3, n_scores), 1e-6, 1 - 1e-6)
+        v = np.clip(u + rng.normal(0.0, 0.05, n_scores), 1e-6, 1 - 1e-6)
+        cop = KernelPairCopula.fit(u, v, bandwidth_scale=bandwidth_scale)
+        top = ndtr(cop.scores[:, cond_axis].max())
+        cond = rng.uniform(size=n_rows)
+        cond[::2] = rng.choice([top, np.nextafter(top, 0.0), 1 - 1e-7, 1e-7], cond[::2].size)
+        x = rng.uniform(size=n_rows)
+        q = rng.uniform(size=n_rows)
+        q[1::3] = rng.choice([1e-300, 1 - 2.0**-53], q[1::3].size)
+        p = np.clip(x, 1e-6, 1 - 1e-6)
+        h, h_inv, sample = {
+            0: (cop.h_v_given_u, cop.h_inverse_v_given_u, cop.sample_v_given_u),
+            1: (cop.h_u_given_v, cop.h_inverse_u_given_v, cop.sample_u_given_v),
+        }[cond_axis]
+        with mock.patch.object(copula, "_BLOCK_ELEMENTS", block_elements), \
+                mock.patch.object(copula, "_BLOCK_COST", block_cost):
+            got = (h(x, cond), h_inv(p, cond), sample(q, cond))
+        assert np.array_equal(got[0], _loop_h(cop, x, cond, cond_axis))
+        assert np.array_equal(got[1], _loop_h_inverse(cop, p, cond, cond_axis))
+        assert np.array_equal(got[2], _loop_sample(cop, q, cond, cond_axis))
 
     def test_memory_stays_bounded_on_wide_batches(self):
         # 125 tight clusters of 200 centers: every row's window is one or two

@@ -554,6 +554,24 @@ class TestIngest:
                 ingest(_csv([("u1", 0, 46.0, 7.0), bad]), SPEC, 600)
             assert err.value.line == 3
 
+    def test_line_numbers_count_file_lines_not_records(self):
+        # the quoted user id "a\nb" spans lines 2 and 3, so the next row is line 4
+        head = 'user_id,timestamp,lat,lon\n"a\nb",0,46.0,7.0\n'
+        with pytest.raises(ParseError, match="line 4: invalid literal") as err:
+            ingest(io.BytesIO((head + "u1,bad,46.0,7.0\n").encode()), SPEC, 600)
+        assert err.value.line == 4
+        # csv refuses a field while reading its row
+        oversize = "u" * (csv.field_size_limit() + 1) + ",0,46.0,7.0\n"
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            ingest(io.BytesIO((head + oversize).encode()), SPEC, 600)
+        assert err.value.line == 4
+        # a targets file's line column names the line of a label clash
+        text = ('user_id,timestamp,lat,lon,is_member\n"a\nb",0,46.0,7.0,1\n'
+                'u1,0,46.0,7.0,1\nu1,600,46.0,7.0,0\n')
+        with pytest.raises(ParseError, match="line 5: user_id 'u1' is labelled both") as err:
+            _targets_reader(text, 600)
+        assert err.value.line == 5
+
     def test_non_finite_target_is_parse_error(self, tmp_path):
         path = tmp_path / "targets.csv"
         path.write_text("user_id,timestamp,lat,lon,is_member\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -307,6 +308,26 @@ def fitted():
 
 
 class TestVineGenerator:
+
+    def test_fit_and_generation_match_recorded_digests(self):
+        # Golden digests of the kernel copula's output bits at the CLI's fit
+        # defaults: the tree-2 scores come from h-functions, the corpus from
+        # h-functions and conditional draws.  They were taken by running this
+        # body on commit 46a22c9, the last one whose kernel built (rows,
+        # width) blocks and summed them with cumsum, under numpy 2.4.6 and
+        # scipy 1.17.1 on x86-64, and printing the two hexdigests.  The
+        # (width, rows) blocks must give the same bits; a change of numpy or
+        # scipy that moves exp, ndtr or a reduction's order shows up here.
+        corpus = simulate_ground_truth(SPEC, 12, 300, 20, seed=11)
+        model = VineGenerator.fit(corpus, window=4, seed=12)
+        syn = model.generate(60, 80, 0, seed=13)
+        scores = b"".join(e.scores.astype("<f8").tobytes() for level in model.vine.trees
+                          for e in level)
+        assert [e.scores.shape for level in model.vine.trees for e in level] == [(3552, 2)] * 3
+        assert hashlib.sha256(syn.cells.astype("<i8").tobytes()).hexdigest() == (
+            "18b1de6c1d45254a8224dcc33dee4789b7e2cd4fe61b0495b4966a0c087d0b57")
+        assert hashlib.sha256(scores).hexdigest() == (
+            "8461ae0e14fbd79ddc2841fabc11e161ad956c8b607a4ddd0a12043e4e8f1a3a")
 
     def test_fit_validation(self):
         with pytest.raises(DomainError):
