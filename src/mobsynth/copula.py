@@ -32,9 +32,7 @@ output bit for bit the same.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import rankdata
 
 from .errors import DomainError, InsufficientDataError
 
@@ -95,7 +93,12 @@ def pseudo_observations(data):
     """Column-wise rank/(n+1) transform, strictly inside (0, 1); tied values
     rank in the order they come."""
     data = np.asarray(data, dtype=float)
-    return rankdata(data, axis=0, method="ordinal") / (data.shape[0] + 1)
+    n = data.shape[0]
+    order = np.argsort(data, axis=0, kind="stable")
+    ranks = np.empty(order.shape)
+    first_to_last = np.arange(1.0, n + 1).reshape((n,) + (1,) * (data.ndim - 1))
+    np.put_along_axis(ranks, order, first_to_last, axis=0)
+    return ranks / (n + 1)
 
 
 def _to_scores(u):
@@ -118,6 +121,14 @@ class KernelPairCopula:
             raise DomainError("scores must be finite")
         if not 0 < bandwidth < np.inf:
             raise DomainError(f"bandwidth must be a finite number > 0, got {bandwidth}")
+        # a kernel weight squares (z - c) / b for the score z of any (0, 1)
+        # input and any center c; the farthest pair must keep it finite
+        z_lo, z_hi = _to_scores(np.array([0.0, 1.0]))
+        with np.errstate(over="ignore"):
+            farthest = np.square(max(z_hi - scores.min(), scores.max() - z_lo) / bandwidth)
+        if not np.isfinite(farthest):
+            raise DomainError(f"bandwidth {bandwidth} is too small for scores in "
+                              f"[{scores.min()}, {scores.max()}]: kernel weights overflow")
         self.scores = scores
         self.bandwidth = float(bandwidth)
         self._axis_cache = {}
@@ -352,7 +363,7 @@ class KernelPairCopula:
 def _inside_unit(x, what):
     """x as a float array, which must lie strictly inside (0, 1)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
+    if not np.all((x > 0.0) & (x < 1.0)):  # NaN is outside too
         raise DomainError(f"{what} must lie strictly inside (0, 1)")
     return x
 
@@ -408,6 +419,8 @@ def _invert_mixture(p, centers, w, b):
     Returns Phi(z), the root on the uniform scale.  Where p[r] lies outside
     the mixture's values at -9 and 9, z is the nearer bound.
     """
+    from scipy.optimize import brentq
+
     z = np.empty(p.size)
     for r in range(p.size):
         args = (centers[r:r + 1], w[r:r + 1], b, p[r])

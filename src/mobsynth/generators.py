@@ -50,6 +50,13 @@ class MarkovGenerator:
         self.counts = [np.asfortranarray(table, dtype=np.int64) for table in counts]
         self.global_counts = np.asarray(global_counts, dtype=np.int64)
         self._prefixes = [_prefix_keys(table, self.alphabet.size) for table in self.counts]
+        # a smoothed distribution divides by its count total plus alpha * V;
+        # no total exceeds the sum of its table or of the global counts
+        largest = max([self.global_counts.sum(dtype=float)]
+                      + [table[:, -1].sum(dtype=float) for table in self.counts])
+        if not math.isfinite(self.alpha * self.alphabet.size + largest):
+            raise DomainError(f"smoothing alpha {alpha} times the alphabet size "
+                              f"{self.alphabet.size} plus the count totals is not finite")
 
     @classmethod
     def fit(cls, corpus: Corpus, order: int = 1, time_buckets: int = 24,

@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import linregress
 
 from . import geogrid
 from .dataio import Corpus, GridTrace, hour_of_day
@@ -325,15 +324,28 @@ def lagged_mi_bits(symbols: np.ndarray, trace_id: np.ndarray, n_symbols: int,
     return max(h_a + h_b - h_ab, 0.0)
 
 
+def _slope_and_r(x: np.ndarray, y: np.ndarray):
+    """Least-squares slope of y on x and the correlation r, with the
+    arithmetic of ``scipy.stats.linregress``, bit for bit.  Where x or y has
+    zero spread, r is nan if the covariance is 0 too and 0.0 if not;
+    otherwise it is clamped to [-1, 1] against rounding."""
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    return ssxym / ssxm, r
+
+
 def _fit_decay(lags: np.ndarray, mi: np.ndarray):
     mask = mi > 0
     if mask.sum() < 3:
         return (float("nan"),) * 4
     tau = lags[mask].astype(float)
     log_i = np.log(mi[mask])
-    pl = linregress(np.log(tau), log_i)
-    ex = linregress(tau, log_i)
-    return float(pl.slope), float(pl.rvalue ** 2), float(ex.slope), float(ex.rvalue ** 2)
+    pl_slope, pl_r = _slope_and_r(np.log(tau), log_i)
+    ex_slope, ex_r = _slope_and_r(tau, log_i)
+    return float(pl_slope), float(pl_r ** 2), float(ex_slope), float(ex_r ** 2)
 
 
 def mi_decay(corpus: Corpus, tau_max: int, min_count: int = MI_MIN_SYMBOL_COUNT) -> MiDecayCurve:

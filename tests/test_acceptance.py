@@ -18,7 +18,6 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import kstest, ttest_1samp
 
-import mobsynth
 from mobsynth.copula import KernelPairCopula
 from mobsynth.dataio import Corpus, GridTrace, SimulatorParams, simulate_ground_truth
 from mobsynth.generators import MarkovGenerator, VineGenerator
@@ -264,27 +263,12 @@ class TestCriterion6Efficiency:
                   f"slope={slope:.2f} times={['%.1fs' % t for t in times]}")
 
 
-def _subprocess_pythonpath():
-    """PYTHONPATH for CLI subprocesses that run from another directory.
-
-    The directory holding the imported ``mobsynth`` package goes first, so
-    the subprocess runs the same source tree as the in-process tests; the
-    caller's own entries follow, made absolute because a relative entry
-    would resolve against the subprocess's cwd.
-    """
-    entries = [os.path.dirname(os.path.dirname(os.path.abspath(
-        mobsynth.__file__)))]
-    entries += [os.path.abspath(p) for p in
-                os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    return os.pathsep.join(entries)
-
-
 class TestCriterion7Determinism:
-    def test_double_run_byte_diff(self, capfd, tmp_path):
+    def test_double_run_byte_diff(self, capfd, tmp_path, subprocess_pythonpath):
         def pipeline(root):
             root.mkdir()
             env = dict(os.environ, MOBSYNTH_OUTDIR=str(root / "report"),
-                       PYTHONPATH=_subprocess_pythonpath())
+                       PYTHONPATH=subprocess_pythonpath)
             def cli(*args):
                 cmd = [sys.executable, "-m", "mobsynth.cli", *map(str, args)]
                 r = subprocess.run(cmd, cwd=root, env=env,

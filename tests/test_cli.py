@@ -214,6 +214,7 @@ class TestFitGenerate:
         (["--bandwidth-scale", "inf"], "bandwidth"),
         (["--model-type", "markov", "--alpha", "nan"], "alpha"),
         (["--model-type", "markov", "--alpha", "inf"], "alpha"),
+        (["--model-type", "markov", "--alpha", "1.7e308"], "alpha"),
     ])
     def test_unusable_fit_flag_is_domain_error(self, tmp_path, corpus_file, capsys,
                                                flags, name):
@@ -389,6 +390,35 @@ class TestFitGenerate:
                    "--n-traces", "2", "--trace-len", "6",
                    f"--start-time={start}") == EXIT_DOMAIN
         assert "start_time" in capsys.readouterr().err
+        assert not syn.exists()
+
+    # both files once generated a corpus of a few cells and exited 0: every
+    # bandwidth at 1e-300 turned the kernel weights NaN, and alpha * V at
+    # 1.7e308 overflowed, making every smoothed probability 0
+    @pytest.mark.parametrize("model_type, field", [("vine", "payload.trees[0][0]"),
+                                                   ("markov", "payload.alpha")])
+    def test_model_whose_kernels_overflow_is_parse_error(self, tmp_path, capsys,
+                                                         model_type, field):
+        corpus, model, syn = tmp_path / "real.csv", tmp_path / "m.json", tmp_path / "syn.csv"
+        assert run("--seed", "1", "simulate", "--out", str(corpus), "--users", "6",
+                   "--steps", "60", "--hotspots", "10") == EXIT_OK
+        assert run("--seed", "2", "fit", "--corpus", str(corpus), "--model-type",
+                   model_type, "--out", str(model)) == EXIT_OK
+        generate = ("--seed", "3", "generate", "--model", str(model), "--out", str(syn),
+                    "--n-traces", "20", "--trace-len", "60")
+        assert run(*generate) == EXIT_OK
+        syn.unlink()
+        envelope = json.loads(model.read_text())
+        if model_type == "vine":
+            for level in envelope["payload"]["trees"]:
+                for edge in level:
+                    edge["bandwidth"] = 1e-300
+        else:
+            envelope["payload"]["alpha"] = 1.7e308
+        model.write_text(json.dumps(envelope))
+        capsys.readouterr()
+        assert run(*generate) == EXIT_PARSE
+        assert field in capsys.readouterr().err
         assert not syn.exists()
 
     def test_model_not_found(self, tmp_path):

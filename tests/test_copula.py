@@ -135,6 +135,24 @@ class TestKernelPairCopula:
         with pytest.raises(DomainError):
             KernelPairCopula.fit(np.append(u, 0.0), np.append(u, 0.5))
 
+    def test_bandwidth_whose_kernel_weights_overflow_is_refused(self):
+        # scores of (0, 1) inputs reach ndtri(1e-9) = -6.0; a center at 6.0
+        # puts them 12 apart, and (12 / b)^2 overflows below b = 9e-154
+        scores = np.array([[6.0, 0.0], [-1.0, 1.0]])
+        KernelPairCopula(scores, 1e-150)
+        for b in (1e-154, 1e-300, 5e-324):
+            with pytest.raises(DomainError, match="overflow"):
+                KernelPairCopula(scores, b)
+        with pytest.raises(DomainError, match="overflow"):
+            KernelPairCopula(np.array([[1e308, 0.0]]), 1.0)
+
+    @pytest.mark.parametrize("method", ["sample_v_given_u", "sample_u_given_v",
+                                        "h_inverse_u_given_v", "h_inverse_v_given_u"])
+    def test_nan_rank_is_refused(self, method):
+        c = KernelPairCopula(np.array([[0.0, 0.0], [1.0, 1.0]]), 0.5)
+        with pytest.raises(DomainError):
+            getattr(c, method)(np.array([0.5, np.nan]), np.array([0.5, 0.5]))
+
     def test_independence_density_near_one(self):
         u, v = gaussian_copula_sample(0.0, 4000, seed=3)
         c = KernelPairCopula.fit(u, v)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import linregress
 
 from mobsynth import metrics
 from mobsynth.dataio import Corpus, GridTrace, hour_of_day, simulate_ground_truth
@@ -435,3 +436,78 @@ class TestSparseMutualInformation:
                           for i in range(40)])
         assert metrics._symbolize(corpus, metrics.MI_MIN_SYMBOL_COUNT)[2] > 3990
         assert _peak(lambda: mi_decay(corpus, tau_max=2)) < 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the decay fit's regression helper against scipy.stats.linregress
+# ---------------------------------------------------------------------------
+
+def _linregress_decay(lags, mi):
+    """Reference: ``_fit_decay`` as two ``scipy.stats.linregress`` calls."""
+    mask = mi > 0
+    if mask.sum() < 3:
+        return (float("nan"),) * 4
+    tau = lags[mask].astype(float)
+    log_i = np.log(mi[mask])
+    pl = linregress(np.log(tau), log_i)
+    ex = linregress(tau, log_i)
+    return float(pl.slope), float(pl.rvalue ** 2), float(ex.slope), float(ex.rvalue ** 2)
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestSlopeAndR:
+    @staticmethod
+    def _assert_matches_linregress(x, y):
+        slope, r = metrics._slope_and_r(x, y)
+        with np.errstate(all="ignore"):  # its standard errors may overflow
+            want = linregress(x, y)
+        assert _bits(slope, r ** 2) == _bits(want.slope, want.rvalue ** 2)
+        return r
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 40))
+    def test_matches_linregress(self, data, n):
+        x = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n,
+                                        unique=True)))
+        y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        self._assert_matches_linregress(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(st.integers(-50, 50), min_size=3, max_size=40, unique=True),
+           c=st.integers(-100, 100))
+    def test_constant_y_has_nan_r(self, x, c):
+        x = np.array(x, dtype=float)
+        assert np.isnan(self._assert_matches_linregress(x, np.full(x.size, float(c))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(st.integers(-50, 50), min_size=3, max_size=40, unique=True),
+           a=st.integers(-5, 5), b=st.integers(-9, 9).filter(bool),
+           scale=st.sampled_from([0.1, 0.3, 1.0, 7.0]))
+    def test_collinear_points_have_r_clamped_to_one(self, x, a, b, scale):
+        x = np.array(x, dtype=float)
+        r = self._assert_matches_linregress(x, a + b * x * scale)
+        assert abs(r) <= 1.0 and abs(r) == pytest.approx(1.0)
+
+    def test_clamp_is_reached(self):
+        # rounding puts r's raw quotient one ulp past -1 here
+        x = np.array([12.0, 8.0, 39.0, -21.0, 40.0, 17.0])
+        y = np.array([-248.0, -164.0, -815.0, 445.0, -836.0, -353.0])
+        ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+        assert ssxym / np.sqrt(ssxm * ssym) < -1.0
+        assert self._assert_matches_linregress(x, y) == -1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), tau_max=st.integers(3, 40))
+    def test_fit_decay_matches_linregress(self, data, tau_max):
+        # MI curves as mi_decay builds them: some lags at 0 bits, the rest
+        # positive, often decaying
+        mi = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1e-6]) | st.floats(1e-9, 3.0),
+            min_size=tau_max, max_size=tau_max)))
+        if data.draw(st.booleans()):
+            mi = np.sort(mi)[::-1]
+        lags = np.arange(1, tau_max + 1)
+        assert _bits(*metrics._fit_decay(lags, mi)) == _bits(*_linregress_decay(lags, mi))

@@ -2,6 +2,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mobsynth
@@ -49,3 +52,59 @@ def test_only_dataio_reads_or_writes_json_or_csv():
                 if name.split(".")[0] in ("json", "csv"):
                     owners.setdefault(name.split(".")[0], set()).add(path.stem)
     assert owners == {"json": {"dataio"}, "csv": {"dataio"}}
+
+
+# every stage of the pipeline, in one interpreter; the targets file is
+# written as tests/test_cli.py's _targets_file writes it
+PIPELINE = """
+import csv, sys
+from mobsynth import dataio
+from mobsynth.cli import main
+from mobsynth.geogrid import decode
+
+def cli(*argv):
+    code = main(list(argv))
+    if code:
+        sys.exit(f"{argv} exited {code}")
+
+cli("--seed", "1", "simulate", "--out", "real.csv", "--users", "6", "--steps", "60",
+    "--hotspots", "10")
+cli("--seed", "2", "simulate", "--out", "other.csv", "--users", "4", "--steps", "60",
+    "--hotspots", "10")
+cli("ingest", "--input", "real.csv", "--out", "train.csv")
+cli("--seed", "3", "fit", "--corpus", "train.csv", "--model-type", "vine",
+    "--max-scores", "150", "--out", "vine.json")
+cli("fit", "--corpus", "train.csv", "--model-type", "markov", "--out", "markov.json")
+cli("--seed", "4", "generate", "--model", "markov.json", "--out", "markov_syn.csv",
+    "--n-traces", "6", "--trace-len", "30")
+cli("--seed", "5", "generate", "--model", "vine.json", "--out", "syn.csv",
+    "--n-traces", "6", "--trace-len", "30")
+with open("targets.csv", "w", newline="") as fh:
+    w = csv.writer(fh)
+    w.writerow(["user_id", "timestamp", "lat", "lon", "is_member"])
+    for path, flag in (("real.csv", 1), ("other.csv", 0)):
+        loaded = dataio.load_corpus(path)
+        for trace in loaded.traces:
+            lat, lon = decode(loaded.spec, trace.cells)
+            for ts, a, o in zip(trace.timestamps.tolist(), lat.tolist(), lon.tolist()):
+                w.writerow([f"{flag}_{trace.user_id}", ts, repr(a), repr(o), flag])
+cli("--seed", "6", "evaluate", "--real", "train.csv", "--syn", "syn.csv",
+    "--outdir", "report", "--tau-max", "4", "--n-permutations", "10",
+    "--targets", "targets.csv")
+cli("--seed", "7", "attack", "--syn", "syn.csv", "--targets", "targets.csv",
+    "--out", "priv.json")
+# a submodule of either loads the package with it
+loaded = sorted({"scipy.stats", "scipy.optimize"} & sys.modules.keys())
+if loaded:
+    sys.exit(f"the pipeline loaded {loaded}")
+"""
+
+
+def test_pipeline_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path, subprocess_pythonpath):
+    # no stage calls into them, yet importing them would about double a
+    # fresh process's import time and memory (README, Dependencies)
+    env = dict(os.environ, PYTHONPATH=subprocess_pythonpath)
+    env.pop("MOBSYNTH_OUTDIR", None)
+    r = subprocess.run([sys.executable, "-c", PIPELINE], cwd=tmp_path, env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
