@@ -59,8 +59,9 @@ def read_config(path) -> dict:
     return config
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Config file fills in values the command line left at their defaults."""
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv) -> None:
+    """Config file fills in the options the command line ``argv`` left out;
+    a flag given there wins, even when it equals its default."""
     if not getattr(args, "config", None):
         return
     config = read_config(args.config)
@@ -71,23 +72,25 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         for a in p._actions:
             if isinstance(a, argparse._SubParsersAction):
                 stack.extend(a.choices.values())
-            elif a.dest not in actions:
-                actions[a.dest] = a
+            else:
+                actions.setdefault(a.dest, a)
+                a.default = argparse.SUPPRESS
+    # with no defaults, parsing argv again keeps only the options it gives
+    given = vars(parser.parse_args(argv))
     for key, value in config.items():
         action = actions.get(key)
         if action is None:
             parser.error(f"config key {key!r} names no option of any command")
-        if not hasattr(args, key):
+        if not hasattr(args, key) or key in given:
             continue
-        if getattr(args, key) == action.default:
-            if action.type is not None:  # every int and float option has one
-                try:
-                    value = action.type(value)
-                except ValueError as exc:
-                    raise ParseError(f"config key {key!r}: {exc}") from exc
-            if action.choices is not None and value not in action.choices:
-                raise ParseError(f"config key {key!r}: {value!r} is not one of {action.choices}")
-            setattr(args, key, value)
+        if action.type is not None:  # every int and float option has one
+            try:
+                value = action.type(value)
+            except ValueError as exc:
+                raise ParseError(f"config key {key!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise ParseError(f"config key {key!r}: {value!r} is not one of {action.choices}")
+        setattr(args, key, value)
 
 
 def _grid_spec(args) -> GridSpec:
@@ -329,7 +332,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        _apply_config(args, parser, argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single CLI error boundary
         for exc_type, code in _EXIT_CODES:

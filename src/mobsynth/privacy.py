@@ -28,13 +28,11 @@ class ObfuscatedTrace:
     user_id: str
     cells: np.ndarray          # observed cell id, or HIDDEN
     timestamps: np.ndarray
-    hidden_mask: np.ndarray
+    hidden_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=np.int64)
-        self.hidden_mask = np.asarray(self.hidden_mask, dtype=bool)
-        if not np.array_equal(self.hidden_mask, self.cells == HIDDEN):
-            raise DomainError("hidden_mask must mark exactly the HIDDEN entries")
+        self.hidden_mask = self.cells == HIDDEN
 
 
 def check_p_hide(p_hide: float, attack: bool = False) -> None:
@@ -50,7 +48,7 @@ def hide_locations(trace: GridTrace, p_hide: float, rng) -> ObfuscatedTrace:
     check_p_hide(p_hide)
     mask = rng.uniform(size=len(trace)) < p_hide
     cells = np.where(mask, HIDDEN, trace.cells)
-    return ObfuscatedTrace(trace.user_id, cells, trace.timestamps.copy(), mask)
+    return ObfuscatedTrace(trace.user_id, cells, trace.timestamps.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +216,24 @@ def reconstruct_trace(obf: ObfuscatedTrace, prior: MarkovGenerator) -> np.ndarra
     Viterbi runs only over maximal hidden segments; observed points pin the
     state (observed cells unknown to the prior leave the step unconstrained).
     """
-    return _reconstruct([obf], _ViterbiPrior(prior))
+    return _reconstruct(obf.cells, obf.timestamps, np.array([0, obf.cells.size]),
+                        _ViterbiPrior(prior))
 
 
-def _reconstruct(obfuscated: list[ObfuscatedTrace], vp: _ViterbiPrior) -> np.ndarray:
-    """:func:`reconstruct_trace` of every trace, end to end, in one decode.
+def _reconstruct(cells: np.ndarray, timestamps: np.ndarray, offsets: np.ndarray,
+                 vp: _ViterbiPrior) -> np.ndarray:
+    """:func:`reconstruct_trace` of every trace, end to end, in one decode;
+    trace k is rows ``offsets[k]:offsets[k + 1]`` of the columns ``cells``
+    (observed cell or HIDDEN) and ``timestamps``, as in a Corpus.
 
     The free runs of all traces are decoded together: sorted by the time
     bucket of their first point, longest first, cut into chunks of about
     ``_CHUNK_BYTES``, and each chunk advanced one position at a time.
     """
-    cells = np.concatenate([o.cells for o in obfuscated])
-    buckets = np.concatenate([_bucket_of(o.timestamps, vp.prior.time_buckets)
-                              for o in obfuscated])
+    buckets = _bucket_of(timestamps, vp.prior.time_buckets)
     n = cells.size
     head = np.zeros(n + 1, dtype=bool)   # the first point of a trace, and n
-    head[np.cumsum([0] + [o.cells.size for o in obfuscated])] = True
+    head[offsets] = True
     tail = head[1:]                      # the last point of a trace
     # state index of each point, -1 = free: hidden, or a cell the prior
     # does not know; decoding fills in the free ones
@@ -245,7 +245,7 @@ def _reconstruct(obfuscated: list[ObfuscatedTrace], vp: _ViterbiPrior) -> np.nda
     lo = np.flatnonzero(free & (head[:n] | ~np.roll(free, 1)))
     hi = np.flatnonzero(free & (tail | ~np.roll(free, -1))) + 1
     if not lo.size:
-        return cells
+        return cells.copy()
     left = np.where(head[lo], -1, state[lo - 1])
     after = np.minimum(hi, n - 1)
     right = np.where(tail[hi - 1], -1, state[after])
@@ -297,17 +297,16 @@ def _decode_chunk(vp, buckets, lo, length, left, right, right_buckets, state) ->
 
 def sequence_attack(truth: Corpus, obfuscated: list[ObfuscatedTrace],
                     prior: MarkovGenerator) -> float:
-    """Fraction of hidden cells recovered exactly; traces without hidden
-    points are excluded."""
-    if len(truth) != len(obfuscated):
+    """Fraction of hidden cells recovered exactly; ``obfuscated[k]`` hides
+    points of trace k of ``truth``."""
+    if [o.cells.size for o in obfuscated] != np.diff(truth.offsets).tolist():
         raise DomainError("truth corpus and obfuscated list must align")
-    attacked = [i for i, obf in enumerate(obfuscated) if obf.hidden_mask.any()]
-    if not attacked:
+    cells = np.concatenate([truth.cells[:0], *(o.cells for o in obfuscated)])
+    hidden = cells == HIDDEN
+    if not hidden.any():
         raise DomainError("nothing to attack: no hidden points in the corpus")
-    recovered = _reconstruct([obfuscated[i] for i in attacked], _ViterbiPrior(prior))
-    mask = np.concatenate([obfuscated[i].hidden_mask for i in attacked])
-    hidden = truth.cells[np.concatenate([obf.hidden_mask for obf in obfuscated])]
-    return int(np.sum(recovered[mask] == hidden)) / hidden.size
+    recovered = _reconstruct(cells, truth.timestamps, truth.offsets, _ViterbiPrior(prior))
+    return int(np.sum(recovered[hidden] == truth.cells[hidden])) / int(hidden.sum())
 
 
 def run_sequence_attack(truth: Corpus, prior: MarkovGenerator, p_hide: float,

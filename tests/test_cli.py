@@ -759,6 +759,15 @@ class TestConfig:
         corpus = dataio.load_corpus(out)
         assert len(corpus) == 7                      # from config
         assert len(corpus.traces[0]) == 60           # flag beats config
+        # a flag equal to its default beats the config too
+        cfg.write_text("steps=60\nmodel_type=markov\nmax_scores=150\n")
+        long_out, model = tmp_path / "long.csv", tmp_path / "model.json"
+        assert run("--seed", "1", "--config", str(cfg), "simulate",
+                   "--out", str(long_out), "--steps", "500", "--users", "2") == EXIT_OK
+        assert len(dataio.load_corpus(long_out).traces[0]) == 500
+        assert run("--seed", "2", "--config", str(cfg), "fit", "--corpus", str(out),
+                   "--model-type", "vine", "--out", str(model)) == EXIT_OK
+        assert json.loads(model.read_text())["model_type"] == "vine"
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

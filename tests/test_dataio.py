@@ -302,6 +302,32 @@ class TestColumnParserExactness:
         with _block_bytes(budget):
             assert _run(_targets_reader, text, 600) == _run(ref_load_targets, text, 600)
 
+    def test_uneven_commas_that_add_up_leave_the_file_to_the_per_row_reader(self):
+        # four commas, then two: the block's count is right for two rows
+        text = "user_id,timestamp,lat,lon\nu1,0,46.0,7.0,9\nu1,600,46.0\n"
+        assert dataio._parse_blocks(io.BytesIO(text.encode()), 4) is None
+        assert _run(_bytes_reader, text, 600)[0] == (3, "line 3: expected 4 columns, got 3")
+        # no cast reads a label, so only the comma positions show that the
+        # row of line 3 would begin at line 2's extra comma, with "5\n " as
+        # its timestamp
+        text = "user_id,timestamp,lat,lon,is_member\nu1,0,46.0,7.0,1,5\n ,600,46.0,7.0\n"
+        assert dataio._parse_blocks(io.BytesIO(text.encode()), 5) is None
+        expected = _run(ref_load_targets, text, 600)
+        assert expected[0][0] == 3 and _run(_targets_reader, text, 600) == expected
+
+    def test_a_field_that_widens_the_block_past_its_budget_leaves_it_to_the_per_row_reader(self):
+        # one 104-byte lat field sets the width of all 21 rows' lat column,
+        # so the block's S columns pass four times a budget of the file's size
+        rows = ["user_id,timestamp,lat,lon", "u1,0,46." + "0" * 100 + ",7.0"]
+        rows += [f"u1,{600 * k},46.0,7.0" for k in range(1, 21)]
+        text = "\n".join(rows) + "\n"
+        assert dataio._parse_blocks(io.BytesIO(text.encode()), 4) is not None
+        with _block_bytes(len(text)):
+            assert dataio._parse_blocks(io.BytesIO(text.encode()), 4) is None
+            got = _run(_bytes_reader, text, 600)
+        assert got == _run(_per_row, text, 600)
+        assert len(got[0][0][0][1]) == 21
+
     def test_first_of_a_label_clash_and_a_bad_row_is_the_error(self):
         rows = ["u1,0,46.0,7.0,1", "u1,600,46.0,7.0,0", "u2,bad,46.0,7.0,0"]
         for text, line in (("\n".join(rows), 2), ("\n".join(rows[::-1]), 1)):

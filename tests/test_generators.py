@@ -381,6 +381,18 @@ class TestVineGenerator:
             train_cells.update(int(c) for c in t.cells)
         assert seen <= train_cells
 
+    def test_starts_without_the_start_hour_come_from_every_window(self, fitted):
+        # every start window opens at hour 5, none at the start hour 0, so
+        # the pool falls back to all of them
+        windows = fitted.start_windows.copy()
+        windows[:, -1] = 5
+        model = VineGenerator(SPEC, fitted.sampling_period, fitted.window, fitted.vine,
+                              windows)
+        w = model.window
+        syn = model.generate(20, w + 1, 0, seed=10)
+        rows = {tuple(row) for row in windows[:, :-1].tolist()}
+        assert all(tuple(t.cells[:w].tolist()) in rows for t in syn.traces)
+
     def test_generated_cells_follow_training_support(self, fitted):
         # jitter plus flooring can step into neighbour cells, but the bulk of
         # the mass must stay on cells the model was trained on

@@ -63,11 +63,6 @@ class TestHideLocations:
         kept = ~obf.hidden_mask
         assert np.array_equal(obf.cells[kept], t.cells[kept])
 
-    def test_mask_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            ObfuscatedTrace("u", np.array([1, HIDDEN]), np.array([0, 600]),
-                            np.array([True, True]))
-
 
 class TestSequenceAttack:
     def test_uniform_prior_hits_random_floor(self):
@@ -110,8 +105,11 @@ class TestSequenceAttack:
     def test_alignment_checked(self):
         corpus = _corpus([_trace([1, 2, 3])])
         prior = MarkovGenerator.fit(corpus, order=1)
-        with pytest.raises(DomainError):
-            sequence_attack(corpus, [], prior)
+        # a trace missing, and a trace shorter than its truth
+        short = hide_locations(_trace([1, 2]), 1.0, np.random.default_rng(0))
+        for obfuscated in ([], [short]):
+            with pytest.raises(DomainError):
+                sequence_attack(corpus, obfuscated, prior)
 
     def test_unknown_observed_cells_tolerated(self):
         corpus = _corpus([_trace([1, 2, 1, 2, 1, 2])])
@@ -220,9 +218,7 @@ def _dense_reconstruct(obf, prior):
 
 
 def _obfuscated(cells, hours):
-    cells = np.asarray(cells, dtype=np.int64)
-    return ObfuscatedTrace("u", cells, np.asarray(hours, dtype=np.int64) * 3600,
-                           cells == HIDDEN)
+    return ObfuscatedTrace("u", cells, np.asarray(hours, dtype=np.int64) * 3600)
 
 
 @st.composite
@@ -346,23 +342,25 @@ class TestSparseViterbiExactness:
             step = data.draw(st.sampled_from([600, 3600, 5 * 3600]))
             ts = data.draw(st.integers(0, 86_400)) + step * np.arange(cells.size)
             truth.append(GridTrace(f"u{i}", cells, ts))
-            obfuscated.append(ObfuscatedTrace(f"u{i}", np.where(hidden, HIDDEN, cells),
-                                              ts, hidden))
+            obfuscated.append(ObfuscatedTrace(f"u{i}", np.where(hidden, HIDDEN, cells), ts))
         vp = privacy._ViterbiPrior(prior)
         want = [_segment_reconstruct(o, vp, _sparse_viterbi_segment) for o in obfuscated]
         # a 1-byte budget gives each run a chunk of its own; at 100 or 300
         # bytes a state a chunk holds a few short runs, and a run of over 9
         # points overruns the smaller one
         cap = data.draw(st.sampled_from([1, 100 * v, 300 * v, privacy._CHUNK_BYTES]))
+        corpus = _corpus(truth)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(privacy, "_CHUNK_BYTES", cap)
-            got = privacy._reconstruct(obfuscated, privacy._ViterbiPrior(prior))
+            got = privacy._reconstruct(np.concatenate([o.cells for o in obfuscated]),
+                                       corpus.timestamps, corpus.offsets,
+                                       privacy._ViterbiPrior(prior))
             assert np.array_equal(got, np.concatenate(want))
             mask = np.concatenate([o.hidden_mask for o in obfuscated])
             if mask.any():
                 hits = sum(int(np.sum(w[o.hidden_mask] == t.cells[o.hidden_mask]))
                            for w, o, t in zip(want, obfuscated, truth))
-                assert sequence_attack(_corpus(truth), obfuscated, prior) == hits / int(mask.sum())
+                assert sequence_attack(corpus, obfuscated, prior) == hits / int(mask.sum())
 
 
 def visit_frequency(trace):
@@ -467,6 +465,14 @@ class TestMembership:
         assert result.accuracy > 0.7
         # members sit on their own synthetic twins
         assert np.all(result.member_scores < 1e-12)
+
+    def test_one_member_and_one_nonmember_are_scored_on_calibration(self):
+        # each side's only score goes to the calibration split, which then
+        # stands in for the empty evaluation split
+        syn = _uniform_corpus(20, 5, 50, seed=23)
+        targets = _corpus([syn.traces[0], _trace([99] * 50)])
+        result = membership_attack(syn, targets, 1, np.random.default_rng(0))
+        assert (result.accuracy, result.auc, result.threshold) == (1.0, 1.0, 0.5)
 
     def test_uninformative_synthetic_gives_chance_auc(self):
         syn = _uniform_corpus(200, 30, 200, seed=14)
