@@ -15,8 +15,8 @@ from datetime import datetime
 import numpy as np
 
 from . import dataio, generators, metrics, privacy
-from .errors import (DomainError, FormatVersionError, IncompatibilityError,
-                     InsufficientDataError, ParseError)
+from .errors import (DomainError, IncompatibilityError, InsufficientDataError,
+                     ParseError)
 from .geogrid import GridSpec
 
 logger = logging.getLogger(__name__)
@@ -33,7 +33,6 @@ EXIT_NOT_FOUND = 6
 
 _EXIT_CODES = (
     (ParseError, EXIT_PARSE),
-    (FormatVersionError, EXIT_INCOMPATIBLE),
     (IncompatibilityError, EXIT_INCOMPATIBLE),
     (InsufficientDataError, EXIT_DOMAIN),
     (DomainError, EXIT_DOMAIN),
@@ -105,11 +104,19 @@ def _grid_spec(args) -> GridSpec:
 def _require_seed(args) -> int:
     if args.seed is None:
         raise DomainError("--seed is mandatory for this command")
-    return int(args.seed)
+    return _non_negative_seed("--seed", args.seed)
+
+
+def _non_negative_seed(flag: str, seed: int) -> int:
+    if seed < 0:  # numpy seeds its generators with non-negative integers only
+        raise DomainError(f"{flag} must be >= 0, got {seed}")
+    return int(seed)
 
 
 def _outdir(args) -> str:
-    outdir = os.environ.get(OUTDIR_ENV) or getattr(args, "outdir", None)
+    """The report directory: --outdir or its config key, else $MOBSYNTH_OUTDIR,
+    else a new timestamped directory under runs/."""
+    outdir = getattr(args, "outdir", None) or os.environ.get(OUTDIR_ENV)
     if not outdir:
         outdir = os.path.join("runs", datetime.now().strftime("run_%Y%m%d_%H%M%S"))
     os.makedirs(outdir, exist_ok=True)
@@ -122,10 +129,12 @@ def _outdir(args) -> str:
 
 def cmd_simulate(args) -> int:
     spec = _grid_spec(args)
+    seed = _require_seed(args)
+    if args.population_seed is not None:
+        _non_negative_seed("--population-seed", args.population_seed)
     corpus = dataio.simulate_ground_truth(
         spec, n_users=args.users, trace_len=args.steps, n_hotspots=args.hotspots,
-        seed=_require_seed(args), sampling_period=args.period,
-        start_time=args.start_time,
+        seed=seed, sampling_period=args.period, start_time=args.start_time,
         population_seed=args.population_seed)
     dataio.save_corpus(corpus, args.out)
     print(f"simulated corpus: {len(corpus)} traces x {args.steps} steps -> {args.out}")
@@ -208,7 +217,7 @@ def cmd_evaluate(args) -> int:
         "timings": timings,
     }
     report_path = os.path.join(outdir, "report.json")
-    dataio.save_report(report, report_path)
+    dataio.write_json(report, report_path, indent=1)
     _write_plotting_csvs(outdir, top, mmd, mi_real, mi_syn)
     print(f"evaluation report -> {report_path}")
     return EXIT_OK

@@ -161,7 +161,7 @@ class KernelPairCopula:
     # -- h-functions ------------------------------------------------------
 
     def h_u_given_v(self, u, v):
-        """Conditional CDF P(U <= u | V = v); vectorized over same-shape inputs."""
+        """Conditional CDF P(U <= u | V = v) of 1-d arrays u and v of one length."""
         return self._per_row(u, v, 1, self._h_rows)
 
     def h_v_given_u(self, v, u):
@@ -215,7 +215,7 @@ class KernelPairCopula:
         self._axis_cache[cond_axis] = cached
         return cached
 
-    def _row_windows(self, flat_cond, cond_axis, tail):
+    def _row_windows(self, cond, cond_axis, tail):
         """Yield (rows, others, first, weights, width) blocks that cover each
         row once.
 
@@ -244,7 +244,7 @@ class KernelPairCopula:
         a block of their own saves more than ``_BLOCK_COST`` padded
         elements.
         """
-        z = _to_scores(np.asarray(flat_cond, dtype=float).reshape(-1))
+        z = _to_scores(cond)
         if not z.size:
             return
         b = self.bandwidth
@@ -303,21 +303,19 @@ class KernelPairCopula:
             yield rows[block], others, lo[block], w, n
 
     def _per_row(self, x, cond, cond_axis, kernel, tail=1e-10):
-        """The per-row loop shared by h, h-inverse and draws: broadcast x
-        against cond, evaluate ``kernel(x_rows, others, first, weights,
-        width)`` on each block of :meth:`_row_windows`, clip to
-        [1e-12, 1 - 1e-12] and return the broadcast shape (a float for
-        scalar inputs)."""
+        """The per-row loop shared by h, h-inverse and draws: evaluate
+        ``kernel(x_rows, others, first, weights, width)`` on each block of
+        :meth:`_row_windows` and clip to [1e-12, 1 - 1e-12].  ``x`` and ``cond``
+        must be 1-d arrays of one length; any other shape is a DomainError."""
         x = np.asarray(x, dtype=float)
         cond = np.asarray(cond, dtype=float)
-        shape = np.broadcast(x, cond).shape
-        flat_x = np.broadcast_to(x, shape).reshape(-1)
-        out = np.empty(flat_x.size)
-        for rows, *block in self._row_windows(
-                np.broadcast_to(cond, shape).reshape(-1), cond_axis, tail):
-            out[rows] = kernel(flat_x[rows], *block)
-        out = np.clip(out, 1e-12, 1.0 - 1e-12)
-        return out.reshape(shape) if shape else float(out[0])
+        if x.ndim != 1 or x.shape != cond.shape:
+            raise DomainError("pair-copula arguments must be two 1-d arrays of one length, "
+                              f"got shapes {x.shape} and {cond.shape}")
+        out = np.empty(x.size)
+        for rows, *block in self._row_windows(cond, cond_axis, tail):
+            out[rows] = kernel(x[rows], *block)
+        return np.clip(out, 1e-12, 1.0 - 1e-12)
 
     def _h_rows(self, x, others, first, w, n):
         arg = np.empty_like(w)
@@ -522,14 +520,8 @@ def _next_level(level, left, right):
     return new_left, new_right
 
 
-def default_trunc_level(d: int) -> int:
-    """Full depth up to 4 variables, depth 3 beyond (deeper kernel fits are
-    noise-dominated at desk scale)."""
-    return d - 1 if d <= 4 else 3
-
-
-def vine_fit(data, trunc_level=None, max_scores=1000,
-             bandwidth_scale=1.0, var_names=None) -> VineModel:
+def vine_fit(data, *, trunc_level, max_scores, bandwidth_scale,
+             var_names=None) -> VineModel:
     """Fit a D-vine with the column order as path order.
 
     Tree 1 pairs adjacent columns; deeper trees use the sequential
@@ -550,8 +542,6 @@ def vine_fit(data, trunc_level=None, max_scores=1000,
             name = var_names[j] if var_names else f"column {j}"
             raise DomainError(f"{name} is constant; cannot fit a margin")
 
-    if trunc_level is None:
-        trunc_level = default_trunc_level(d)
     if trunc_level < 1:
         raise DomainError(f"trunc_level must be >= 1, got {trunc_level}")
     trunc_level = min(trunc_level, d - 1)

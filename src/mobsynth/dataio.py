@@ -131,6 +131,15 @@ def time_grid(start_time: int, sampling_period: int, n: int) -> np.ndarray:
     return start_time + sampling_period * np.arange(n, dtype=np.int64)
 
 
+def check_grid_size(n_traces: int, trace_len: int) -> None:
+    """A DomainError where n_traces traces of trace_len points would hold more
+    than MAX_GRID_POINTS, raised before the simulator or a generator
+    allocates them."""
+    if n_traces * trace_len > MAX_GRID_POINTS:
+        raise DomainError(f"{n_traces} traces x {trace_len} points is more than the "
+                          f"{MAX_GRID_POINTS} grid points a corpus holds")
+
+
 def hour_of_day(timestamps) -> np.ndarray:
     """Fractional hour in [0, 24) for epoch-second timestamps."""
     return (np.asarray(timestamps) % SECONDS_PER_DAY) / 3600.0
@@ -149,8 +158,8 @@ def ingest(csv_source, spec: GridSpec, sampling_period: int) -> Corpus:
     Out-of-bounds points are dropped and counted; users left with fewer than
     two points are dropped with a warning.
     """
-    if sampling_period <= 0:
-        raise DomainError(f"sampling_period must be positive, got {sampling_period}")
+    if not 0 < sampling_period <= _INT64_MAX:
+        raise DomainError(f"sampling_period must be in [1, 2^63 - 1], got {sampling_period}")
     return _regularize(_inside(_read_points(csv_source, len(CSV_HEADER)), spec), spec,
                        int(sampling_period))
 
@@ -487,6 +496,7 @@ class GroundTruthSimulator:
             raise DomainError(f"need at least 2 hotspots, got {n_hotspots}")
         if n_hotspots > spec.n_cells:
             raise DomainError("more hotspots than grid cells")
+        check_grid_size(n_users, 1)  # every user's trace holds a point
         self.spec = spec
         self.params = params or SimulatorParams()
         pop_rng = np.random.default_rng(seed if population_seed is None else population_seed)
@@ -570,6 +580,7 @@ class GroundTruthSimulator:
             raise DomainError("trace_len must be >= 1")
         if sampling_period <= 0:
             raise DomainError(f"sampling_period must be positive, got {sampling_period}")
+        check_grid_size(self.n_users, trace_len)
         timestamps = time_grid(start_time, sampling_period, trace_len)
         states = self.homes
         path = np.empty((self.n_users, trace_len), dtype=np.int64)
@@ -683,16 +694,6 @@ def load_model(path):
         raise ParseError(f"model file is missing key {exc}") from exc
 
 
-REPORT_BLOCKS = ("topn", "mmd", "mi_decay", "privacy")
-
-
-def save_report(report: dict, path) -> None:
-    missing = [b for b in REPORT_BLOCKS if b not in report]
-    if missing:
-        raise DomainError(f"report is missing metric blocks: {missing}")
-    write_json(report, path, indent=1)
-
-
 def write_json(envelope: dict, path, indent=None) -> None:
     """Every JSON file the package writes: ``envelope`` stamped with
     ``format_version``, keys sorted, and one final newline."""
@@ -735,7 +736,8 @@ def write_table(path, header, rows) -> None:
 def _read_header(envelope):
     """Grid spec and sampling period of a corpus sidecar or model file, checked."""
     return (GridSpec.from_dict(envelope.get("grid_spec")),
-            read_scalar(envelope, "sampling_period", int, "an integer > 0", lambda x: x > 0))
+            read_scalar(envelope, "sampling_period", int, "an integer in [1, 2^63 - 1]",
+                        lambda x: 0 < x <= _INT64_MAX))
 
 
 def read_scalar(obj, name: str, kinds, expected: str, valid=None):

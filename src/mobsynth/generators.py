@@ -19,6 +19,9 @@ from .errors import (DomainError, IncompatibilityError, InsufficientDataError,
                      ParseError)
 
 HOURS_PER_DAY = 24
+# one time bucket per second of the day: timestamps are whole seconds, so a
+# finer bucket could hold no timestamp of its own
+MAX_TIME_BUCKETS = dataio.SECONDS_PER_DAY
 # cells of one (traces x alphabet) block of Markov draws, about 32 MB
 _CHUNK_CELLS = 1 << 22
 
@@ -63,8 +66,9 @@ class MarkovGenerator:
             alpha: float = 0.01) -> "MarkovGenerator":
         if not len(corpus):
             raise InsufficientDataError("corpus is empty")
-        if time_buckets < 1:
-            raise DomainError(f"time_buckets must be >= 1, got {time_buckets}")
+        if not 1 <= time_buckets <= MAX_TIME_BUCKETS:
+            raise DomainError(f"time_buckets must be in [1, {MAX_TIME_BUCKETS}], "
+                              f"got {time_buckets}")
         alphabet, sym = np.unique(corpus.cells, return_inverse=True)
         buckets = _bucket_of(corpus.timestamps, time_buckets)
         pos = corpus.trace_positions()
@@ -147,6 +151,7 @@ class MarkovGenerator:
             raise DomainError(f"n_traces must be >= 1, got {n_traces}")
         if trace_len < 1:
             raise DomainError("trace_len must be >= 1")
+        dataio.check_grid_size(n_traces, trace_len)
         v = self.alphabet.size
         timestamps = dataio.time_grid(start_time, self.sampling_period, trace_len)
         buckets = _bucket_of(timestamps, self.time_buckets)
@@ -180,7 +185,8 @@ class MarkovGenerator:
         order = dataio.read_scalar(payload, "payload.order", int, "an integer >= 0",
                                    lambda x: x >= 0)
         time_buckets = dataio.read_scalar(payload, "payload.time_buckets", int,
-                                          "an integer >= 1", lambda x: x >= 1)
+                                          f"an integer in [1, {MAX_TIME_BUCKETS}]",
+                                          lambda x: 1 <= x <= MAX_TIME_BUCKETS)
         alpha = dataio.read_scalar(payload, "payload.alpha", (int, float), "a number")
         alphabet = dataio.read_array(payload, "payload.alphabet", "iu", 1).astype(np.int64)
         if (alphabet.size == 0 or np.any(np.diff(alphabet) <= 0) or alphabet[0] < 0
@@ -314,7 +320,7 @@ class VineGenerator:
             keep = np.linspace(0, data.shape[0] - 1, max_rows).astype(int)
             data = data[keep]
         vine = copula.vine_fit(data, trunc_level=d - 1, max_scores=max_scores,
-                               bandwidth_scale=bandwidth_scale, var_names=_var_names(w)[-d:])
+                               bandwidth_scale=bandwidth_scale, var_names=_var_names(d))
 
         start_windows = cls._collect_start_windows(corpus, w)
         return cls(corpus.spec, corpus.sampling_period, w, vine, start_windows)
@@ -366,6 +372,7 @@ class VineGenerator:
         w = self.window
         if trace_len < w + 1:
             raise DomainError(f"trace_len must be >= window+1 = {w + 1}, got {trace_len}")
+        dataio.check_grid_size(n_traces, trace_len)
         rng = np.random.default_rng(seed)
         spec = self.spec
         timestamps = dataio.time_grid(start_time, self.sampling_period, trace_len)
@@ -391,7 +398,7 @@ class VineGenerator:
     def to_payload(self) -> dict:
         return {
             "window": self.window,
-            "var_names": _var_names(self.window)[-self.vine.dim:],
+            "var_names": _var_names(self.vine.dim),
             "margins": [dataio.encode_array(m.sorted_sample) for m in self.vine.margins],
             "trees": [[{"scores": dataio.encode_array(e.scores), "bandwidth": e.bandwidth}
                        for e in level] for level in self.vine.trees],
@@ -402,11 +409,12 @@ class VineGenerator:
     def from_payload(cls, spec, sampling_period, payload) -> "VineGenerator":
         w = dataio.read_scalar(payload, "payload.window", int, "an integer >= 1",
                                lambda x: x >= 1)
-        names = _var_names(w)
         # the vine covers the last d path variables (all w + 2 in older files)
-        d = len(dataio.read_scalar(payload, "payload.var_names", list,
-                                   f"the last 2 to {w + 2} names of window {w}, {names}",
-                                   lambda x: 2 <= len(x) <= w + 2 and x == names[-len(x):]))
+        names = dataio.read_scalar(payload, "payload.var_names", list, "a list of names")
+        d = min(max(len(names), 2), w + 2)
+        if names != _var_names(d):
+            raise ParseError(f"payload.var_names: expected the last 2 to {w + 2} names of "
+                             f"window {w}, here {_var_names(d)}, got {names!r:.80}")
         margins = dataio.read_scalar(payload, "payload.margins", list,
                                      f"a list of {d} margins, one per var_name",
                                      lambda x: len(x) == d)
@@ -426,10 +434,10 @@ class VineGenerator:
         return cls(spec, sampling_period, w, vine, starts)
 
 
-def _var_names(w: int) -> list:
-    """The path variables for lag window ``w``, in order; a vine model covers
-    the last of them."""
-    return [f"pos_lag{w - k}" for k in range(w - 1)] + ["time_of_day", "pos_lag1", "pos"]
+def _var_names(d: int) -> list:
+    """The last d path variables, in order, which a vine model covers.  For
+    any lag window w >= d - 2 they are the same names, so w never enters."""
+    return [f"pos_lag{k}" for k in range(d - 2, 1, -1)] + ["time_of_day", "pos_lag1", "pos"][-d:]
 
 
 def _read_tree(trees, where: str) -> list:

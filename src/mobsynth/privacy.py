@@ -360,8 +360,8 @@ class MembershipResult:
     accuracy: float
     auc: float
     threshold: float
-    member_scores: np.ndarray = field(default_factory=lambda: np.empty(0))
-    nonmember_scores: np.ndarray = field(default_factory=lambda: np.empty(0))
+    member_scores: np.ndarray
+    nonmember_scores: np.ndarray
 
     def to_dict(self) -> dict:
         return {"accuracy": self.accuracy, "auc": self.auc, "threshold": self.threshold}

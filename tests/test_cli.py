@@ -77,6 +77,17 @@ class TestSimulate:
         assert "start_time" in capsys.readouterr().err
         assert not out.exists()
 
+    # 74.5 GiB of cells, and more users than a corpus has grid points
+    @pytest.mark.parametrize("users, steps", [("100000", "100000"),
+                                              ("100000000000000000000", "2")])
+    def test_corpus_past_max_grid_points_is_domain_error(self, tmp_path, capsys,
+                                                         users, steps):
+        out = tmp_path / "x.csv"
+        assert run("--seed", "1", "simulate", "--out", str(out), "--users", users,
+                   "--steps", steps) == EXIT_DOMAIN
+        assert "100000000 grid points" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bbox, message", [("-inf,inf,0,1", "need finite lat_min"),
                                                ("0,1,0,nan", "need finite lon_min"),
                                                ("a,b,c,d", "--bbox expects"),
@@ -132,6 +143,13 @@ class TestIngest:
                    "--out", str(tmp_path / "o.csv")) == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert "'u1'" in err and "15372286728091292 grid points" in err
+
+    def test_period_past_int64_is_domain_error(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "o.csv"
+        assert run("ingest", "--input", str(corpus_file), "--out", str(out),
+                   "--period", "100000000000000000000") == EXIT_DOMAIN
+        assert "sampling_period must be in [1, 2^63 - 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exit_code(self, tmp_path):
         assert run("ingest", "--input", str(tmp_path / "nope.csv"),
@@ -207,6 +225,15 @@ class TestFitGenerate:
         assert "time_buckets" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("buckets", ["86401", "100000000000000000000"])
+    def test_time_buckets_finer_than_a_second_is_domain_error(self, tmp_path, corpus_file,
+                                                              capsys, buckets):
+        model = tmp_path / "m.json"
+        assert run("fit", "--corpus", str(corpus_file), "--model-type", "markov",
+                   "--time-buckets", buckets, "--out", str(model)) == EXIT_DOMAIN
+        assert "time_buckets must be in [1, 86400]" in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("flags, name", [
         (["--max-scores", "1"], "max_scores"),
         (["--max-rows", "-1"], "max_rows"),
@@ -233,7 +260,10 @@ class TestFitGenerate:
                                         "sampling_period_missing", "envelope_list",
                                         "alphabet_2d", "alphabet_float",
                                         "alphabet_unsorted", "alphabet_duplicate",
-                                        "alphabet_past_grid"])
+                                        "alphabet_past_grid", "time_buckets_huge",
+                                        "bucket_past_time_buckets", "global_counts_short",
+                                        "global_counts_negative", "no_payload",
+                                        "no_model_type"])
     def test_malformed_model_is_parse_error(self, tmp_path, corpus_file, damage,
                                             capsys):
         model = tmp_path / "m.json"
@@ -263,6 +293,20 @@ class TestFitGenerate:
             payload["order"] = "one"
         elif damage == "time_buckets_zero":
             payload["time_buckets"] = 0
+        elif damage == "time_buckets_huge":
+            payload["time_buckets"] = 10 ** 20
+        elif damage == "bucket_past_time_buckets":
+            order1[-1, 0] = payload["time_buckets"]
+            payload["counts"][1] = dataio.encode_array(order1)
+        elif damage.startswith("global_counts_"):
+            counts = dataio.decode_array(payload["global_counts"])
+            if damage == "global_counts_short":
+                counts = counts[:-1]
+            else:
+                counts[0] = -1
+            payload["global_counts"] = dataio.encode_array(counts)
+        elif damage.startswith("no_"):
+            del envelope[damage[3:]]
         elif damage == "alpha_string":
             payload["alpha"] = "0.01"
         elif damage == "alpha_negative":
@@ -298,6 +342,12 @@ class TestFitGenerate:
                    "--trace-len", "10") == EXIT_PARSE
         field = {"order_not_integer": "payload.order",
                  "time_buckets_zero": "payload.time_buckets",
+                 "time_buckets_huge": "payload.time_buckets: expected an integer in [1, 86400]",
+                 "bucket_past_time_buckets": "payload.counts[1]: bucket outside [0, 24)",
+                 "global_counts_short": "payload.global_counts",
+                 "global_counts_negative": "payload.global_counts",
+                 "no_payload": "missing key 'payload'",
+                 "no_model_type": "missing key 'model_type'",
                  "alpha_string": "payload.alpha", "alpha_negative": "payload.alpha",
                  "level_string": "grid_spec.level",
                  "sampling_period_string": "sampling_period",
@@ -313,8 +363,14 @@ class TestFitGenerate:
         ("trees_not_list", "payload.trees"),
         ("tree_short", "payload.trees"),
         ("scores_shape", "payload.trees[1][0].scores"),
+        ("scores_3_columns", "payload.trees[0][0]: scores"),
+        ("scores_nan", "payload.trees[0][0]: scores"),
+        ("scores_no_rows", "payload.trees[0][0]: scores"),
         ("window_string", "payload.window"),
         ("window_9", "payload.start_windows"),
+        # once every path variable of the window got a name: 10^20 ran for minutes
+        ("window_1e12", "payload.start_windows"),
+        ("window_1e20", "payload.start_windows"),
         ("margins_short", "payload.margins"),
         ("margin_nan", "payload.margins[2]"),
         ("var_names_renamed", "payload.var_names"),
@@ -341,10 +397,21 @@ class TestFitGenerate:
         elif damage == "scores_shape":
             edge = payload["trees"][1][0]
             edge["scores"] = dataio.encode_array(dataio.decode_array(edge["scores"]).ravel())
+        elif damage.startswith("scores_"):
+            edge = payload["trees"][0][0]
+            scores = dataio.decode_array(edge["scores"])
+            if damage == "scores_3_columns":
+                scores = np.column_stack([scores, scores[:, 0]])
+            elif damage == "scores_nan":
+                scores[0, 1] = np.nan
+            else:
+                scores = scores[:0]
+            edge["scores"] = dataio.encode_array(scores)
         elif damage == "window_string":
             payload["window"] = "a"
-        elif damage == "window_9":
-            payload["window"] = 9
+        elif damage.startswith("window_"):
+            payload["window"] = {"window_9": 9, "window_1e12": 10 ** 12,
+                                 "window_1e20": 10 ** 20}[damage]
         elif damage == "margins_short":
             payload["margins"].pop()
         elif damage == "margin_nan":
@@ -421,6 +488,24 @@ class TestFitGenerate:
         assert field in capsys.readouterr().err
         assert not syn.exists()
 
+    @pytest.mark.parametrize("model_type", ["markov", "vine"])
+    @pytest.mark.parametrize("n_traces, trace_len", [("1000000", "1000000"),
+                                                     ("100000000000000000000", "10")])
+    def test_corpus_past_max_grid_points_is_domain_error(self, tmp_path, corpus_file,
+                                                         vine_model_text, capsys,
+                                                         model_type, n_traces, trace_len):
+        model, syn = tmp_path / "m.json", tmp_path / "syn.csv"
+        if model_type == "vine":
+            model.write_text(vine_model_text)
+        else:
+            assert run("fit", "--corpus", str(corpus_file), "--model-type", "markov",
+                       "--out", str(model)) == EXIT_OK
+        capsys.readouterr()
+        assert run("--seed", "3", "generate", "--model", str(model), "--out", str(syn),
+                   "--n-traces", n_traces, "--trace-len", trace_len) == EXIT_DOMAIN
+        assert "100000000 grid points" in capsys.readouterr().err
+        assert not syn.exists()
+
     def test_model_not_found(self, tmp_path):
         assert run("--seed", "1", "generate", "--model",
                    str(tmp_path / "nope.json"), "--out",
@@ -452,12 +537,39 @@ def _targets_file(tmp_path, member_corpus, nonmember_corpus):
     return path
 
 
+class TestSeed:
+    @pytest.mark.parametrize("command", ["simulate", "population", "fit", "generate",
+                                         "evaluate", "attack"])
+    def test_negative_seed_is_domain_error(self, tmp_path, corpus_file, vine_model_text,
+                                           capsys, command):
+        model, out = tmp_path / "vine.json", tmp_path / "out"
+        model.write_text(vine_model_text)
+        argv = {
+            "simulate": ["--seed", "-1", "simulate", "--out", str(out)],
+            "population": ["--seed", "1", "simulate", "--out", str(out),
+                           "--population-seed", "-1"],
+            "fit": ["--seed", "-1", "fit", "--corpus", str(corpus_file), "--out", str(out)],
+            "generate": ["--seed", "-1", "generate", "--model", str(model), "--out",
+                         str(out), "--n-traces", "2", "--trace-len", "10"],
+            "evaluate": ["--seed", "-1", "evaluate", "--real", str(corpus_file), "--syn",
+                         str(corpus_file), "--outdir", str(out)],
+            "attack": ["--seed", "-1", "attack", "--syn", str(corpus_file), "--targets",
+                       str(corpus_file), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv) == EXIT_DOMAIN
+        flag = "--population-seed" if command == "population" else "--seed"
+        assert f"{flag} must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCorpusSidecar:
     @pytest.mark.parametrize("damage, field", [
         ("no_grid_spec", "grid_spec"),
         ("no_sampling_period", "sampling_period"),
         ("sampling_period_string", "sampling_period"),
         ("sampling_period_zero", "sampling_period"),
+        ("sampling_period_past_int64", "sampling_period: expected an integer in [1, 2^63 - 1]"),
         ("level_string", "grid_spec.level"),
         ("level_too_high", "level must be"),
         ("lat_min_missing", "grid_spec.lat_min"),
@@ -475,6 +587,8 @@ class TestCorpusSidecar:
             meta["sampling_period"] = "abc"
         elif damage == "sampling_period_zero":
             meta["sampling_period"] = 0
+        elif damage == "sampling_period_past_int64":
+            meta["sampling_period"] = 10 ** 20
         elif damage == "level_string":
             meta["grid_spec"]["level"] = "x"
         elif damage == "level_too_high":
@@ -567,6 +681,23 @@ class TestEvaluate:
                    "--syn", str(syn), "--tau-max", "4",
                    "--n-permutations", "10") == EXIT_OK
         assert (outdir / "report.json").exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_outdir_option_wins_over_env(self, tmp_path, corpus_file, monkeypatch, given):
+        syn = _make_syn(tmp_path, corpus_file)
+        outdir, env_dir = tmp_path / "given", tmp_path / "env_out"
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(env_dir))
+        argv = ["--seed", "6", "evaluate", "--real", str(corpus_file), "--syn", str(syn),
+                "--tau-max", "4", "--n-permutations", "10"]
+        if given == "flag":
+            argv += ["--outdir", str(outdir)]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"outdir = {outdir}\n")
+            argv = ["--config", str(config)] + argv
+        assert run(*argv) == EXIT_OK
+        assert (outdir / "report.json").exists()
+        assert not env_dir.exists()
 
     def test_spec_mismatch_is_incompatible(self, tmp_path, corpus_file):
         other = tmp_path / "other.csv"

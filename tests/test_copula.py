@@ -12,7 +12,7 @@ from scipy.stats import kendalltau, kstest
 from mobsynth import copula
 from mobsynth.copula import (EmpiricalMargin, KernelPairCopula, VineModel,
                              _invert_mixture, _ndtr, _row_sum, _to_scores,
-                             default_trunc_level, pseudo_observations, vine_fit)
+                             pseudo_observations, vine_fit)
 from mobsynth.errors import DomainError, InsufficientDataError
 
 
@@ -152,6 +152,19 @@ class TestKernelPairCopula:
         c = KernelPairCopula(np.array([[0.0, 0.0], [1.0, 1.0]]), 0.5)
         with pytest.raises(DomainError):
             getattr(c, method)(np.array([0.5, np.nan]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("method", ["h_u_given_v", "h_v_given_u",
+                                        "h_inverse_u_given_v", "h_inverse_v_given_u",
+                                        "sample_v_given_u", "sample_u_given_v"])
+    @pytest.mark.parametrize("x, cond", [
+        (0.5, 0.5), (0.5, np.array([0.5, 0.6])), (np.array([0.5, 0.6]), 0.5),
+        (np.full((2, 2), 0.5), np.full((2, 2), 0.5)),
+        (np.array([0.5, 0.6]), np.array([0.5, 0.6, 0.7])),
+    ], ids=["scalars", "scalar_x", "scalar_cond", "2d", "mismatched"])
+    def test_only_two_1d_arrays_of_one_length_are_taken(self, method, x, cond):
+        c = KernelPairCopula(np.array([[0.0, 0.0], [1.0, 1.0]]), 0.5)
+        with pytest.raises(DomainError, match="1-d arrays of one length"):
+            getattr(c, method)(x, cond)
 
     def test_independence_density_near_one(self):
         u, v = gaussian_copula_sample(0.0, 4000, seed=3)
@@ -458,25 +471,20 @@ class TestVine:
             x[i] = phi * x[i - 1] + math.sqrt(1 - phi * phi) * rng.normal()
         return np.column_stack([x[k:n + k] for k in range(d)])
 
-    def test_default_trunc_level(self):
-        assert default_trunc_level(2) == 1
-        assert default_trunc_level(4) == 3
-        assert default_trunc_level(6) == 3
-        assert default_trunc_level(10) == 3
-
     def test_fit_validation(self):
         with pytest.raises(InsufficientDataError):
-            vine_fit(np.random.default_rng(0).normal(size=(50, 3)))
+            vine_fit(np.random.default_rng(0).normal(size=(50, 3)), trunc_level=2,
+                     max_scores=1000, bandwidth_scale=1.0)
         data = np.random.default_rng(0).normal(size=(200, 3))
         data[:, 1] = 4.2
         with pytest.raises(DomainError):
-            vine_fit(data)
+            vine_fit(data, trunc_level=2, max_scores=1000, bandwidth_scale=1.0)
 
     def test_conditional_sample_tracks_ar1(self):
         # E[x_d | x_{d-1} = c] = phi * c for the AR(1) oracle
         phi = 0.7
         data = self._ar1_data(4000, phi, seed=17)
-        model = vine_fit(data, max_scores=400)
+        model = vine_fit(data, trunc_level=3, max_scores=400, bandwidth_scale=1.0)
         rng = np.random.default_rng(18)
         for c in (-1.0, 0.0, 1.5):
             draws = model.conditional_sample(np.tile([0.0, phi * c, c], (400, 1)), rng)
@@ -499,20 +507,20 @@ class TestVine:
 
     def test_conditional_sample_shape_checks(self):
         data = np.random.default_rng(21).normal(size=(300, 3))
-        model = vine_fit(data, max_scores=200)
+        model = vine_fit(data, trunc_level=2, max_scores=200, bandwidth_scale=1.0)
         for cond in (np.zeros((4, 1)), np.zeros((4, 3)), np.zeros(2)):
             with pytest.raises(DomainError):
                 model.conditional_sample(cond, np.random.default_rng(0))
 
     def test_truncation_drops_deep_trees(self):
         data = self._ar1_data(800, 0.5, seed=22, d=6)
-        model = vine_fit(data, max_scores=200)
+        model = vine_fit(data, trunc_level=3, max_scores=200, bandwidth_scale=1.0)
         assert model.depth == 3
         assert model.dim == 6
 
     def test_payload_roundtrip(self):
         data = self._ar1_data(500, 0.6, seed=23)
-        model = vine_fit(data, max_scores=150)
+        model = vine_fit(data, trunc_level=3, max_scores=150, bandwidth_scale=1.0)
         # what a model file keeps: each margin's sorted sample, each edge's
         # scores and bandwidth
         rebuilt = VineModel(
@@ -560,7 +568,7 @@ class TestHRecursionExactness:
     def test_matches_memo_reference_at_every_depth(self, d):
         rng = np.random.default_rng(30 + d)
         data = rng.normal(size=(150, d)).cumsum(axis=1)
-        full = vine_fit(data, trunc_level=d - 1, max_scores=60)
+        full = vine_fit(data, trunc_level=d - 1, max_scores=60, bandwidth_scale=1.0)
         cond = data[:40, :-1]
         u_cond = np.column_stack([np.clip(full.margins[j].pit(cond[:, j]), 1e-9, 1 - 1e-9)
                                   for j in range(d - 1)])

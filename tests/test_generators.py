@@ -338,6 +338,16 @@ class TestVineGenerator:
         with pytest.raises(InsufficientDataError):
             VineGenerator.fit(tiny, window=4)
 
+    def test_max_rows_thins_the_fit_rows_evenly(self):
+        corpus = simulate_ground_truth(SPEC, 8, 250, 10, seed=3)
+        model = VineGenerator.fit(corpus, window=4, max_scores=200, max_rows=150, seed=0)
+        rows = VineGenerator._path_rows(corpus, 4, 3, np.random.default_rng(0))
+        assert rows.shape[0] > 150
+        kept = rows[np.linspace(0, rows.shape[0] - 1, 150).astype(int)]
+        for j, margin in enumerate(model.vine.margins):
+            assert margin.n == 150
+            assert np.array_equal(margin.sorted_sample, np.sort(kept[:, j]))
+
     def test_generated_corpus_shape(self, fitted):
         syn = fitted.generate(5, 60, 0, seed=4)
         assert len(syn) == 5
