@@ -159,6 +159,12 @@ def cmd_fit(args) -> int:
             bandwidth_scale=args.bandwidth_scale, max_rows=args.max_rows,
             seed=_require_seed(args))
     else:  # "markov": argparse and _apply_config admit no other choice
+        longest = int(np.diff(corpus.offsets).max(initial=0))
+        if 0 < longest <= args.order:
+            # the model would hold one count table per order, all past
+            # longest - 1 of them empty (an empty corpus fails in fit)
+            raise DomainError(f"--order {args.order} must be below the longest trace's "
+                              f"length {longest}: no transition of that order exists")
         model = generators.MarkovGenerator.fit(
             corpus, order=args.order, time_buckets=args.time_buckets, alpha=args.alpha)
     fit_seconds = time.perf_counter() - t0

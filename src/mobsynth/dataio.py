@@ -121,14 +121,21 @@ def grid_corpus(spec: GridSpec, prefix: str, cells, timestamps, sampling_period)
 
 def time_grid(start_time: int, sampling_period: int, n: int) -> np.ndarray:
     """The n int64 timestamps start_time + k * sampling_period of a generated
-    or simulated trace.  A negative start, or a last timestamp past
-    2^63 - 1, is a DomainError."""
+    or simulated trace.  A negative start, a period outside [1, 2^63 - 1],
+    or a last timestamp past 2^63 - 1, is a DomainError."""
+    check_period(sampling_period)
     if start_time < 0:
         raise DomainError(f"start_time must be >= 0, got {start_time}")
     if int(start_time) + int(sampling_period) * (n - 1) > _INT64_MAX:
         raise DomainError(f"start_time {start_time} puts the last of {n} timestamps "
                           "past 2^63 - 1")
     return start_time + sampling_period * np.arange(n, dtype=np.int64)
+
+
+def check_period(sampling_period: int) -> None:
+    """A sampling period outside [1, 2^63 - 1] is a DomainError."""
+    if not 0 < sampling_period <= _INT64_MAX:
+        raise DomainError(f"sampling_period must be in [1, 2^63 - 1], got {sampling_period}")
 
 
 def check_grid_size(n_traces: int, trace_len: int) -> None:
@@ -158,8 +165,7 @@ def ingest(csv_source, spec: GridSpec, sampling_period: int) -> Corpus:
     Out-of-bounds points are dropped and counted; users left with fewer than
     two points are dropped with a warning.
     """
-    if not 0 < sampling_period <= _INT64_MAX:
-        raise DomainError(f"sampling_period must be in [1, 2^63 - 1], got {sampling_period}")
+    check_period(sampling_period)
     return _regularize(_inside(_read_points(csv_source, len(CSV_HEADER)), spec), spec,
                        int(sampling_period))
 
@@ -578,8 +584,6 @@ class GroundTruthSimulator:
     def simulate(self, trace_len: int, sampling_period: int, start_time: int = 0) -> Corpus:
         if trace_len < 1:
             raise DomainError("trace_len must be >= 1")
-        if sampling_period <= 0:
-            raise DomainError(f"sampling_period must be positive, got {sampling_period}")
         check_grid_size(self.n_users, trace_len)
         timestamps = time_grid(start_time, sampling_period, trace_len)
         states = self.homes

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import copula, dataio, geogrid
+from . import dataio, geogrid
 from .dataio import Corpus, grid_corpus, hour_of_day
 from .errors import (DomainError, IncompatibilityError, InsufficientDataError,
                      ParseError)
@@ -24,6 +24,8 @@ HOURS_PER_DAY = 24
 MAX_TIME_BUCKETS = dataio.SECONDS_PER_DAY
 # cells of one (traces x alphabet) block of Markov draws, about 32 MB
 _CHUNK_CELLS = 1 << 22
+# cells of cached Markov CDF rows, 2 MB, or one block of rows if that is more
+_CACHE_CELLS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +55,15 @@ class MarkovGenerator:
         self.counts = [np.asfortranarray(table, dtype=np.int64) for table in counts]
         self.global_counts = np.asarray(global_counts, dtype=np.int64)
         self._prefixes = [_prefix_keys(table, self.alphabet.size) for table in self.counts]
+        # the tables end to end: counts[k] starts at row base[k], and groups
+        # holds the first row of each (bucket, context) of every order, then
+        # the row count base[-1]
+        self._base = np.cumsum([0] + [len(table) for table in self.counts])
+        self._groups = np.concatenate([b + starts for b, (_, starts)
+                                       in zip(self._base, self._prefixes)]
+                                      + [self._base[-1:]])
+        self._next = np.concatenate([table[:, -2] for table in self.counts])
+        self._count = np.concatenate([table[:, -1] for table in self.counts])
         # a smoothed distribution divides by its count total plus alpha * V;
         # no total exceeds the sum of its table or of the global counts
         largest = max([self.global_counts.sum(dtype=float)]
@@ -89,29 +100,46 @@ class MarkovGenerator:
         """Smoothed next-symbol distribution of each row of an (n, j) block
         of contexts, backing off k, k-1, ..., 0 to its longest suffix seen
         in ``bucket``.  A symbol outside the alphabet is never seen."""
+        return self._rows(self._sources(contexts, bucket))
+
+    def _sources(self, contexts, bucket: int) -> np.ndarray:
+        """The key of the distribution each row of an (n, j) block of
+        contexts draws from, backing off to its longest suffix seen in
+        ``bucket``: ``base[k] + lo`` when that suffix has the rows [lo, hi)
+        of ``counts[k]``, or ``base[-1]`` for the global counts."""
         contexts = np.asarray(contexts, dtype=np.int64)
         j = contexts.shape[1]
-        counts = np.zeros((len(contexts), self.alphabet.size))
+        keys = np.full(len(contexts), self._base[-1])
         todo = np.arange(len(contexts))
         for k in range(min(self.order, j), -1, -1):
-            at, lo, hi = self._seen(k, bucket, contexts[todo, j - k:])
-            rows = _ranges(lo, hi)
-            table = self.counts[k]
-            counts[np.repeat(todo[at], hi - lo), table[rows, -2]] = table[rows, -1]
+            at, lo = self._seen(k, bucket, contexts[todo, j - k:])
+            keys[todo[at]] = self._base[k] + lo
             todo = np.delete(todo, at)
-        counts[todo] = self.global_counts
+        return keys
+
+    def _rows(self, keys: np.ndarray) -> np.ndarray:
+        """The smoothed distribution of each key of :meth:`_sources`.  A row
+        depends on its own counts alone: an exact sum of integer-valued
+        floats and elementwise steps, whatever rows it is built with."""
+        counts = np.zeros((keys.size, self.alphabet.size))
+        table = np.flatnonzero(keys < self._base[-1])
+        lo = keys[table]
+        hi = self._groups[np.searchsorted(self._groups, lo) + 1]
+        rows = _ranges(lo, hi)
+        counts[np.repeat(table, hi - lo), self._next[rows]] = self._count[rows]
+        counts[keys == self._base[-1]] = self.global_counts
         total = counts.sum(axis=1, keepdims=True) + self.alpha * self.alphabet.size
         counts += self.alpha
         return np.divide(counts, total, out=counts)
 
     def _seen(self, k: int, bucket: int, contexts: np.ndarray):
         """The rows of an (m, k) block of contexts seen in ``bucket`` at
-        order k, and the range [lo, hi) of ``counts[k]`` rows each one has."""
+        order k, and the first of the ``counts[k]`` rows each one has."""
         keys, starts = self._prefixes[k]
         v = self.alphabet.size
         g = np.searchsorted(keys[0], bucket)
         if g == keys[0].size or keys[0][g] != bucket:
-            return np.empty((3, 0), dtype=np.int64)
+            return np.empty((2, 0), dtype=np.int64)
         at, rank = np.arange(len(contexts)), np.full(len(contexts), g)
         for col, key in enumerate(keys[1:]):
             x = contexts[at, col]
@@ -120,7 +148,7 @@ class MarkovGenerator:
             hit = (0 <= x) & (x < v) & (rank < key.size)
             hit[hit] = key[rank[hit]] == q[hit]
             at, rank = at[hit], rank[hit]
-        return at, starts[rank], starts[rank + 1]
+        return at, starts[rank]
 
     def transition_matrix(self, bucket: int) -> np.ndarray:
         """Order-1 reduction: smoothed P(next | current, bucket)."""
@@ -159,15 +187,26 @@ class MarkovGenerator:
         # trace i draws one uniform per step from its own stream, so the
         # traces can be drawn in blocks that bound the (traces x V) arrays
         per_block = max(1, _CHUNK_CELLS // v)
+        # the CDF row of each distribution key met so far, built on first use
+        cdf = np.empty((max(_CACHE_CELLS // v, min(n_traces, per_block)), v))
+        slot = np.full(self._base[-1] + 1, -1)
+        used = 0
         for lo in range(0, n_traces, per_block):
             block = sym[lo:lo + per_block]
             u = np.stack([np.random.default_rng([seed, i]).uniform(size=trace_len)
                           for i in range(lo, lo + len(block))])
             for t in range(trace_len):
-                contexts = block[:, max(0, t - self.order):t]
-                cdf = np.cumsum(self._distributions(contexts, int(buckets[t])), axis=1)
-                # rounding can leave cdf[:, -1] below the uniform draw
-                block[:, t] = np.minimum((cdf < u[:, t, None]).sum(axis=1), v - 1)
+                keys = self._sources(block[:, max(0, t - self.order):t], int(buckets[t]))
+                new = np.unique(keys[slot[keys] < 0])
+                if used + new.size > len(cdf):
+                    slot.fill(-1)
+                    used, new = 0, np.unique(keys)
+                if new.size:
+                    np.cumsum(self._rows(new), axis=1, out=cdf[used:used + new.size])
+                    slot[new] = np.arange(used, used + new.size)
+                    used += new.size
+                # rounding can leave a CDF row's last value below the draw
+                block[:, t] = np.minimum((cdf[slot[keys]] < u[:, t, None]).sum(axis=1), v - 1)
         return grid_corpus(self.spec, "syn_", self.alphabet[sym], timestamps, self.sampling_period)
 
     def to_payload(self) -> dict:
@@ -201,7 +240,7 @@ class MarkovGenerator:
 def _prefix_keys(table: np.ndarray, v: int):
     """Ascending keys of the distinct row prefixes (bucket, ctx_1..ctx_j) of
     a sorted order-k count table, one array for each j = 0..k, and the first
-    row of each full (bucket, context) prefix with the row count appended.
+    row of each full (bucket, context) prefix.
 
     A bucket is its own key; a longer prefix's key is the rank of its
     one-shorter prefix among those keys, times v, plus ctx_j.  Looking up a
@@ -216,7 +255,7 @@ def _prefix_keys(table: np.ndarray, v: int):
         new[1:] = key[1:] != key[:-1]
         keys.append(key[new])
         rank = np.cumsum(new) - 1
-    return keys, np.flatnonzero(np.append(new, True))
+    return keys, np.flatnonzero(new)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -306,6 +345,8 @@ class VineGenerator:
     def fit(cls, corpus: Corpus, window: int = 4, trunc_level=2,
             max_scores: int = 25000, bandwidth_scale: float = 0.00625,
             max_rows: int = 25000, seed: int = 0) -> "VineGenerator":
+        from . import copula  # scipy.special: a Markov-only process never loads it
+
         w = int(window)
         if w < 1:
             raise DomainError("window must be >= 1")
@@ -407,6 +448,8 @@ class VineGenerator:
 
     @classmethod
     def from_payload(cls, spec, sampling_period, payload) -> "VineGenerator":
+        from . import copula
+
         w = dataio.read_scalar(payload, "payload.window", int, "an integer >= 1",
                                lambda x: x >= 1)
         # the vine covers the last d path variables (all w + 2 in older files)
@@ -442,6 +485,8 @@ def _var_names(d: int) -> list:
 
 def _read_tree(trees, where: str) -> list:
     """One tree of a vine model file: a list of pair copulas, each checked."""
+    from . import copula
+
     edges = dataio.read_scalar(trees, where, list, "a list of edges")
     level = []
     for i in range(len(edges)):

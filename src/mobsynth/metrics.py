@@ -28,6 +28,8 @@ MI_MIN_SYMBOL_COUNT = 10
 # elements of one block of permutation indicator columns: the cache-sized
 # block cap copula._row_windows uses, 93 permutations at 700 pooled traces
 PERMUTATION_BLOCK = 2 ** 16
+# permutations an MMD test draws at most: a p-value resolution of 1e-6
+MAX_PERMUTATIONS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +198,9 @@ def mmd_test(real: Corpus, syn: Corpus, n_permutations: int = 500,
     """
     if real.sampling_period != syn.sampling_period:
         raise IncompatibilityError("corpora must share the sampling period")
-    if n_permutations < 0:
-        raise DomainError(f"n_permutations must be >= 0, got {n_permutations}")
+    if not 0 <= n_permutations <= MAX_PERMUTATIONS:
+        raise DomainError(f"n_permutations must be in [0, {MAX_PERMUTATIONS}], "
+                          f"got {n_permutations}")
     n, m = len(real), len(syn)
     if n < 5 or m < 5:
         raise InsufficientDataError("mmd_test needs at least 5 traces per side")

@@ -226,9 +226,10 @@ def _reconstruct(cells: np.ndarray, timestamps: np.ndarray, offsets: np.ndarray,
     trace k is rows ``offsets[k]:offsets[k + 1]`` of the columns ``cells``
     (observed cell or HIDDEN) and ``timestamps``, as in a Corpus.
 
-    The free runs of all traces are decoded together: sorted by the time
-    bucket of their first point, longest first, cut into chunks of about
-    ``_CHUNK_BYTES``, and each chunk advanced one position at a time.
+    The free runs of all traces are decoded together, each distinct
+    problem once: sorted by the time bucket of their first point, longest
+    first, cut into chunks of about ``_CHUNK_BYTES``, and each chunk
+    advanced one position at a time.  A repeated run copies the path.
     """
     buckets = _bucket_of(timestamps, vp.prior.time_buckets)
     n = cells.size
@@ -249,16 +250,39 @@ def _reconstruct(cells: np.ndarray, timestamps: np.ndarray, offsets: np.ndarray,
     left = np.where(head[lo], -1, state[lo - 1])
     after = np.minimum(hi, n - 1)
     right = np.where(tail[hi - 1], -1, state[after])
+    # the right anchor's bucket, or -1 when no anchor is pinned there
+    right_bucket = np.where(right >= 0, buckets[after], -1)
 
     length = hi - lo
-    order = np.lexsort((-length, buckets[lo]))
+    first = _first_of_same(buckets, lo, length, left, right, right_bucket)
+    own = first == np.arange(lo.size)
+    distinct = np.flatnonzero(own)
+    order = distinct[np.lexsort((-length[distinct], buckets[lo[distinct]]))]
     size = (4 * length[order] + 64) * vp.alphabet.size
     chunk = (np.cumsum(size) - size) // _CHUNK_BYTES
     for runs in np.split(order, np.flatnonzero(np.diff(chunk)) + 1):
         runs = runs[np.argsort(-length[runs], kind="stable")]
         _decode_chunk(vp, buckets, lo[runs], length[runs], left[runs], right[runs],
-                      buckets[after[runs]], state)
+                      right_bucket[runs], state)
+    # every other run takes the path of the first run of its problem
+    copy = np.flatnonzero(~own)
+    src = lo[first[copy]]
+    state[_ranges(lo[copy], hi[copy])] = state[_ranges(src, src + length[copy])]
     return vp.alphabet[state]
+
+
+def _first_of_same(buckets, lo, length, left, right, right_bucket) -> np.ndarray:
+    """For each free run, the first run that poses the same Viterbi problem:
+    the same anchors, length, bucket at every point and right-anchor bucket.
+    Each run's decode depends on these alone, so the two paths are equal."""
+    first = np.arange(lo.size)
+    by_length = np.argsort(length, kind="stable")
+    for runs in np.split(by_length, np.flatnonzero(np.diff(length[by_length])) + 1):
+        key = np.column_stack([left[runs], right[runs], right_bucket[runs],
+                               buckets[lo[runs, None] + np.arange(length[runs[0]])]])
+        _, at, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        first[runs] = runs[at[inverse]]
+    return first
 
 
 def _decode_chunk(vp, buckets, lo, length, left, right, right_buckets, state) -> None:

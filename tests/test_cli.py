@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mobsynth import cli, dataio, metrics
+from mobsynth import cli, dataio, generators, metrics
 from mobsynth.cli import (EXIT_DOMAIN, EXIT_INCOMPATIBLE, EXIT_NOT_FOUND,
                           EXIT_OK, EXIT_PARSE, EXIT_USAGE, main, read_config)
 from mobsynth.errors import ParseError
@@ -66,6 +66,14 @@ class TestSimulate:
                    "--period", period) == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert "sampling_period" in err and "timestamps" not in err
+        assert not out.exists()
+
+    def test_period_past_int64_with_one_step_is_domain_error(self, tmp_path, capsys):
+        # one timestamp never reaches the period, which is checked all the same
+        out = tmp_path / "x.csv"
+        assert run("--seed", "1", "simulate", "--out", str(out), "--steps", "1",
+                   "--period", "100000000000000000000") == EXIT_DOMAIN
+        assert "sampling_period must be in [1, 2^63 - 1]" in capsys.readouterr().err
         assert not out.exists()
 
     # the last of 3 timestamps 600 s apart is 393 s past 2^63 - 1
@@ -215,6 +223,29 @@ class TestFitGenerate:
             run("--seed", "4", "generate", "--model", str(model),
                 "--out", str(out), "--n-traces", "3", "--trace-len", "50")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("order", ["60", "100000000000000000000"])
+    def test_order_past_the_longest_trace_is_domain_error(self, tmp_path, capsys,
+                                                          monkeypatch, order):
+        # 60 steps hold transitions of order 59 at most; the larger order
+        # built one count table per order and ran for minutes
+        corpus, model = tmp_path / "real.csv", tmp_path / "m.json"
+        assert run("--seed", "1", "simulate", "--out", str(corpus), "--users", "4",
+                   "--steps", "60", "--hotspots", "8") == EXIT_OK
+        assert run("fit", "--corpus", str(corpus), "--model-type", "markov",
+                   "--order", "59", "--out", str(model)) == EXIT_OK
+        model.unlink()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the order is refused before the fit starts")
+
+        monkeypatch.setattr(generators.MarkovGenerator, "fit", no_fit)
+        capsys.readouterr()
+        assert run("fit", "--corpus", str(corpus), "--model-type", "markov",
+                   "--order", order, "--out", str(model)) == EXIT_DOMAIN
+        assert f"--order {order} must be below the longest trace's length 60" in \
+            capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize("buckets", ["0", "-3"])
     def test_non_positive_time_buckets_is_domain_error(self, tmp_path, corpus_file,
@@ -623,6 +654,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("flags, name", [(["--topn", "0"], "topn"),
                                              (["--n-permutations", "-1"], "n_permutations"),
+                                             (["--n-permutations", "100000000000000000000"],
+                                              "n_permutations must be in [0, 1000000]"),
                                              (["--tau-max", "0"], "tau_max")])
     def test_flag_outside_domain_is_domain_error(self, tmp_path, corpus_file, monkeypatch,
                                                  capsys, flags, name):
@@ -639,7 +672,7 @@ class TestEvaluate:
         assert name in capsys.readouterr().err
         assert not outdir.exists()
         # every check that needs no draw runs before the permutation test
-        assert len(mmd_calls) == (name == "n_permutations")
+        assert len(mmd_calls) == name.startswith("n_permutations")
 
     @pytest.mark.parametrize("p_hide", ["1.5", "-0.1", "nan", "0"])
     def test_p_hide_outside_domain_fails_before_any_metric(self, tmp_path, corpus_file,

@@ -126,19 +126,32 @@ class TestMarkovGenerator:
         monkeypatch.setattr(generators, "_CHUNK_CELLS", 3 * model.alphabet.size)
         assert _same_corpus(whole, model.generate(7, 30, 0, seed=4))
 
+    @pytest.mark.parametrize("one_trace_blocks", [False, True])
+    def test_small_cdf_cache_matches_the_default(self, monkeypatch, one_trace_blocks):
+        # the CDF cache is cleared whenever it fills, and a row's bits do not
+        # depend on when or beside which rows it was built
+        model = MarkovGenerator.fit(_small_corpus(), order=2)
+        whole = model.generate(7, 30, 0, seed=4)
+        v = model.alphabet.size
+        monkeypatch.setattr(generators, "_CACHE_CELLS", v)
+        if one_trace_blocks:  # a block of one trace: the cache holds one row
+            monkeypatch.setattr(generators, "_CHUNK_CELLS", v)
+        assert _same_corpus(whole, model.generate(7, 30, 0, seed=4))
+
     def test_draw_stays_inside_alphabet(self, monkeypatch):
         # a distribution that sums below 1 stands in for rounding in cumsum:
         # a uniform draw above the total must not become symbol index V
         model = MarkovGenerator.fit(_small_corpus(), order=1)
         v = model.alphabet.size
-        exact = model._distributions
+        sources, rows = model._sources, model._rows
         contexts = []
 
-        def short(batch, bucket):
+        def record(batch, bucket):
             contexts.extend(batch)
-            return 0.5 * exact(batch, bucket)
+            return sources(batch, bucket)
 
-        monkeypatch.setattr(model, "_distributions", short)
+        monkeypatch.setattr(model, "_sources", record)
+        monkeypatch.setattr(model, "_rows", lambda keys: 0.5 * rows(keys))
         syn = model.generate(3, 40, 0, seed=1)
         assert contexts and all(s < v for ctx in contexts for s in ctx)
         assert all(np.isin(t.cells, model.alphabet).all() for t in syn.traces)
@@ -206,6 +219,13 @@ _traces = st.lists(
     min_size=1, max_size=4)
 
 
+def _hourly_corpus(traces):
+    """A corpus of one hourly trace per (start time, symbols) pair."""
+    return Corpus(spec=SPEC, sampling_period=3600, traces=[
+        GridTrace(f"u{i}", 37 * np.array(cells) + 5, t0 + 3600 * np.arange(len(cells)))
+        for i, (t0, cells) in enumerate(traces)])
+
+
 class TestCountTableExactness:
     @settings(max_examples=60, deadline=None)
     @given(traces=_traces, order=st.sampled_from([0, 1, 2]),
@@ -259,10 +279,7 @@ class TestCountTableExactness:
     @given(traces=_traces, order=st.sampled_from([0, 1, 2, 3]),
            time_buckets=st.sampled_from([1, 3, 24]), data=st.data())
     def test_one_batch_mixes_every_backoff_level(self, traces, order, time_buckets, data):
-        corpus = Corpus(spec=SPEC, sampling_period=3600, traces=[
-            GridTrace(f"u{i}", 37 * np.array(cells) + 5,
-                      start + 3600 * np.arange(len(cells)))
-            for i, (start, cells) in enumerate(traces)])
+        corpus = _hourly_corpus(traces)
         model = MarkovGenerator.fit(corpus, order=order, time_buckets=time_buckets,
                                     alpha=0.5)
         ref = _reference_fit(corpus, order, time_buckets)
@@ -281,6 +298,68 @@ class TestCountTableExactness:
                                    bucket)
         for row, ctx in zip(got, batch):
             assert np.array_equal(row, _reference_distribution(ref, order, 0.5, ctx, bucket))
+
+    @settings(max_examples=60, deadline=None)
+    @given(traces=_traces, order=st.sampled_from([0, 1, 2]),
+           time_buckets=st.sampled_from([1, 3, 24]), data=st.data())
+    def test_rows_do_not_depend_on_their_batch(self, traces, order, time_buckets, data):
+        corpus = _hourly_corpus(traces)
+        model = MarkovGenerator.fit(corpus, order=order, time_buckets=time_buckets)
+        ref = _reference_fit(corpus, order, time_buckets)
+        v = model.alphabet.size
+        # a bucket no trace reaches backs off to the global counts, and the
+        # symbol V, outside the alphabet, is never seen
+        bucket = data.draw(st.integers(0, time_buckets - 1))
+        j = data.draw(st.integers(0, order))
+        contexts = data.draw(st.lists(st.tuples(*[st.integers(0, v)] * j),
+                                      min_size=1, max_size=12))
+        keys = model._sources(np.array(contexts, dtype=np.int64).reshape(len(contexts), j),
+                              bucket)
+        # each context's row, then the row of every distribution the model holds
+        batch = np.concatenate([keys, model._groups])
+        rows = model._rows(batch)
+        cdf = np.cumsum(rows, axis=1)
+        for ctx, row in zip(contexts, rows):
+            assert np.array_equal(row, _reference_distribution(ref, order, 0.01, ctx, bucket))
+        for key, row, cdf_row in zip(batch, rows, cdf):
+            alone = model._rows(np.array([key]))
+            assert np.array_equal(alone[0], row)
+            assert np.array_equal(np.cumsum(alone, axis=1)[0], cdf_row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(traces=_traces, order=st.sampled_from([0, 1, 2]),
+           time_buckets=st.sampled_from([1, 3, 24]), n_traces=st.integers(1, 6),
+           trace_len=st.integers(1, 30), start=st.integers(0, 86_400),
+           cache_rows=st.sampled_from([1, 2, None]), seed=st.integers(0, 2 ** 16))
+    def test_generate_matches_a_draw_per_trace_and_step(self, traces, order, time_buckets,
+                                                        n_traces, trace_len, start,
+                                                        cache_rows, seed):
+        corpus = _hourly_corpus(traces)
+        model = MarkovGenerator.fit(corpus, order=order, time_buckets=time_buckets)
+        want = _reference_generate(model, n_traces, trace_len, start, seed)
+        v = model.alphabet.size
+        with pytest.MonkeyPatch.context() as mp:
+            if cache_rows:  # blocks of cache_rows traces, and a cache of one block
+                mp.setattr(generators, "_CHUNK_CELLS", cache_rows * v)
+                mp.setattr(generators, "_CACHE_CELLS", v)
+            got = model.generate(n_traces, trace_len, start, seed)
+        assert np.array_equal(got.cells.reshape(n_traces, trace_len), want)
+
+
+def _reference_generate(model, n_traces, trace_len, start_time, seed):
+    """The earlier draw: each step builds every trace's distribution, takes
+    its cumsum and counts the CDF values below the trace's uniform."""
+    v = model.alphabet.size
+    timestamps = dataio.time_grid(start_time, model.sampling_period, trace_len)
+    buckets = generators._bucket_of(timestamps, model.time_buckets)
+    u = np.stack([np.random.default_rng([seed, i]).uniform(size=trace_len)
+                  for i in range(n_traces)])
+    sym = np.empty((n_traces, trace_len), dtype=np.int64)
+    for t in range(trace_len):
+        contexts = sym[:, max(0, t - model.order):t]
+        cdf = np.cumsum(model._distributions(contexts, int(buckets[t])), axis=1)
+        sym[:, t] = np.minimum((cdf < u[:, t, None]).sum(axis=1), v - 1)
+    return model.alphabet[sym]
 
 
 class TestEarlierModelFile:

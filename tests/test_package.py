@@ -122,3 +122,24 @@ def test_importing_dataio_loads_no_model_layer_nor_scipy(subprocess_pythonpath):
     r = subprocess.run([sys.executable, "-c", IMPORT_DATAIO], env=env,
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+MARKOV_ONLY = """
+import sys
+from mobsynth import dataio
+from mobsynth.generators import MarkovGenerator
+from mobsynth.geogrid import GridSpec
+corpus = dataio.simulate_ground_truth(GridSpec(45.8, 47.8, 5.9, 10.5, level=8),
+                                      n_users=4, trace_len=60, n_hotspots=8, seed=1)
+MarkovGenerator.fit(corpus, order=2).generate(3, 40, 0, seed=2)
+if "scipy.special" in sys.modules:
+    sys.exit("a Markov fit and generate loaded scipy.special")
+"""
+
+
+def test_markov_fit_and_generate_load_no_scipy_special(subprocess_pythonpath):
+    # only the vine generator needs copula, and with it scipy.special
+    env = dict(os.environ, PYTHONPATH=subprocess_pythonpath)
+    r = subprocess.run([sys.executable, "-c", MARKOV_ONLY], env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

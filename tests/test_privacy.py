@@ -188,15 +188,14 @@ def _sparse_viterbi_segment(vp, buckets, i, j, left, right):
     return states
 
 
-def _segment_reconstruct(obf, vp, viterbi_segment):
-    """Reference: pin each observed cell the prior knows by a dict lookup,
-    then decode each run of free points on its own."""
+def _free_runs(obf, vp):
+    """Reference: each maximal run [i, j) of points that are hidden or that
+    the prior does not know (a dict lookup), with its pinned anchors, None
+    at an end of the trace."""
     n = len(obf.cells)
-    buckets = _bucket_of(obf.timestamps, vp.prior.time_buckets)
     index = {int(c): i for i, c in enumerate(vp.alphabet)}
     known = [-1 if hidden else index.get(int(c), -1)
              for c, hidden in zip(obf.cells, obf.hidden_mask)]
-    out = obf.cells.copy()
     i = 0
     while i < n:
         if known[i] >= 0:
@@ -205,12 +204,48 @@ def _segment_reconstruct(obf, vp, viterbi_segment):
         j = i
         while j < n and known[j] < 0:
             j += 1
-        states = viterbi_segment(vp, buckets, i, j,
-                                 left=known[i - 1] if i > 0 else None,
-                                 right=known[j] if j < n else None)
-        out[i:j] = vp.alphabet[states]
+        yield i, j, known[i - 1] if i > 0 else None, known[j] if j < n else None
         i = j
+
+
+def _segment_reconstruct(obf, vp, viterbi_segment):
+    """Reference: decode each run of free points on its own."""
+    buckets = _bucket_of(obf.timestamps, vp.prior.time_buckets)
+    out = obf.cells.copy()
+    for i, j, left, right in _free_runs(obf, vp):
+        states = viterbi_segment(vp, buckets, i, j, left=left, right=right)
+        out[i:j] = vp.alphabet[states]
     return out
+
+
+def _problems(obfuscated, vp):
+    """Reference: the distinct Viterbi problems of the free runs, each the
+    anchors, the bucket of every point and of a pinned right anchor."""
+    keys = set()
+    for obf in obfuscated:
+        buckets = _bucket_of(obf.timestamps, vp.prior.time_buckets).tolist()
+        for i, j, left, right in _free_runs(obf, vp):
+            keys.add((left, right, None if right is None else buckets[j],
+                      tuple(buckets[i:j])))
+    return keys
+
+
+def _decode_counting_runs(obfuscated, prior):
+    """``_reconstruct`` of the obfuscated traces, and the runs it decoded."""
+    decoded = []
+    decode_chunk = privacy._decode_chunk
+
+    def counting(vp, buckets, lo, *args):
+        decoded.append(lo.size)
+        return decode_chunk(vp, buckets, lo, *args)
+
+    offsets = np.cumsum([0] + [o.cells.size for o in obfuscated])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(privacy, "_decode_chunk", counting)
+        got = privacy._reconstruct(np.concatenate([o.cells for o in obfuscated]),
+                                   np.concatenate([o.timestamps for o in obfuscated]),
+                                   offsets, privacy._ViterbiPrior(prior))
+    return got, sum(decoded)
 
 
 def _dense_reconstruct(obf, prior):
@@ -361,6 +396,50 @@ class TestSparseViterbiExactness:
                 hits = sum(int(np.sum(w[o.hidden_mask] == t.cells[o.hidden_mask]))
                            for w, o, t in zip(want, obfuscated, truth))
                 assert sequence_attack(corpus, obfuscated, prior) == hits / int(mask.sum())
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(prior=_priors(), data=st.data())
+    def test_repeated_runs_are_decoded_once(self, prior, data):
+        # traces that repeat one pattern of hidden and pinned points pose
+        # the same problems, each decoded once and its path copied
+        point = st.tuples(st.sampled_from([9, *prior.alphabet.tolist()]),
+                          st.sampled_from([True, True, False]))
+        patterns = data.draw(st.lists(st.lists(point, min_size=1, max_size=10),
+                                      min_size=1, max_size=3))
+        obfuscated = []
+        for points in data.draw(st.lists(st.sampled_from(patterns), min_size=2,
+                                         max_size=8)):
+            cells, hidden = (np.array(x) for x in zip(*points))
+            ts = data.draw(st.sampled_from([0, 3600, 43_200])) + 3600 * np.arange(cells.size)
+            obfuscated.append(ObfuscatedTrace("u", np.where(hidden, HIDDEN, cells), ts))
+        vp = privacy._ViterbiPrior(prior)
+        want = [_segment_reconstruct(o, vp, _sparse_viterbi_segment) for o in obfuscated]
+        got, decoded = _decode_counting_runs(obfuscated, prior)
+        assert np.array_equal(got, np.concatenate(want))
+        assert decoded == len(_problems(obfuscated, vp))
+
+    def test_runs_with_other_buckets_are_not_merged(self):
+        # in bucket h every context moves to state h % 4, so a run's path
+        # follows the buckets of its points
+        v, buckets = 4, 24
+        order1 = [[b, c, b % v, 5] for b in range(buckets) for c in range(v)]
+        order0 = [[b, b % v, 5] for b in range(buckets)]
+        prior = MarkovGenerator(SPEC, 600, 1, buckets, 0.1, np.arange(10, 10 + v),
+                                [np.array(order0), np.array(order1)], np.ones(v, dtype=int))
+        # one anchor cell, three hidden points from 01:00, the same anchor
+        # after them: each trace shares the anchors, the length and the first
+        # hidden timestamp, but not the buckets of the rest or of the anchor
+        cells = [10, HIDDEN, HIDDEN, HIDDEN, 10]
+        hours = [[0, 1, 2, 3, 4], [0, 1, 1.05, 1.1, 4], [0, 1, 2, 3, 5], [0, 1, 2, 3, 4]]
+        obfuscated = [ObfuscatedTrace(f"u{i}", cells, (3600 * np.array(h)).astype(np.int64))
+                      for i, h in enumerate(hours)]
+        vp = privacy._ViterbiPrior(prior)
+        want = [_segment_reconstruct(o, vp, _sparse_viterbi_segment) for o in obfuscated]
+        assert want[0][1:4].tolist() == [11, 12, 13] and want[1][1:4].tolist() == [11] * 3
+        got, decoded = _decode_counting_runs(obfuscated, prior)
+        assert np.array_equal(got, np.concatenate(want))
+        assert decoded == 3   # the first and the last trace pose one problem
 
 
 def visit_frequency(trace):
