@@ -700,11 +700,24 @@ def load_model(path):
 
 def write_json(envelope: dict, path, indent=None) -> None:
     """Every JSON file the package writes: ``envelope`` stamped with
-    ``format_version``, keys sorted, and one final newline."""
+    ``format_version``, keys sorted, each non-finite float (a metric with no
+    defined value) as ``null``, and one final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**envelope, "format_version": FORMAT_VERSION}, fh, indent=indent,
-                  sort_keys=True)
+        json.dump(_finite_or_null({**envelope, "format_version": FORMAT_VERSION}), fh,
+                  indent=indent, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_null(value):
+    """``value`` with each NaN or infinite float in it replaced by None; every
+    other value is kept as it is, so it is written with the same bytes."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def read_json(path, what: str) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .dataio import Corpus, GridTrace
 from .errors import DomainError
@@ -344,15 +343,6 @@ def run_sequence_attack(truth: Corpus, prior: MarkovGenerator, p_hide: float,
 # membership inference attack
 # ---------------------------------------------------------------------------
 
-def _run_counts(corpus: Corpus, cells: np.ndarray) -> sparse.csr_matrix:
-    """Sparse (traces x cells) matrix of each trace's visit (run) counts per
-    cell; ``cells`` ascends and holds every cell the traces visit."""
-    trace_of_run, run_cells, _, _ = corpus_runs(corpus)
-    return sparse.coo_matrix((np.ones(run_cells.size, dtype=np.int64),
-                              (trace_of_run, np.searchsorted(cells, run_cells))),
-                             shape=(len(corpus), cells.size)).tocsr()
-
-
 def membership_scores(syn: Corpus, targets: Corpus) -> np.ndarray:
     """Each target trace's min over synthetic traces of the TV distance
     between visit (run) frequencies.
@@ -360,19 +350,25 @@ def membership_scores(syn: Corpus, targets: Corpus) -> np.ndarray:
     For a target with counts a (total A) and a synthetic trace with counts
     b (total B), 2AB TV = sum over the target's cells of |a B - b A|, plus
     A times the synthetic runs off those cells.  That integer is exact, so
-    each target reads only its own cells' synthetic columns, and equal
+    each target reads only its own cells' synthetic runs, and equal
     distances give equal scores.
     """
-    cells = np.union1d(syn.cells, targets.cells)
-    q = _run_counts(syn, cells).tocsc()
-    q_runs = np.asarray(q.sum(axis=1)).ravel()
-    p = _run_counts(targets, cells)
+    syn_trace, syn_cells, _, _ = corpus_runs(syn)
+    q_runs = np.bincount(syn_trace, minlength=len(syn))
+    # the synthetic runs by cell: a cell's runs are one slice
+    by_cell = np.argsort(syn_cells, kind="stable")
+    syn_cells, syn_trace = syn_cells[by_cell], syn_trace[by_cell]
+    target_of_run, target_cells, _, _ = corpus_runs(targets)
+    bounds = np.searchsorted(target_of_run, np.arange(len(targets) + 1))
     scores = np.empty(len(targets))
     for i in range(len(targets)):
-        support = slice(p.indptr[i], p.indptr[i + 1])
-        a = p.data[support]
+        cells, a = np.unique(target_cells[bounds[i]:bounds[i + 1]], return_counts=True)
         a_runs = a.sum()
-        q_supp = q[:, p.indices[support]].toarray()
+        lo = np.searchsorted(syn_cells, cells, side="left")
+        hi = np.searchsorted(syn_cells, cells, side="right")
+        # (synthetic traces x target cells) run counts
+        at = syn_trace[_ranges(lo, hi)] * cells.size + np.repeat(np.arange(cells.size), hi - lo)
+        q_supp = np.bincount(at, minlength=len(syn) * cells.size).reshape(len(syn), cells.size)
         scaled = (np.abs(np.outer(q_runs, a) - q_supp * a_runs).sum(axis=1)
                   + (q_runs - q_supp.sum(axis=1)) * a_runs)
         scores[i] = np.min(scaled / (2.0 * a_runs * q_runs))

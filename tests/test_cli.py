@@ -652,6 +652,23 @@ class TestEvaluate:
                      "mi_syn.csv"):
             assert (outdir / name).exists()
 
+    def test_undefined_metrics_are_null_in_strict_json(self, tmp_path, corpus_file,
+                                                       monkeypatch):
+        # no permutations leave no p-value, and two lags too few for an MI-decay fit
+        syn = _make_syn(tmp_path, corpus_file)
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        assert run("--seed", "6", "evaluate", "--real", str(corpus_file),
+                   "--syn", str(syn), "--outdir", str(tmp_path / "report"),
+                   "--tau-max", "2", "--n-permutations", "0") == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"report.json holds the non-standard constant {name}")
+
+        text = (tmp_path / "report" / "report.json").read_text(encoding="utf-8")
+        report = json.loads(text, parse_constant=refuse)
+        assert report["mmd"]["p_value"] is None
+        assert report["mi_decay"]["real"]["exponential_r2"] is None
+
     @pytest.mark.parametrize("flags, name", [(["--topn", "0"], "topn"),
                                              (["--n-permutations", "-1"], "n_permutations"),
                                              (["--n-permutations", "100000000000000000000"],

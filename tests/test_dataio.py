@@ -952,3 +952,20 @@ class TestPersistence:
         loaded = dataio.read_json(path, "report")
         assert loaded == {**report, "format_version": dataio.FORMAT_VERSION}
         assert path.read_text() == json.dumps(loaded, indent=1, sort_keys=True) + "\n"
+
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        # RFC 8259 has no NaN or Infinity; finite values keep their bytes
+        finite = [0.1, 1e-300, -2.5, np.float64(1 / 3), 7, True, "nan"]
+        report = {"a": float("nan"), "b": [float("inf"), (-np.inf, 0.25)],
+                  "c": {"d": np.float64("nan"), "e": finite}}
+        path = tmp_path / "r.json"
+        dataio.write_json(report, path)
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        loaded = json.loads(path.read_text(), parse_constant=refuse)
+        assert loaded == {"a": None, "b": [None, [None, 0.25]],
+                          "c": {"d": None, "e": json.loads(json.dumps(finite))},
+                          "format_version": dataio.FORMAT_VERSION}
+        assert json.dumps(finite) in path.read_text()

@@ -32,26 +32,37 @@ def test_every_traced_entry_point_resolves():
     assert tracer.ENTRY_POINTS and missing == []
 
 
-def test_only_dataio_reads_or_writes_json_or_csv():
-    # one owner for the file formats: a command that wants a file asks dataio
+def _importers(*packages):
+    """{package: the modules of mobsynth that import it}, for each of the
+    top-level ``packages`` one of them imports, at any depth of the code."""
     owners = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
             else:
                 continue
-            for name in names:
-                if name.split(".")[0] in ("json", "csv"):
-                    owners.setdefault(name.split(".")[0], set()).add(path.stem)
-    assert owners == {"json": {"dataio"}, "csv": {"dataio"}}
+            for top in {name.split(".")[0] for name in names} & set(packages):
+                owners.setdefault(top, set()).add(path.stem)
+    return owners
 
 
-# every stage of the pipeline, in one interpreter; the targets file is
+def test_only_dataio_reads_or_writes_json_or_csv():
+    # one owner for the file formats: a command that wants a file asks dataio
+    assert _importers("json", "csv") == {"json": {"dataio"}, "csv": {"dataio"}}
+
+
+def test_only_copula_imports_scipy():
+    # one owner for the scipy dependency: a process that fits or loads no
+    # vine never loads it (README, Install)
+    assert _importers("scipy") == {"scipy": {"copula"}}
+
+
+# the inputs of a pipeline run, in one interpreter; the targets file is
 # written as tests/test_cli.py's _targets_file writes it
-PIPELINE = """
+PIPELINE_INPUTS = """
 import csv, sys
 from mobsynth import dataio
 from mobsynth.cli import main
@@ -67,13 +78,6 @@ cli("--seed", "1", "simulate", "--out", "real.csv", "--users", "6", "--steps", "
 cli("--seed", "2", "simulate", "--out", "other.csv", "--users", "4", "--steps", "60",
     "--hotspots", "10")
 cli("ingest", "--input", "real.csv", "--out", "train.csv")
-cli("--seed", "3", "fit", "--corpus", "train.csv", "--model-type", "vine",
-    "--max-scores", "150", "--out", "vine.json")
-cli("fit", "--corpus", "train.csv", "--model-type", "markov", "--out", "markov.json")
-cli("--seed", "4", "generate", "--model", "markov.json", "--out", "markov_syn.csv",
-    "--n-traces", "6", "--trace-len", "30")
-cli("--seed", "5", "generate", "--model", "vine.json", "--out", "syn.csv",
-    "--n-traces", "6", "--trace-len", "30")
 with open("targets.csv", "w", newline="") as fh:
     w = csv.writer(fh)
     w.writerow(["user_id", "timestamp", "lat", "lon", "is_member"])
@@ -83,6 +87,17 @@ with open("targets.csv", "w", newline="") as fh:
             lat, lon = decode(loaded.spec, trace.cells)
             for ts, a, o in zip(trace.timestamps.tolist(), lat.tolist(), lon.tolist()):
                 w.writerow([f"{flag}_{trace.user_id}", ts, repr(a), repr(o), flag])
+"""
+
+# every stage of the pipeline, for both model types
+PIPELINE = PIPELINE_INPUTS + """
+cli("--seed", "3", "fit", "--corpus", "train.csv", "--model-type", "vine",
+    "--max-scores", "150", "--out", "vine.json")
+cli("fit", "--corpus", "train.csv", "--model-type", "markov", "--out", "markov.json")
+cli("--seed", "4", "generate", "--model", "markov.json", "--out", "markov_syn.csv",
+    "--n-traces", "6", "--trace-len", "30")
+cli("--seed", "5", "generate", "--model", "vine.json", "--out", "syn.csv",
+    "--n-traces", "6", "--trace-len", "30")
 cli("--seed", "6", "evaluate", "--real", "train.csv", "--syn", "syn.csv",
     "--outdir", "report", "--tau-max", "4", "--n-permutations", "10",
     "--targets", "targets.csv")
@@ -124,22 +139,26 @@ def test_importing_dataio_loads_no_model_layer_nor_scipy(subprocess_pythonpath):
     assert r.returncode == 0, r.stderr
 
 
-MARKOV_ONLY = """
-import sys
-from mobsynth import dataio
-from mobsynth.generators import MarkovGenerator
-from mobsynth.geogrid import GridSpec
-corpus = dataio.simulate_ground_truth(GridSpec(45.8, 47.8, 5.9, 10.5, level=8),
-                                      n_users=4, trace_len=60, n_hotspots=8, seed=1)
-MarkovGenerator.fit(corpus, order=2).generate(3, 40, 0, seed=2)
-if "scipy.special" in sys.modules:
-    sys.exit("a Markov fit and generate loaded scipy.special")
+# every stage of a Markov-only pipeline
+MARKOV_PIPELINE = PIPELINE_INPUTS + """
+cli("fit", "--corpus", "train.csv", "--model-type", "markov", "--out", "markov.json")
+cli("--seed", "4", "generate", "--model", "markov.json", "--out", "syn.csv",
+    "--n-traces", "6", "--trace-len", "30")
+cli("--seed", "6", "evaluate", "--real", "train.csv", "--syn", "syn.csv",
+    "--outdir", "report", "--tau-max", "4", "--n-permutations", "10",
+    "--targets", "targets.csv")
+cli("--seed", "7", "attack", "--syn", "syn.csv", "--targets", "targets.csv",
+    "--out", "priv.json")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"a Markov pipeline loaded {loaded}")
 """
 
 
-def test_markov_fit_and_generate_load_no_scipy_special(subprocess_pythonpath):
-    # only the vine generator needs copula, and with it scipy.special
+def test_markov_pipeline_loads_no_scipy(tmp_path, subprocess_pythonpath):
+    # only a vine needs copula, and copula alone imports scipy
     env = dict(os.environ, PYTHONPATH=subprocess_pythonpath)
-    r = subprocess.run([sys.executable, "-c", MARKOV_ONLY], env=env,
+    env.pop("MOBSYNTH_OUTDIR", None)
+    r = subprocess.run([sys.executable, "-c", MARKOV_PIPELINE], cwd=tmp_path, env=env,
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

@@ -11,7 +11,7 @@ from mobsynth.dataio import Corpus, GridTrace, simulate_ground_truth
 from mobsynth.errors import DomainError
 from mobsynth.generators import MarkovGenerator, _bucket_of
 from mobsynth.geogrid import GridSpec
-from mobsynth.metrics import visit_runs
+from mobsynth.metrics import corpus_runs, visit_runs
 from mobsynth.privacy import (HIDDEN, ObfuscatedTrace, hide_locations,
                               membership_attack, membership_scores,
                               reconstruct_trace, run_sequence_attack,
@@ -494,10 +494,13 @@ _tied_scores = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.3, np.nextafter(
 
 class TestMembership:
     def test_visit_frequency(self):
-        counts = privacy._run_counts(_corpus([_trace([4, 4, 9, 4])]), np.array([4, 9]))
-        # runs: 4, 9, 4
-        assert counts.toarray().tolist() == [[2, 1]]
-        assert visit_frequency(_trace([4, 4, 9, 4])) == {4: 2 / 3, 9: 1 / 3}
+        # the scores count the runs corpus_runs finds: 4 | 4, 9, 4, since a
+        # run never crosses into the next trace
+        corpus = _corpus([_trace([4, 4], user="a"), _trace([4, 9, 9, 4], user="b")])
+        trace_of_run, run_cells, _, _ = corpus_runs(corpus)
+        assert Counter(zip(trace_of_run.tolist(), run_cells.tolist())) == {
+            (0, 4): 1, (1, 4): 2, (1, 9): 1}
+        assert visit_frequency(_trace([4, 9, 9, 4])) == {4: 2 / 3, 9: 1 / 3}
 
     @settings(max_examples=200, deadline=None)
     @given(syn=st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=30),
