@@ -43,8 +43,6 @@ _BLOCK_ELEMENTS = 2 ** 16  # per block: each float64 temporary, 512 KiB, stays i
 _BLOCK_COST = 8192      # padded elements that cost as much time as one more block
 _EXP_FLOOR = -700.0     # exp() stays normal, and fast, above this
 
-DEFAULT_MAX_SCORES = 2000
-
 
 class EmpiricalMargin:
     """ECDF/quantile pair for one continuous variable.
@@ -134,8 +132,8 @@ class KernelPairCopula:
         self._axis_cache = {}
 
     @classmethod
-    def fit(cls, u_sample, v_sample, max_scores=DEFAULT_MAX_SCORES,
-            bandwidth_scale=1.0) -> "KernelPairCopula":
+    def fit(cls, u_sample, v_sample, *, max_scores: int,
+            bandwidth_scale: float) -> "KernelPairCopula":
         u = np.asarray(u_sample, dtype=float)
         v = np.asarray(v_sample, dtype=float)
         if u.shape != v.shape or u.ndim != 1:

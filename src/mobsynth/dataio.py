@@ -486,125 +486,87 @@ class SimulatorParams:
     popularity_exponent: float = 1.0
 
 
-class GroundTruthSimulator:
-    """Seeded time-inhomogeneous Markov mobility model over hotspot cells.
-
-    Each user has a home and a work hotspot drawn from a Zipf popularity
-    law; the hour of day sets which one pulls (:meth:`_rule`).  The
-    per-user transition matrix at any hour is exposed for oracle tests.
-    """
-
-    def __init__(self, spec: GridSpec, n_users: int, n_hotspots: int, seed: int,
-                 population_seed=None, params: SimulatorParams | None = None):
-        if n_users < 1:
-            raise DomainError(f"need at least 1 user, got {n_users}")
-        if n_hotspots < 2:
-            raise DomainError(f"need at least 2 hotspots, got {n_hotspots}")
-        if n_hotspots > spec.n_cells:
-            raise DomainError("more hotspots than grid cells")
-        check_grid_size(n_users, 1)  # every user's trace holds a point
-        self.spec = spec
-        self.params = params or SimulatorParams()
-        pop_rng = np.random.default_rng(seed if population_seed is None else population_seed)
-        self.hotspots = np.sort(pop_rng.choice(spec.n_cells, size=n_hotspots, replace=False))
-        weights = 1.0 / np.arange(1, n_hotspots + 1) ** self.params.popularity_exponent
-        pop_rng.shuffle(weights)
-        self.popularity = weights / weights.sum()
-        self._pop_cdf = np.cumsum(self.popularity)
-        self._pop_cdf[-1] = 1.0  # rounding can leave it below the largest uniform draw
-
-        # anchors belong to the population: the same population_seed yields
-        # the same users, so disjoint trajectory draws stay comparable
-        self.homes = np.searchsorted(self._pop_cdf, pop_rng.uniform(size=n_users))
-        # each user in turn draws works until one differs from home: at a
-        # clash, that user and each later one move on to the next draw
-        self.works = np.searchsorted(self._pop_cdf, pop_rng.uniform(size=n_users))
-        clash = np.flatnonzero(self.works == self.homes)
-        while clash.size:
-            k = clash[0]
-            self.works[k:] = np.append(self.works[k + 1:],
-                                       np.searchsorted(self._pop_cdf, pop_rng.uniform()))
-            clash = k + np.flatnonzero(self.works[k:] == self.homes[k:])
-        self.n_users = n_users
-        self.n_hotspots = n_hotspots
-
-        self.rng = np.random.default_rng(seed)
-
-    def _rule(self, hour: float):
-        """(every user's anchor, stay chance at it, stay chance elsewhere) at
-        ``hour``: the anchor is work from 08 to 17 and home otherwise, and the
-        transit hours 08-09 and 17-20 are noisier, with both chances cubed."""
-        h = hour % 24
-        anchors = self.works if 8 <= h < 17 else self.homes
-        p = self.params
-        if 8 <= h < 9 or 17 <= h < 20:
-            return anchors, p.stay_at_anchor ** 3.0, p.stay_elsewhere ** 3.0
-        return anchors, p.stay_at_anchor, p.stay_elsewhere
-
-    def anchor(self, user: int, hour: float) -> int:
-        return int(self._rule(hour)[0][user])
-
-    def transition_row(self, user: int, state: int, hour: float) -> np.ndarray:
-        """Exact next-hotspot distribution from ``state`` at ``hour``."""
-        anchors, stay_at_anchor, stay_elsewhere = self._rule(hour)
-        a = anchors[user]
-        stay = stay_at_anchor if state == a else stay_elsewhere
-        row = np.zeros(self.n_hotspots)
-        rest = 1.0 - stay
-        row[state] += stay
-        if state != a:
-            row[a] += rest * self.params.pull_to_anchor
-            rest *= (1.0 - self.params.pull_to_anchor)
-        row += rest * self.popularity
-        return row
-
-    def transition_matrix(self, user: int, hour: float) -> np.ndarray:
-        return np.stack([self.transition_row(user, j, hour) for j in range(self.n_hotspots)])
-
-    def stationary_distribution(self, user: int, hour: float) -> np.ndarray:
-        """Leading left eigenvector of the fixed-hour transition matrix."""
-        mat = self.transition_matrix(user, hour)
-        vals, vecs = np.linalg.eig(mat.T)
-        k = int(np.argmin(np.abs(vals - 1.0)))
-        pi = np.real(vecs[:, k])
-        pi = np.abs(pi)
-        return pi / pi.sum()
-
-    def _step(self, states, hour, u, v) -> np.ndarray:
-        """Every user's next hotspot index at ``hour``: u < stay keeps the
-        state, then away from the anchor a ``pull_to_anchor`` share of the
-        rest goes to it, and otherwise v picks a hotspot by popularity."""
-        anchors, stay_at_anchor, stay_elsewhere = self._rule(hour)
-        to_anchor = stay_elsewhere + (1.0 - stay_elsewhere) * self.params.pull_to_anchor
-        at = states == anchors
-        stay = np.where(at, stay_at_anchor, stay_elsewhere)
-        moved = np.where(~at & (u < to_anchor), anchors, np.searchsorted(self._pop_cdf, v))
-        return np.where(u < stay, states, moved)
-
-    def simulate(self, trace_len: int, sampling_period: int, start_time: int = 0) -> Corpus:
-        if trace_len < 1:
-            raise DomainError("trace_len must be >= 1")
-        check_grid_size(self.n_users, trace_len)
-        timestamps = time_grid(start_time, sampling_period, trace_len)
-        states = self.homes
-        path = np.empty((self.n_users, trace_len), dtype=np.int64)
-        for i, hour in enumerate(hour_of_day(timestamps)):
-            u = self.rng.uniform(size=self.n_users)
-            v = self.rng.uniform(size=self.n_users)
-            states = self._step(states, hour, u, v)
-            path[:, i] = states
-        return grid_corpus(self.spec, "gt_", self.hotspots[path], timestamps, int(sampling_period))
-
-
 def simulate_ground_truth(spec: GridSpec, n_users: int, trace_len: int,
                           n_hotspots: int, seed: int, sampling_period: int = 600,
                           start_time: int = 0, population_seed=None,
                           params: SimulatorParams | None = None) -> Corpus:
-    """Seeded stand-in corpus; ``population_seed`` pins the hotspot layout and
-    user anchors so disjoint trajectory samples share one population."""
-    sim = GroundTruthSimulator(spec, n_users, n_hotspots, seed,
-                               population_seed=population_seed, params=params)
-    return sim.simulate(trace_len, sampling_period, start_time=start_time)
+    """Seeded time-inhomogeneous Markov mobility model over hotspot cells.
+
+    Each user has a home and a work hotspot drawn from a Zipf popularity
+    law; the hour of day sets which one pulls (:func:`_rule`).  The
+    population (hotspots, popularity, anchors) is drawn from
+    ``population_seed``, ``seed`` when it is None, so disjoint trajectory
+    samples can share one population; the walk draws from ``seed`` alone.
+    """
+    params = params or SimulatorParams()
+    hotspots, pop_cdf, homes, works = _population(
+        spec, n_users, n_hotspots, seed if population_seed is None else population_seed, params)
+    if trace_len < 1:
+        raise DomainError("trace_len must be >= 1")
+    check_grid_size(n_users, trace_len)
+    timestamps = time_grid(start_time, sampling_period, trace_len)
+    path = _walk(homes, works, pop_cdf, params, hour_of_day(timestamps),
+                 np.random.default_rng(seed))
+    return grid_corpus(spec, "gt_", hotspots[path], timestamps, int(sampling_period))
+
+
+def _population(spec: GridSpec, n_users: int, n_hotspots: int, seed, params: SimulatorParams):
+    """(sorted hotspot cells, popularity CDF, home and work hotspot index of
+    each user), all drawn from one generator seeded with ``seed``."""
+    if n_users < 1:
+        raise DomainError(f"need at least 1 user, got {n_users}")
+    if n_hotspots < 2:
+        raise DomainError(f"need at least 2 hotspots, got {n_hotspots}")
+    if n_hotspots > spec.n_cells:
+        raise DomainError("more hotspots than grid cells")
+    check_grid_size(n_users, 1)  # every user's trace holds a point
+    pop_rng = np.random.default_rng(seed)
+    hotspots = np.sort(pop_rng.choice(spec.n_cells, size=n_hotspots, replace=False))
+    weights = 1.0 / np.arange(1, n_hotspots + 1) ** params.popularity_exponent
+    pop_rng.shuffle(weights)
+    pop_cdf = np.cumsum(weights / weights.sum())
+    pop_cdf[-1] = 1.0  # rounding can leave it below the largest uniform draw
+    homes = np.searchsorted(pop_cdf, pop_rng.uniform(size=n_users))
+    # each user in turn draws works until one differs from home: at a
+    # clash, that user and each later one move on to the next draw
+    works = np.searchsorted(pop_cdf, pop_rng.uniform(size=n_users))
+    clash = np.flatnonzero(works == homes)
+    while clash.size:
+        k = clash[0]
+        works[k:] = np.append(works[k + 1:], np.searchsorted(pop_cdf, pop_rng.uniform()))
+        clash = k + np.flatnonzero(works[k:] == homes[k:])
+    return hotspots, pop_cdf, homes, works
+
+
+def _rule(hour: float, homes, works, params: SimulatorParams):
+    """(every user's anchor, stay chance at it, stay chance elsewhere) at
+    ``hour``: the anchor is work from 08 to 17 and home otherwise, and the
+    transit hours 08-09 and 17-20 are noisier, with both chances cubed."""
+    h = hour % 24
+    anchors = works if 8 <= h < 17 else homes
+    if 8 <= h < 9 or 17 <= h < 20:
+        return anchors, params.stay_at_anchor ** 3.0, params.stay_elsewhere ** 3.0
+    return anchors, params.stay_at_anchor, params.stay_elsewhere
+
+
+def _walk(homes, works, pop_cdf, params: SimulatorParams, hours, rng) -> np.ndarray:
+    """(users, len(hours)) hotspot indices of a walk from home that moves
+    every user at once per hour: with u and v drawn in turn, u < stay keeps
+    the state, then away from the anchor a ``pull_to_anchor`` share of the
+    rest goes to it, and otherwise v picks a hotspot by popularity."""
+    states = homes
+    path = np.empty((homes.size, len(hours)), dtype=np.int64)
+    for i, hour in enumerate(hours):
+        u = rng.uniform(size=homes.size)
+        v = rng.uniform(size=homes.size)
+        anchors, stay_at_anchor, stay_elsewhere = _rule(hour, homes, works, params)
+        to_anchor = stay_elsewhere + (1.0 - stay_elsewhere) * params.pull_to_anchor
+        at = states == anchors
+        stay = np.where(at, stay_at_anchor, stay_elsewhere)
+        moved = np.where(~at & (u < to_anchor), anchors, np.searchsorted(pop_cdf, v))
+        states = np.where(u < stay, states, moved)
+        path[:, i] = states
+    return path
 
 
 # ---------------------------------------------------------------------------

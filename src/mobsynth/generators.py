@@ -353,8 +353,8 @@ class VineGenerator:
         if trunc_level < 1:
             raise DomainError(f"trunc_level must be >= 1, got {trunc_level}")
         d = min(trunc_level, w + 1) + 1  # the last d path variables
-        if max_rows is not None and max_rows < 0:
-            raise DomainError(f"max_rows must be >= 0 (0 or None: no cap), got {max_rows}")
+        if max_rows < 0:
+            raise DomainError(f"max_rows must be >= 0 (0: no cap), got {max_rows}")
         data = cls._path_rows(corpus, w, d, np.random.default_rng(seed))
         if max_rows and data.shape[0] > max_rows:
             # even thinning keeps every trace represented and bounds fit cost

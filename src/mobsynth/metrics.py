@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geogrid
-from .dataio import Corpus, GridTrace, hour_of_day
+from .dataio import Corpus, hour_of_day
 from .errors import DomainError, IncompatibilityError, InsufficientDataError
 
 logger = logging.getLogger(__name__)
@@ -47,11 +47,6 @@ def corpus_runs(corpus: Corpus):
     starts = np.flatnonzero(first)
     return (corpus.trace_index()[starts], cells[starts], starts,
             np.diff(np.append(starts, cells.size)))
-
-
-def visit_runs(trace: GridTrace):
-    """Maximal runs of identical cells: arrays (cell, start_index, length)."""
-    return corpus_runs(Corpus(None, [trace]))[1:]
 
 
 def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -188,8 +183,7 @@ def _mmd_stats(k: np.ndarray, n: int, m: int):
     return float(unbiased), float(biased)
 
 
-def mmd_test(real: Corpus, syn: Corpus, n_permutations: int = 500,
-             rng=None) -> MmdResult:
+def mmd_test(real: Corpus, syn: Corpus, n_permutations: int, rng) -> MmdResult:
     """RBF-kernel MMD with median-heuristic bandwidth and a permutation null.
 
     Traces are truncated to the common minimum length so the embeddings are
@@ -232,8 +226,6 @@ def mmd_test(real: Corpus, syn: Corpus, n_permutations: int = 500,
     if n_permutations == 0:
         return MmdResult(unbiased, biased, float("nan"), 0, sigma)
 
-    if rng is None:
-        rng = np.random.default_rng(0)
     perm_stats = _permuted_mmd2(k, n, m, n_permutations, rng)
     p_value = (1.0 + float(np.sum(perm_stats >= unbiased))) / (n_permutations + 1.0)
     return MmdResult(unbiased, biased, p_value, n_permutations, sigma, perm_stats)

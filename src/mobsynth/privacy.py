@@ -18,6 +18,9 @@ from .generators import MarkovGenerator, _bucket_of, _ranges
 from .metrics import corpus_runs
 
 HIDDEN = -1
+# share of each of the member and non-member scores that tunes the
+# membership threshold; the rest measures it
+CALIBRATION_FRACTION = 0.2
 
 
 @dataclass
@@ -397,8 +400,7 @@ def _auc_lower_is_member(member: np.ndarray, nonmember: np.ndarray) -> float:
     return float(half_wins / 2.0 / (member.size * nonmember.size))
 
 
-def membership_attack(syn: Corpus, targets: Corpus, n_members: int, rng,
-                      calibration_fraction: float = 0.2) -> MembershipResult:
+def membership_attack(syn: Corpus, targets: Corpus, n_members: int, rng) -> MembershipResult:
     """Threshold the nearest-synthetic-trace distance; the threshold is tuned
     on a held-out calibration split, accuracy and AUC reported on the rest.
     The first ``n_members`` traces of ``targets`` are the members."""
@@ -408,7 +410,7 @@ def membership_attack(syn: Corpus, targets: Corpus, n_members: int, rng,
     m_scores, n_scores = scores[:n_members], scores[n_members:]
 
     def _split(scores):
-        k = max(1, int(round(calibration_fraction * scores.size)))
+        k = max(1, int(round(CALIBRATION_FRACTION * scores.size)))
         perm = rng.permutation(scores.size)
         return scores[perm[:k]], scores[perm[k:]]
 

@@ -22,7 +22,7 @@ from mobsynth.copula import KernelPairCopula
 from mobsynth.dataio import Corpus, GridTrace, SimulatorParams, simulate_ground_truth
 from mobsynth.generators import MarkovGenerator, VineGenerator
 from mobsynth.geogrid import GridSpec
-from mobsynth.metrics import mi_decay, mmd_test, topn_report, visit_runs
+from mobsynth.metrics import mi_decay, mmd_test, topn_report
 from mobsynth.privacy import membership_attack, run_sequence_attack
 
 pytestmark = pytest.mark.slow
@@ -88,7 +88,7 @@ class TestCriterion1CopulaCorrectness:
             cov = np.array([[1.0, rho], [rho, 1.0]])
             z = rng.multivariate_normal([0.0, 0.0], cov, size=4000)
             u, v = ndtr(z[:, 0]), ndtr(z[:, 1])
-            c = KernelPairCopula.fit(u, v)
+            c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=1.0)
             tau_hat = c.kendall_tau(4000, np.random.default_rng(7))
             tau_true = (2.0 / math.pi) * math.asin(rho)
             tau_errs.append(abs(tau_hat - tau_true))
@@ -255,7 +255,7 @@ class TestCriterion6Efficiency:
             corpus = _sim(8100, users=users, steps=steps, hotspots=286)
             t0 = time.time()
             VineGenerator.fit(corpus, window=4, max_scores=1000,
-                              bandwidth_scale=0.1, max_rows=None, seed=0)
+                              bandwidth_scale=0.1, max_rows=0, seed=0)
             times.append(time.time() - t0)
         slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
         ok = slope < 2.0

@@ -131,9 +131,10 @@ class TestKernelPairCopula:
     def test_fit_validation(self):
         u = np.linspace(0.1, 0.9, 20)
         with pytest.raises(InsufficientDataError):
-            KernelPairCopula.fit(u[:5], u[:5])
+            KernelPairCopula.fit(u[:5], u[:5], max_scores=2000, bandwidth_scale=1.0)
         with pytest.raises(DomainError):
-            KernelPairCopula.fit(np.append(u, 0.0), np.append(u, 0.5))
+            KernelPairCopula.fit(np.append(u, 0.0), np.append(u, 0.5), max_scores=2000,
+                                 bandwidth_scale=1.0)
 
     def test_bandwidth_whose_kernel_weights_overflow_is_refused(self):
         # scores of (0, 1) inputs reach ndtri(1e-9) = -6.0; a center at 6.0
@@ -168,7 +169,7 @@ class TestKernelPairCopula:
 
     def test_independence_density_near_one(self):
         u, v = gaussian_copula_sample(0.0, 4000, seed=3)
-        c = KernelPairCopula.fit(u, v)
+        c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=1.0)
         grid = np.linspace(0.15, 0.85, 7)
         uu, vv = np.meshgrid(grid, grid)
         dens = kernel_density(c, uu.ravel(), vv.ravel())
@@ -176,7 +177,7 @@ class TestKernelPairCopula:
 
     def test_independence_h_is_identity(self):
         u, v = gaussian_copula_sample(0.0, 4000, seed=4)
-        c = KernelPairCopula.fit(u, v)
+        c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=1.0)
         grid = np.linspace(0.1, 0.9, 9)
         uu, vv = np.meshgrid(grid, grid)
         h = c.h_u_given_v(uu.ravel(), vv.ravel())
@@ -185,14 +186,14 @@ class TestKernelPairCopula:
     @pytest.mark.parametrize("rho", [0.3, 0.8])
     def test_kendall_tau_matches_gaussian(self, rho):
         u, v = gaussian_copula_sample(rho, 8000, seed=5)
-        c = KernelPairCopula.fit(u, v)
+        c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=1.0)
         tau_target = 2.0 / math.pi * math.asin(rho)
         tau = c.kendall_tau(4000, np.random.default_rng(6))
         assert abs(tau - tau_target) < 0.05
 
     def test_h_inverse_roundtrip(self):
         u, v = gaussian_copula_sample(0.8, 3000, seed=7)
-        c = KernelPairCopula.fit(u, v)
+        c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=1.0)
         rng = np.random.default_rng(8)
         p = rng.uniform(0.001, 0.999, size=500)
         cond = rng.uniform(0.01, 0.99, size=500)
@@ -203,7 +204,7 @@ class TestKernelPairCopula:
 
     def test_h_is_monotone(self):
         u, v = gaussian_copula_sample(0.5, 2000, seed=9)
-        c = KernelPairCopula.fit(u, v)
+        c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=1.0)
         us = np.linspace(0.01, 0.99, 50)
         h = c.h_u_given_v(us, np.full(50, 0.3))
         assert np.all(np.diff(h) > 0)
@@ -211,7 +212,7 @@ class TestKernelPairCopula:
     def test_density_integrates_to_one_in_u(self):
         # integral over u of c(u, v) is the conditional total mass, i.e. 1
         u, v = gaussian_copula_sample(0.6, 3000, seed=10)
-        c = KernelPairCopula.fit(u, v)
+        c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=1.0)
         us = np.linspace(0.0005, 0.9995, 2001)
         for cond in (0.25, 0.5, 0.8):
             total = np.trapezoid(kernel_density(c, us, np.full_like(us, cond)), us)
@@ -219,7 +220,7 @@ class TestKernelPairCopula:
 
     def test_sample_pit_uniform(self):
         u, v = gaussian_copula_sample(0.8, 3000, seed=11)
-        c = KernelPairCopula.fit(u, v)
+        c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=1.0)
         us, vs = c.sample(3000, np.random.default_rng(12))
         assert kstest(vs, "uniform").pvalue > 0.01
         assert kstest(us, "uniform").pvalue > 0.01
@@ -232,7 +233,7 @@ class TestKernelPairCopula:
         atoms = rng.uniform(0.05, 0.95, size=60)
         u = rng.choice(atoms, 25_000) + rng.uniform(-1e-3, 1e-3, 25_000)
         v = u + rng.normal(0.0, 0.01, u.size)
-        c = KernelPairCopula.fit(u, v, bandwidth_scale=bandwidth_scale)
+        c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=bandwidth_scale)
         p = rng.uniform(size=500)
         cond = rng.choice(u, 500)
         cond[::2] = rng.uniform(size=250)
@@ -243,7 +244,7 @@ class TestKernelPairCopula:
 
     def test_h_inverse_at_extreme_targets(self):
         u, v = gaussian_copula_sample(0.8, 3000, seed=14)
-        c = KernelPairCopula.fit(u, v)
+        c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=1.0)
         cond = np.linspace(0.01, 0.99, 25)
         top = 1.0 - 2.0 ** -53
         lo = c.h_inverse_u_given_v(np.full(25, 1e-15), cond)
@@ -261,7 +262,7 @@ class TestKernelPairCopula:
 
     def test_module_level_h_helpers(self):
         u, v = gaussian_copula_sample(0.4, 1500, seed=13)
-        c = KernelPairCopula.fit(u, v)
+        c = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=1.0)
         p = np.array([0.2, 0.6])
         cond = np.array([0.3, 0.7])
         uu = c.h_inverse_u_given_v(p, cond)
@@ -377,7 +378,7 @@ class TestRowWindows:
         else:
             u = rng.uniform(size=n_scores)
         v = np.clip(u + rng.normal(0.0, 0.05, n_scores), 1e-6, 1 - 1e-6)
-        cop = KernelPairCopula.fit(u, v, bandwidth_scale=bandwidth_scale)
+        cop = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=bandwidth_scale)
         cond = rng.uniform(size=n_rows)
         cond[::3] = rng.choice(u, cond[::3].size)  # on kernel centers
         x = rng.uniform(size=n_rows)
@@ -422,7 +423,7 @@ class TestRowWindows:
         u = rng.choice(rng.uniform(size=5), n_scores)
         u = np.clip(u + rng.uniform(-1e-3, 1e-3, n_scores), 1e-6, 1 - 1e-6)
         v = np.clip(u + rng.normal(0.0, 0.05, n_scores), 1e-6, 1 - 1e-6)
-        cop = KernelPairCopula.fit(u, v, bandwidth_scale=bandwidth_scale)
+        cop = KernelPairCopula.fit(u, v, max_scores=2000, bandwidth_scale=bandwidth_scale)
         top = ndtr(cop.scores[:, cond_axis].max())
         cond = rng.uniform(size=n_rows)
         cond[::2] = rng.choice([top, np.nextafter(top, 0.0), 1 - 1e-7, 1e-7], cond[::2].size)

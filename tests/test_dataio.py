@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobsynth import dataio, geogrid
-from mobsynth.dataio import (Corpus, GridTrace, GroundTruthSimulator,
-                             SimulatorParams, hour_of_day, ingest,
+from mobsynth.dataio import (Corpus, GridTrace, SimulatorParams, _population,
+                             _rule, _walk, hour_of_day, ingest,
                              simulate_ground_truth)
 from mobsynth.errors import (DomainError, FormatVersionError,
                              IncompatibilityError, ParseError)
@@ -624,7 +624,7 @@ class TestIngest:
 
 
 # -- scalar reference: the simulator the array step replaced, one user and
-#    one step at a time --
+#    one step at a time, with the exact transition rows of README section 7 --
 
 class ScalarSimulator:
     def __init__(self, spec, n_users, n_hotspots, seed, population_seed=None, params=None):
@@ -633,7 +633,8 @@ class ScalarSimulator:
         self.hotspots = np.sort(pop_rng.choice(spec.n_cells, size=n_hotspots, replace=False))
         weights = 1.0 / np.arange(1, n_hotspots + 1) ** self.params.popularity_exponent
         pop_rng.shuffle(weights)
-        self._pop_cdf = np.cumsum(weights / weights.sum())
+        self.popularity = weights / weights.sum()
+        self._pop_cdf = np.cumsum(self.popularity)
         self._pop_cdf[-1] = 1.0
         self.homes = np.array([self._draw_pop(pop_rng) for _ in range(n_users)])
         self.works = np.empty(n_users, dtype=np.int64)
@@ -662,36 +663,48 @@ class ScalarSimulator:
         in_regime = h >= 20 or h < 8 or 9 <= h < 17
         return 1.0 if in_regime else 3.0  # transit hours are noisier
 
-    def _step(self, state, a, u, v, noise, p):
+    def _stay(self, state, a, noise):
+        p = self.params
         stay = p.stay_at_anchor if state == a else p.stay_elsewhere
-        stay = stay ** noise if noise > 1 else stay
+        return stay ** noise if noise > 1 else stay
+
+    def _step(self, state, a, u, v, noise):
+        stay = self._stay(state, a, noise)
         if u < stay:
             return state
         rest = 1.0 - stay
         if state != a:
-            if u < stay + rest * p.pull_to_anchor:
+            if u < stay + rest * self.params.pull_to_anchor:
                 return a
         return int(np.searchsorted(self._pop_cdf, v))
 
-    def simulate_chain(self, user, n_steps, hour, rng):
-        """Fixed-hour hotspot-index chain, for count-based oracle checks."""
-        p = self.params
+    def transition_row(self, user, state, hour):
+        """Next-hotspot distribution from ``state`` at ``hour``: stay, else
+        away from the anchor a ``pull_to_anchor`` share of the rest goes to
+        it, and what is left is spread by popularity."""
         a = self.anchor(user, hour)
-        noise = self._noise_weight(hour)
-        out = np.empty(n_steps, dtype=np.int64)
-        state = a
-        u = rng.uniform(size=n_steps)
-        v = rng.uniform(size=n_steps)
-        for i in range(n_steps):
-            state = self._step(state, a, u[i], v[i], noise, p)
-            out[i] = state
-        return out
+        stay = self._stay(state, a, self._noise_weight(hour))
+        row = (1.0 - stay) * self.popularity
+        if state != a:
+            row *= 1.0 - self.params.pull_to_anchor
+            row[a] += (1.0 - stay) * self.params.pull_to_anchor
+        row[state] += stay
+        return row
+
+    def transition_matrix(self, user, hour):
+        return np.stack([self.transition_row(user, j, hour) for j in range(self.hotspots.size)])
+
+    def stationary_distribution(self, user, hour):
+        """pi with pi P = pi and sum(pi) = 1, P the fixed-hour matrix."""
+        m = self.hotspots.size
+        lhs = self.transition_matrix(user, hour).T - np.eye(m)
+        lhs[-1] = 1.0
+        return np.linalg.solve(lhs, np.eye(m)[-1])
 
     def simulate(self, trace_len, sampling_period, start_time=0):
         """(cells, timestamps) with one row of cells per user."""
         timestamps = start_time + sampling_period * np.arange(trace_len, dtype=np.int64)
         hours = hour_of_day(timestamps)
-        p = self.params
         states = self.homes.copy()
         path = np.empty((self.n_users, trace_len), dtype=np.int64)
         for i in range(trace_len):
@@ -701,9 +714,17 @@ class ScalarSimulator:
             v = self.rng.uniform(size=self.n_users)
             for k in range(self.n_users):
                 a = self.anchor(k, h)
-                states[k] = self._step(states[k], a, u[k], v[k], noise, p)
+                states[k] = self._step(states[k], a, u[k], v[k], noise)
             path[:, i] = states
         return self.hotspots[path], timestamps
+
+
+def _fixed_hour_walk(ref, hour, n_copies, n_steps, seed):
+    """``_walk`` of ``n_copies`` copies of ``ref``'s user 0 with the hour
+    held fixed: (copies, steps) hotspot indices."""
+    homes, works = (np.full(n_copies, a[0]) for a in (ref.homes, ref.works))
+    return _walk(homes, works, ref._pop_cdf, ref.params, np.full(n_steps, hour),
+                 np.random.default_rng(seed))
 
 
 # hours 08-09 and 17-20 are the transit hours, where the anchor changes and
@@ -731,20 +752,25 @@ class TestSimulatorExactness:
            trace_len=st.integers(1, 60))
     def test_matches_scalar_reference(self, n_users, n_hotspots, seed, population_seed,
                                       params, period, start, trace_len):
-        sim = GroundTruthSimulator(SPEC, n_users, n_hotspots, seed,
-                                   population_seed=population_seed, params=params)
         ref = ScalarSimulator(SPEC, n_users, n_hotspots, seed,
                               population_seed=population_seed, params=params)
-        assert np.array_equal(sim.homes, ref.homes)
-        assert np.array_equal(sim.works, ref.works)
-        corpus = sim.simulate(trace_len, period, start_time=start)
+        hotspots, pop_cdf, homes, works = _population(
+            SPEC, n_users, n_hotspots, seed if population_seed is None else population_seed,
+            ref.params)
+        assert np.array_equal(hotspots, ref.hotspots)
+        assert np.array_equal(pop_cdf, ref._pop_cdf)
+        assert np.array_equal(homes, ref.homes)
+        assert np.array_equal(works, ref.works)
+        corpus = simulate_ground_truth(SPEC, n_users, trace_len, n_hotspots, seed,
+                                       sampling_period=period, start_time=start,
+                                       population_seed=population_seed, params=params)
         cells, timestamps = ref.simulate(trace_len, period, start_time=start)
         assert [t.user_id for t in corpus.traces] == [f"gt_{k}" for k in range(n_users)]
         for trace, want in zip(corpus.traces, cells, strict=True):
             assert np.array_equal(trace.cells, want)
             assert np.array_equal(trace.timestamps, timestamps)
         for hour in np.arange(0.0, 48.0, 0.25):
-            assert [sim.anchor(k, hour) for k in range(n_users)] == \
+            assert _rule(hour, homes, works, ref.params)[0].tolist() == \
                 [ref.anchor(k, hour) for k in range(n_users)]
 
     @pytest.mark.parametrize("seed", range(5))
@@ -752,12 +778,12 @@ class TestSimulatorExactness:
         # popularity 8:1, so about 8 in 10 users have the popular home and
         # each work draw of theirs clashes with it with chance 8/9
         params = SimulatorParams(popularity_exponent=3.0)
-        sim = GroundTruthSimulator(SPEC, 300, 2, seed, params=params)
+        _, _, homes, works = _population(SPEC, 300, 2, seed, params)
         ref = ScalarSimulator(SPEC, 300, 2, seed, params=params)
-        assert np.count_nonzero(sim.homes == np.argmax(sim.popularity)) > 200
-        assert np.array_equal(sim.homes, ref.homes)
-        assert np.array_equal(sim.works, ref.works)
-        assert np.all(sim.works != sim.homes)
+        assert np.count_nonzero(homes == np.argmax(ref.popularity)) > 200
+        assert np.array_equal(homes, ref.homes)
+        assert np.array_equal(works, ref.works)
+        assert np.all(works != homes)
 
 
 class _LargestDraw:
@@ -771,10 +797,11 @@ class TestSimulator:
     def test_largest_draw_picks_the_last_hotspot(self):
         # at population seed 4 the popularity CDF of 3,000 hotspots sums to
         # 1 - 5 * 2^-53, below the largest draw; every user leaves its anchor
-        sim = GroundTruthSimulator(SPEC, 3, 3000, seed=0, population_seed=4)
-        sim.rng = _LargestDraw()
-        corpus = sim.simulate(2, 600)
-        assert np.all(corpus.cells == sim.hotspots[-1])
+        params = SimulatorParams()
+        hotspots, pop_cdf, homes, works = _population(SPEC, 3, 3000, 4, params)
+        path = _walk(homes, works, pop_cdf, params, hour_of_day(np.array([0, 600])),
+                     _LargestDraw())
+        assert np.all(hotspots[path] == hotspots[-1])
 
     def test_determinism(self):
         a = simulate_ground_truth(SPEC, 5, 50, 20, seed=9)
@@ -787,58 +814,59 @@ class TestSimulator:
                    for ta, tc in zip(a.traces, c.traces))
 
     def test_population_seed_pins_layout_and_anchors(self):
-        s1 = GroundTruthSimulator(SPEC, 4, 20, seed=1, population_seed=77)
-        s2 = GroundTruthSimulator(SPEC, 4, 20, seed=2, population_seed=77)
-        assert np.array_equal(s1.hotspots, s2.hotspots)
-        assert np.array_equal(s1.popularity, s2.popularity)
-        assert np.array_equal(s1.homes, s2.homes)
-        assert np.array_equal(s1.works, s2.works)
+        hotspots, _, homes, _ = _population(SPEC, 4, 20, 77, SimulatorParams())
+        # users who always stay keep their home whatever the trajectory seed
+        still = SimulatorParams(1.0, 1.0, 1.0, 1.0)
+        for seed in (1, 2):
+            corpus = simulate_ground_truth(SPEC, 4, 30, 20, seed=seed, population_seed=77,
+                                           params=still)
+            assert np.array_equal(corpus.cells, np.repeat(hotspots[homes], 30))
+            moving = simulate_ground_truth(SPEC, 4, 30, 20, seed=seed, population_seed=77)
+            assert np.isin(moving.cells, hotspots).all()
 
     def test_transition_rows_are_distributions(self):
-        sim = GroundTruthSimulator(SPEC, 2, 12, seed=4)
+        ref = ScalarSimulator(SPEC, 2, 12, seed=4)
         for hour in (3.0, 11.0, 18.5):
-            mat = sim.transition_matrix(0, hour)
+            mat = ref.transition_matrix(0, hour)
             assert np.allclose(mat.sum(axis=1), 1.0)
             assert np.all(mat >= 0)
 
     def test_transition_matrix_recovered_from_counts(self):
-        # count-based estimate from a long fixed-hour chain must match the
-        # analytic transition rows within 0.02 per entry
-        sim = GroundTruthSimulator(SPEC, 1, 8, seed=4)
-        rng = np.random.default_rng(0)
-        chain = ScalarSimulator(SPEC, 1, 8, seed=4).simulate_chain(0, 200_000, hour=11.0, rng=rng)
-        m = sim.n_hotspots
+        # count-based estimate from 200,000 fixed-hour steps of the array
+        # walk must match the analytic transition rows within 0.02 per entry
+        ref = ScalarSimulator(SPEC, 1, 8, seed=4)
+        path = _fixed_hour_walk(ref, 11.0, 2000, 101, seed=0)
+        m = ref.hotspots.size
         counts = np.zeros((m, m))
-        np.add.at(counts, (chain[:-1], chain[1:]), 1.0)
+        np.add.at(counts, (path[:, :-1], path[:, 1:]), 1.0)
         rows = counts.sum(axis=1)
         est = counts / np.maximum(rows, 1.0)[:, None]
-        truth = sim.transition_matrix(0, 11.0)
+        truth = ref.transition_matrix(0, 11.0)
         well_sampled = rows > 5000
         assert well_sampled.any()
         assert np.max(np.abs(est[well_sampled] - truth[well_sampled])) < 0.02
 
     def test_stationary_distribution_matches_long_run(self):
-        sim = GroundTruthSimulator(SPEC, 1, 8, seed=4)
-        rng = np.random.default_rng(1)
-        chain = ScalarSimulator(SPEC, 1, 8, seed=4).simulate_chain(0, 100_000, hour=23.0, rng=rng)
-        emp = np.bincount(chain, minlength=sim.n_hotspots) / chain.size
-        pi = sim.stationary_distribution(0, 23.0)
+        # 1,000 walks from the anchor, each counted after 50 steps
+        ref = ScalarSimulator(SPEC, 1, 8, seed=4)
+        path = _fixed_hour_walk(ref, 23.0, 1000, 150, seed=1)[:, 50:]
+        emp = np.bincount(path.ravel(), minlength=ref.hotspots.size) / path.size
+        pi = ref.stationary_distribution(0, 23.0)
         assert 0.5 * np.abs(emp - pi).sum() < 0.05
 
     def test_circadian_anchors(self):
-        sim = GroundTruthSimulator(SPEC, 3, 20, seed=4)
-        for u in range(3):
-            assert sim.anchor(u, 23.0) == sim.homes[u]
-            assert sim.anchor(u, 2.0) == sim.homes[u]
-            assert sim.anchor(u, 11.0) == sim.works[u]
-            assert sim.anchor(u, 8.5) == sim.works[u]    # morning transit: to work
-            assert sim.anchor(u, 18.0) == sim.homes[u]   # evening transit: home
+        params = SimulatorParams()
+        _, _, homes, works = _population(SPEC, 3, 20, 4, params)
+        for hour, want in ((23.0, homes), (2.0, homes), (11.0, works),
+                           (8.5, works),     # morning transit: to work
+                           (18.0, homes)):   # evening transit: home
+            assert np.array_equal(_rule(hour, homes, works, params)[0], want)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            GroundTruthSimulator(SPEC, 1, 1, seed=0)
+            simulate_ground_truth(SPEC, 1, 10, 1, seed=0)
         with pytest.raises(DomainError):
-            GroundTruthSimulator(GridSpec(0, 1, 0, 1, level=1), 1, 5, seed=0)
+            simulate_ground_truth(GridSpec(0, 1, 0, 1, level=1), 1, 10, 5, seed=0)
 
 
 def _reference_save_corpus(corpus, path):

@@ -11,8 +11,8 @@ from mobsynth.dataio import Corpus, GridTrace, hour_of_day, simulate_ground_trut
 from mobsynth.errors import (DomainError, IncompatibilityError,
                              InsufficientDataError)
 from mobsynth.geogrid import GridSpec
-from mobsynth.metrics import (lagged_mi_bits, mi_decay, mmd_test, topn_report,
-                              visit_runs)
+from mobsynth.metrics import (corpus_runs, lagged_mi_bits, mi_decay, mmd_test,
+                              topn_report)
 
 SPEC = GridSpec(45.8, 47.8, 5.9, 10.5, level=8)
 
@@ -20,6 +20,11 @@ SPEC = GridSpec(45.8, 47.8, 5.9, 10.5, level=8)
 def _trace(cells, user="u", period=600):
     cells = np.asarray(cells, dtype=np.int64)
     return GridTrace(user, cells, np.arange(cells.size, dtype=np.int64) * period)
+
+
+def visit_runs(trace):
+    """(cell, start row, length) of each maximal run of one cell in ``trace``."""
+    return corpus_runs(Corpus(None, [trace]))[1:]
 
 
 def _corpus(traces):
@@ -85,7 +90,7 @@ class TestTopNReport:
 class TestMmd:
     def test_identical_corpora(self):
         corpus = simulate_ground_truth(SPEC, 10, 100, 12, seed=2)
-        res = mmd_test(corpus, corpus, n_permutations=100)
+        res = mmd_test(corpus, corpus, n_permutations=100, rng=np.random.default_rng(0))
         assert res.mmd2_biased == pytest.approx(0.0, abs=1e-12)
         assert res.mmd2_unbiased <= 0.0 + 1e-12
         assert res.p_value > 0.5
@@ -93,28 +98,28 @@ class TestMmd:
     def test_detects_different_processes(self):
         a = simulate_ground_truth(SPEC, 15, 150, 12, seed=3, population_seed=1)
         b = simulate_ground_truth(SPEC, 15, 150, 12, seed=4, population_seed=2)
-        res = mmd_test(a, b, n_permutations=200)
+        res = mmd_test(a, b, n_permutations=200, rng=np.random.default_rng(0))
         assert res.p_value < 0.05
 
     def test_null_is_not_rejected_typically(self):
         a = simulate_ground_truth(SPEC, 15, 150, 12, seed=5, population_seed=3)
         b = simulate_ground_truth(SPEC, 15, 150, 12, seed=6, population_seed=3)
-        res = mmd_test(a, b, n_permutations=200)
+        res = mmd_test(a, b, n_permutations=200, rng=np.random.default_rng(0))
         assert res.p_value > 0.05
 
     def test_validations(self):
         small = _corpus([_trace([1, 2])] * 3)
         big = _corpus([_trace([1, 2])] * 6)
         with pytest.raises(InsufficientDataError):
-            mmd_test(small, big)
+            mmd_test(small, big, 500, np.random.default_rng(0))
         other = Corpus(spec=SPEC, traces=[_trace([1, 2], period=300)],
                        sampling_period=300)
         with pytest.raises(IncompatibilityError):
-            mmd_test(big, other)
+            mmd_test(big, other, 500, np.random.default_rng(0))
 
     def test_no_permutations_gives_nan_p(self):
         corpus = simulate_ground_truth(SPEC, 6, 50, 12, seed=10)
-        res = mmd_test(corpus, corpus, n_permutations=0)
+        res = mmd_test(corpus, corpus, n_permutations=0, rng=np.random.default_rng(0))
         assert math.isnan(res.p_value)
         assert res.n_permutations == 0
 
@@ -312,7 +317,8 @@ class TestMmdExactness:
         assert _peak(lambda: metrics._permuted_mmd2(
             k, 1100, 900, 500, np.random.default_rng(31))) < block_bytes
         # and mmd_test with 500 permutations peaks where building the kernel does
-        built = _peak(lambda: mmd_test(real, syn, 0))
+        rng = np.random.default_rng(0)
+        built = _peak(lambda: mmd_test(real, syn, 0, rng))
         tested = _peak(lambda: mmd_test(real, syn, 500, np.random.default_rng(32)))
         assert built > KERNEL_BYTES_2000
         assert tested < built + block_bytes
@@ -321,7 +327,8 @@ class TestMmdExactness:
         # the kernel takes one (n+m)^2 buffer; the median bandwidth reads its
         # upper triangle, half a kernel more
         real, syn = _pooled_2000()
-        assert _peak(lambda: mmd_test(real, syn, 0)) < 3 * KERNEL_BYTES_2000
+        rng = np.random.default_rng(0)
+        assert _peak(lambda: mmd_test(real, syn, 0, rng)) < 3 * KERNEL_BYTES_2000
 
 
 KERNEL_BYTES_2000 = 8 * 2000 ** 2

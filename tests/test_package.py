@@ -3,22 +3,29 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import mobsynth
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 PACKAGE = Path(mobsynth.__file__).parent
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_every_traced_entry_point_resolves():
     # the traced benchmark reads an entry point it cannot find as 0, so a
     # rename would silently empty its per-layer metrics
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer()
     missing = []
     for module, path, _ in tracer.ENTRY_POINTS:
         owner = importlib.import_module(f"mobsynth.{module}")
@@ -47,6 +54,49 @@ def _importers(*packages):
             for top in {name.split(".")[0] for name in names} & set(packages):
                 owners.setdefault(top, set()).add(path.stem)
     return owners
+
+
+def _defined_names(tree):
+    """Public def and class names at module level and in class bodies."""
+    bodies, names = [tree.body], set()
+    while bodies:
+        for node in bodies.pop():
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    names.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    bodies.append(node.body)
+    return names
+
+
+def _read_names(tree):
+    """Names an AST reads: each Name, Attribute and import alias."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # nothing stays that no pipeline path or documented API uses: a public
+    # def or class of src/ is read by src/ code, the bench, a traced entry
+    # point or a README code span
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    read = {name for _, path, _ in _tracer().ENTRY_POINTS for name in path.split(".")}
+    for tree in trees + [ast.parse(path.read_text(encoding="utf-8"))
+                         for path in sorted(TRACER.parent.glob("*.py"))]:
+        read |= _read_names(tree)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for span in re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S):
+        read.update(re.findall(r"\w+", span))
+    unread = sorted(set().union(*map(_defined_names, trees)) - read)
+    assert unread == [], unread
 
 
 def test_only_dataio_reads_or_writes_json_or_csv():

@@ -11,7 +11,7 @@ from mobsynth.dataio import Corpus, GridTrace, simulate_ground_truth
 from mobsynth.errors import DomainError
 from mobsynth.generators import MarkovGenerator, _bucket_of
 from mobsynth.geogrid import GridSpec
-from mobsynth.metrics import corpus_runs, visit_runs
+from mobsynth.metrics import corpus_runs
 from mobsynth.privacy import (HIDDEN, ObfuscatedTrace, hide_locations,
                               membership_attack, membership_scores,
                               reconstruct_trace, run_sequence_attack,
@@ -440,6 +440,11 @@ class TestSparseViterbiExactness:
         got, decoded = _decode_counting_runs(obfuscated, prior)
         assert np.array_equal(got, np.concatenate(want))
         assert decoded == 3   # the first and the last trace pose one problem
+
+
+def visit_runs(trace):
+    """(cell, start row, length) of each maximal run of one cell in ``trace``."""
+    return corpus_runs(Corpus(None, [trace]))[1:]
 
 
 def visit_frequency(trace):
