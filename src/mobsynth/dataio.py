@@ -229,9 +229,9 @@ def _regularize(parsed, spec: GridSpec, sampling_period) -> Corpus:
 # ---------------------------------------------------------------------------
 
 # the array reader parses a file in blocks of whole lines of at most this many
-# bytes; a block's index arrays and S columns take a few times as much
+# bytes; a block's table of rows takes a few times as much
 _BLOCK_BYTES = 2 ** 16
-_LF, _CR, _COMMA, _LAST_ASCII = ord("\n"), ord("\r"), ord(","), 0x7e
+_LF, _CR, _LAST_ASCII = ord("\n"), ord("\r"), 0x7e
 _LONE_CR = re.compile("(?<=\r)(?!\n)")
 _MEMBER_LABELS = ("1", "true", "yes")
 
@@ -340,12 +340,13 @@ def _parse_rows(reader, n_fields: int) -> _Points:
 
 def _parse_blocks(fh, n_fields: int) -> _Points | None:
     """The array reader: the rows of a binary CSV file, parsed in blocks of
-    whole lines of at most ``_BLOCK_BYTES``.  It returns what the per-row
-    reader would, or None, and leaves the file to the per-row reader, where
-    a block is not plain (see :func:`_block_fields`), a value fails its cast
-    or a check, or one line fills the budget.  numpy's S->int64 and
-    S->float64 casts accept, on ASCII, exactly what ``int()`` and ``float()``
-    accept, with the same value, or raise."""
+    whole lines of at most ``_BLOCK_BYTES`` by numpy's text reader.  It
+    returns what the per-row reader would, or None, and leaves the file to
+    the per-row reader, where a block is not plain (see :func:`_plain_lines`)
+    or its S columns pass four times the budget, the text reader refuses a
+    line, a value fails a check, or one line fills the budget.  On printable
+    ASCII the text reader's int64 and float64 converters give what ``int()``
+    and ``float()`` give, or raise."""
     labelled = n_fields > len(CSV_HEADER)
     # a row per line at most, so the columns are filled in place and never grown
     start = fh.tell()
@@ -364,43 +365,51 @@ def _parse_blocks(fh, n_fields: int) -> _Points | None:
         if not cut:
             return None
         block, rest = block[:cut], block[cut:]
-        found = _block_fields(block, n_fields, first=lines == 0)
-        if found is None:
+        plain = _plain_lines(block)
+        if plain is None:
             return None
-        header, fields = found
-        try:
-            ts, lat, lon = (f.astype(t) for f, t in zip(fields[1:4], dtypes[1:4]))
+        n, widest = plain
+        if n * widest * (1 + labelled) > 4 * _BLOCK_BYTES:  # the S columns' bytes
+            return None
+        header = int(lines == 0 and block.split(b"\n", 1)[0].split(b",", 1)[0].strip().lower()
+                     == b"user_id")
+        fields = [("user", f"S{widest}"), ("ts", np.int64), ("lat", np.float64),
+                  ("lon", np.float64), ("label", f"S{widest}")][:n_fields]
+        try:  # loadtxt warns on a block with no data line, the header alone
+            table = (np.loadtxt(io.BytesIO(block), dtype=fields, delimiter=",", comments=None,
+                                quotechar=None, skiprows=header, encoding="ascii", ndmin=1)
+                     if n > header else np.empty(0, fields))
         except (ValueError, OverflowError):
             return None
-        if np.any(ts < 0) or not np.all(np.isfinite(lat) & np.isfinite(lon)):
+        ts, lat, lon = table["ts"], table["lat"], table["lon"]
+        if (ts.size != n - header or np.any(ts < 0)
+                or not np.all(np.isfinite(lat) & np.isfinite(lon))):
             return None
         # users numbered by first appearance: the block's in order of first row
-        uniq, first_row, user = np.unique(fields[0], return_index=True, return_inverse=True)
+        uniq, first_row, user = np.unique(table["user"], return_index=True, return_inverse=True)
         order = np.argsort(first_row)
         ids = np.empty(uniq.size, dtype=np.int64)
         ids[order] = [names.setdefault(u.decode().strip(), len(names))
                       for u in uniq[order].tolist()]
         values = [ids[user], ts, lat, lon]
         if labelled:
-            uniq, label = np.unique(fields[4], return_inverse=True)
+            uniq, label = np.unique(table["label"], return_inverse=True)
             values.append(np.array([u.decode().strip() in _MEMBER_LABELS
                                     for u in uniq.tolist()], dtype=bool)[label])
             values.append(lines + header + 1 + np.arange(ts.size))
         for column, block_values in zip(columns, values):
             column[rows:rows + ts.size] = block_values
         rows += ts.size
-        lines += header + ts.size
+        lines += n
     return _Points(list(names), *(column[:rows] for column in columns))
 
 
-def _block_fields(block: bytes, n_fields: int, first: bool):
-    """(header, fields) of a block of whole lines: whether it began with the
-    file's header line, which is dropped, and each column's fields as a
-    fixed-width S array.  None where the block is not plain: it holds a
-    quote, a byte past ASCII's last printable one, a control byte other than
-    LF and the CR of a CRLF, a blank line, a line without exactly
-    ``n_fields - 1`` commas or a field wider than csv allows, or its widths
-    are so uneven that its S columns pass the byte budget."""
+def _plain_lines(block: bytes):
+    """(lines, widest line's width) of a block of whole lines, or None where
+    the block is not plain: it holds a quote, a byte past ASCII's last
+    printable one, a control byte other than LF and the CR of a CRLF, an
+    empty line, which numpy's text reader would skip, or a line wider than
+    csv allows a field."""
     b = np.frombuffer(block, dtype=np.uint8)
     if b'"' in block or b.max() > _LAST_ASCII:
         return None
@@ -409,37 +418,13 @@ def _block_fields(block: bytes, n_fields: int, first: bool):
     crlf[lf == 0] = False
     if np.count_nonzero(b < 0x20) != lf.size + np.count_nonzero(crlf):
         return None
-    starts = np.append(0, lf + 1)
-    ends = lf - crlf
-    if block[-1] == _LF:
-        starts = starts[:-1]
-    else:
-        ends = np.append(ends, b.size)  # the file's last line, with no newline
-    header = int(first and block[:ends[0]].split(b",", 1)[0].strip().lower() == b"user_id")
-    starts, ends = starts[header:], ends[header:]
-    n = starts.size
-    if n == 0:
-        return header, [np.empty(0, "S1")] * n_fields
-    commas = np.flatnonzero(b[starts[0]:] == _COMMA) + starts[0]
-    if commas.size != n * (n_fields - 1):
+    if block[-1] != _LF:  # the file's last line, with no newline
+        lf, crlf = np.append(lf, b.size), np.append(crlf, False)
+    width = np.diff(lf, prepend=-1) - 1 - crlf
+    widest = int(width.max())
+    if width.min() == 0 or widest > csv.field_size_limit():
         return None
-    commas = commas.reshape(n, n_fields - 1).T
-    if np.any(commas[0] < starts) or np.any(commas[-1] >= ends):
-        return None
-    lo = [starts, *(commas + 1)]
-    width = [hi - a for a, hi in zip(lo, [*commas, ends])]
-    widest = [max(int(w.max()), 1) for w in width]
-    if max(widest) > csv.field_size_limit() or n * sum(widest) > 4 * _BLOCK_BYTES:
-        return None
-    padded = np.append(b, np.zeros(max(widest), dtype=np.uint8))
-    fields = []
-    for a, w, most in zip(lo, width, widest):
-        # field i is the S{most} string at byte a[i], cut to its width
-        column = np.ndarray(padded.size - most + 1, dtype=f"S{most}", buffer=padded,
-                            strides=1)[a]
-        column.view(np.uint8).reshape(n, most)[...] *= np.arange(most) < w[:, None]
-        fields.append(column)
-    return header, fields
+    return width.size, widest
 
 
 def _user_labels(names, user, member, line) -> np.ndarray:

@@ -90,7 +90,7 @@ class _BucketView:
         self.log_p0 = np.log(prior.stationary_distribution(bucket))
         self.seen, floor, ctx, self.next, p = prior.sparse_transitions(bucket)
         self.log_floor, self.log_seen = np.log(floor), np.log(p)
-        self.unseen = np.setdiff1d(np.arange(self.log_p0.size, dtype=np.int32), self.seen)
+        self.unseen = np.delete(np.arange(self.log_p0.size, dtype=np.int32), self.seen)
         # rows of seen[k] are [row_bounds[k], row_bounds[k + 1])
         self.row_bounds = np.searchsorted(ctx, np.append(self.seen, self.log_p0.size))
         # the same rows sorted by (next, context): one group per column

@@ -1,6 +1,9 @@
+import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -967,3 +970,127 @@ class TestConfig:
         with pytest.raises(SystemExit) as err:
             main(["not-a-command"])
         assert err.value.code == 2
+
+
+class TestFloatingPointErrors:
+    def test_pass_raises_no_floating_point_error(self, tmp_path, monkeypatch):
+        # underflow is left out: exp() is floored at _EXP_FLOOR on purpose
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        real, other, ingested = (tmp_path / n for n in ("real.csv", "other.csv", "ing.csv"))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert run("--seed", "1", "simulate", "--out", str(real), "--users", "8",
+                       "--steps", "150", "--hotspots", "10") == EXIT_OK
+            assert run("--seed", "7", "simulate", "--out", str(other), "--users", "5",
+                       "--steps", "150", "--hotspots", "10") == EXIT_OK
+            assert run("ingest", "--input", str(real), "--out", str(ingested)) == EXIT_OK
+            targets = _targets_file(tmp_path, ingested, other)
+            for kind, options in (("vine", ["--max-scores", "2000", "--max-rows", "2000"]),
+                                  ("markov", [])):
+                model, syn = tmp_path / f"{kind}.json", tmp_path / f"{kind}_syn.csv"
+                assert run("--seed", "2", "fit", "--corpus", str(ingested), "--model-type",
+                           kind, *options, "--out", str(model)) == EXIT_OK
+                assert run("--seed", "3", "generate", "--model", str(model), "--out", str(syn),
+                           "--n-traces", "8", "--trace-len", "150") == EXIT_OK
+                assert run("--seed", "4", "evaluate", "--real", str(ingested), "--syn",
+                           str(syn), "--outdir", str(tmp_path / f"{kind}_report"),
+                           "--tau-max", "5", "--n-permutations", "20",
+                           "--targets", str(targets)) == EXIT_OK
+                assert run("--seed", "5", "attack", "--syn", str(syn), "--targets",
+                           str(targets), "--out", str(tmp_path / f"{kind}_p.json")) == EXIT_OK
+
+
+# runs the CLI cases given as JSON on stdin in turn, each under an alarm, in
+# an address space capped so that an unguarded allocation fails at once
+_CASE_RUNNER = """
+import json, resource, signal, sys
+from mobsynth import cli
+
+class Timeout(BaseException):
+    pass
+
+def on_alarm(signum, frame):
+    raise Timeout
+
+cases, seconds, limit = json.load(sys.stdin)
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS,
+                   (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+signal.signal(signal.SIGALRM, on_alarm)
+codes = []
+for argv in cases:
+    signal.alarm(seconds)
+    try:
+        codes.append(cli.main(argv))
+    except SystemExit as exc:  # argparse refusing a value
+        codes.append(exc.code)
+    except Timeout:
+        codes.append("timeout")
+    finally:
+        signal.alarm(0)
+print(json.dumps(codes))
+"""
+
+_EXTREME_INTS = ("-1", "0", str(10 ** 20), str(2 ** 63))
+_EXTREME_FLOATS = _EXTREME_INTS + ("nan", "inf", "1e-300")
+
+
+class TestBoundedInputs:
+    def test_every_numeric_option_at_extremes_exits_with_a_documented_code(
+            self, tmp_path, subprocess_pythonpath):
+        # a 4-user, 60-step fixture and what each command reads of it
+        real, other = tmp_path / "real.csv", tmp_path / "other.csv"
+        for seed, path in (("1", real), ("7", other)):
+            assert run("--seed", seed, "simulate", "--out", str(path), "--users", "4",
+                       "--steps", "60", "--hotspots", "8") == EXIT_OK
+        assert run("--seed", "2", "fit", "--corpus", str(real), "--max-scores", "200",
+                   "--out", str(tmp_path / "vine.json")) == EXIT_OK
+        assert run("fit", "--corpus", str(real), "--model-type", "markov",
+                   "--out", str(tmp_path / "markov.json")) == EXIT_OK
+        assert run("--seed", "3", "generate", "--model", str(tmp_path / "markov.json"),
+                   "--out", str(tmp_path / "syn.csv"), "--n-traces", "4",
+                   "--trace-len", "60") == EXIT_OK
+        _targets_file(tmp_path, real, other)
+        (tmp_path / "out").mkdir()
+        # each command's passing call, with paths relative to the cases' directory
+        bases = {
+            "simulate": [["simulate", "--out", "out/sim.csv", "--users", "4", "--steps", "60",
+                          "--hotspots", "8"]],
+            "ingest": [["ingest", "--input", "real.csv", "--out", "out/ing.csv"]],
+            "fit": [["fit", "--corpus", "real.csv", "--max-scores", "200", "--out", "out/v.json"],
+                    ["fit", "--corpus", "real.csv", "--model-type", "markov", "--out",
+                     "out/m.json"]],
+            "generate": [["generate", "--model", model, "--out", "out/syn.csv", "--n-traces",
+                          "4", "--trace-len", "60"] for model in ("vine.json", "markov.json")],
+            "evaluate": [["evaluate", "--real", "real.csv", "--syn", "syn.csv", "--outdir",
+                          "out/report", "--tau-max", "5", "--n-permutations", "20",
+                          "--targets", "targets.csv"]],
+            "attack": [["attack", "--syn", "syn.csv", "--targets", "targets.csv", "--out",
+                        "out/p.json"]],
+        }
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(bases) == set(commands)
+
+        def extremes(p):
+            for action in p._actions:
+                if action.type in (int, float):
+                    values = _EXTREME_INTS if action.type is int else _EXTREME_FLOATS
+                    yield from (f"{action.option_strings[-1]}={v}" for v in values)
+
+        cases = []
+        for command, argvs in bases.items():
+            for argv in argvs:  # a repeated option's last value wins
+                cases += [["--seed", "1", value, *argv] for value in extremes(parser)]
+                cases += [["--seed", "1", *argv, value] for value in extremes(commands[command])]
+        env = dict(os.environ, PYTHONPATH=subprocess_pythonpath, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env.pop(cli.OUTDIR_ENV, None)
+        r = subprocess.run([sys.executable, "-c", _CASE_RUNNER], env=env, cwd=tmp_path,
+                           input=json.dumps([cases, 30, 2 << 30]), capture_output=True,
+                           text=True, timeout=900)
+        assert r.returncode == 0, r.stderr
+        codes = json.loads(r.stdout.splitlines()[-1])  # after the commands' own lines
+        bad = [(" ".join(case), code) for case, code in zip(cases, codes)
+               if code not in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN)]
+        assert len(codes) == len(cases) > 150 and not bad, bad

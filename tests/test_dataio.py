@@ -452,7 +452,8 @@ def _block_bytes(budget):
         yield
 
 
-# strings on which numpy's S casts must agree with int() and float()
+# strings on which the array reader must read a number as int() and float()
+# read it, or leave the file to the per-row reader
 _CAST_EDGES = ["0", "5", "-5", "+5", " 5", "5 ", "\t5\t", "\x0b5\x0c", "\x1c5\x1f", "007",
                "1_0", "1__0", "_10", "10_", "0x10", "0b1", "1e3", "1.0", "", " ", "+", "-",
                "- 5", "1 5", "1,5", "9223372036854775807", "9223372036854775808",
@@ -465,38 +466,39 @@ _CAST_EDGES = ["0", "5", "-5", "+5", " 5", "5 ", "\t5\t", "\x0b5\x0c", "\x1c5\x1
                "1.7976931348623159e308", "9007199254740993", "0." + "1" * 60]
 
 
-def _cast(kind, text):
-    """("ok", value) or ("raises",) for a Python or numpy cast of ``text``."""
-    try:
-        if kind in (int, float):
-            value = kind(text)
-            if kind is int and not -2 ** 63 <= value < 2 ** 63:
-                return ("raises",)
-        else:
-            value = np.array([text.encode()], dtype=f"S{max(len(text), 1)}").astype(kind)[0]
-            value = value.item()
-    except (ValueError, OverflowError):
-        return ("raises",)
-    return ("ok", struct.pack("<d", value) if isinstance(value, float) and value == value
-            else ("nan" if value != value else value))
+def _block_reads(text):
+    """The array reader's columns for a file's text, or None where it
+    leaves the file to the per-row reader."""
+    return dataio._parse_blocks(io.BytesIO(text.encode()), 4)
 
 
 class TestCastContract:
-    """The array reader takes numpy's S->int64 and S->float64 casts for int()
-    and float(): on ASCII each gives the same value or raises where they do."""
+    """The array reader reads each number as int() and float() read it, or
+    leaves the file to the per-row reader, which calls them."""
 
     @pytest.mark.parametrize("text", _CAST_EDGES)
-    def test_s_casts_match_int_and_float(self, text):
-        assert _cast(np.int64, text) == _cast(int, text)
-        assert _cast(np.float64, text) == _cast(float, text)
+    def test_block_reader_reads_numbers_as_int_and_float_do(self, text):
+        points = _block_reads(f"u1,{text},46.5,7.5\n")
+        if points is not None:
+            assert points.ts.tolist() == [int(text)]
+        points = _block_reads(f"u1,600,{text},7.5\n")
+        if points is not None:
+            assert points.lat.tobytes() == struct.pack("<d", float(text))
+
+    @pytest.mark.parametrize("ts, lat", [("600", "46.5"), ("0", "-46.5"), ("007", "1E+5"),
+                                         ("9223372036854775807", "4.9406564584124654e-324")])
+    def test_block_reader_takes_plain_numbers(self, ts, lat):
+        points = _block_reads(f"u1,{ts},{lat},7.5\n")
+        assert points.ts.tolist() == [int(ts)]
+        assert points.lat.tobytes() == struct.pack("<d", float(lat))
 
     def test_float_cast_rounds_as_float_does(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-180, 180, 20_000)
         texts = ([repr(v) for v in x.tolist()] + [f"{v:.25f}" for v in x[:5000].tolist()]
                  + [f"{v:.3e}" for v in x[:5000].tolist()])
-        got = np.array([t.encode() for t in texts]).astype(np.float64)
-        assert got.tobytes() == np.array([float(t) for t in texts]).tobytes()
+        points = _block_reads("".join(f"u1,0,{t},7.5\n" for t in texts))
+        assert points.lat.tobytes() == np.array([float(t) for t in texts]).tobytes()
 
     def test_numpy_meets_the_floor_the_contract_was_checked_on(self):
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
