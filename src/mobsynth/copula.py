@@ -339,22 +339,6 @@ class KernelPairCopula:
         r = np.clip((q - prev) / np.maximum(w[k, at], 1e-300), 1e-12, 1.0 - 1e-12)
         return ndtr(others[first + k] + self.bandwidth * ndtri(r))
 
-    # -- sampling ----------------------------------------------------------
-
-    def sample(self, n, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n (u, v) pairs: v uniform, then u | v by the exact
-        conditional draw (:meth:`sample_u_given_v`)."""
-        v = rng.uniform(size=n)
-        p = rng.uniform(size=n)
-        return self.sample_u_given_v(p, v), v
-
-    def kendall_tau(self, n, rng) -> float:
-        """Kendall's tau of n pairs drawn by :meth:`sample`."""
-        from scipy.stats import kendalltau
-
-        u, v = self.sample(n, rng)
-        return float(kendalltau(u, v).statistic)
-
 
 def _inside_unit(x, what):
     """x as a float array, which must lie strictly inside (0, 1)."""

@@ -231,7 +231,7 @@ def _regularize(parsed, spec: GridSpec, sampling_period) -> Corpus:
 # the array reader parses a file in blocks of whole lines of at most this many
 # bytes; a block's table of rows takes a few times as much
 _BLOCK_BYTES = 2 ** 16
-_LF, _CR, _LAST_ASCII = ord("\n"), ord("\r"), 0x7e
+_LF, _CR, _COMMA, _LAST_ASCII = ord("\n"), ord("\r"), ord(","), 0x7e
 _LONE_CR = re.compile("(?<=\r)(?!\n)")
 _MEMBER_LABELS = ("1", "true", "yes")
 
@@ -368,13 +368,13 @@ def _parse_blocks(fh, n_fields: int) -> _Points | None:
         plain = _plain_lines(block)
         if plain is None:
             return None
-        n, widest = plain
-        if n * widest * (1 + labelled) > 4 * _BLOCK_BYTES:  # the S columns' bytes
+        n, first, last = plain
+        if n * (first + last * labelled) > 4 * _BLOCK_BYTES:  # the S columns' bytes
             return None
         header = int(lines == 0 and block.split(b"\n", 1)[0].split(b",", 1)[0].strip().lower()
                      == b"user_id")
-        fields = [("user", f"S{widest}"), ("ts", np.int64), ("lat", np.float64),
-                  ("lon", np.float64), ("label", f"S{widest}")][:n_fields]
+        fields = [("user", f"S{first}"), ("ts", np.int64), ("lat", np.float64),
+                  ("lon", np.float64), ("label", f"S{last}")][:n_fields]
         try:  # loadtxt warns on a block with no data line, the header alone
             table = (np.loadtxt(io.BytesIO(block), dtype=fields, delimiter=",", comments=None,
                                 quotechar=None, skiprows=header, encoding="ascii", ndmin=1)
@@ -405,26 +405,34 @@ def _parse_blocks(fh, n_fields: int) -> _Points | None:
 
 
 def _plain_lines(block: bytes):
-    """(lines, widest line's width) of a block of whole lines, or None where
-    the block is not plain: it holds a quote, a byte past ASCII's last
-    printable one, a control byte other than LF and the CR of a CRLF, an
-    empty line, which numpy's text reader would skip, or a line wider than
-    csv allows a field."""
+    """(lines, widest first field, widest last field) of a block of whole
+    lines, or None where the block is not plain: it holds a quote, a byte
+    past ASCII's last printable one, a control byte other than LF and the CR
+    of a CRLF, an empty line, which numpy's text reader would skip, or a
+    line wider than csv allows a field."""
     b = np.frombuffer(block, dtype=np.uint8)
     if b'"' in block or b.max() > _LAST_ASCII:
         return None
-    lf = np.flatnonzero(b == _LF)
+    # the commas and line feeds, after a line feed before the block
+    sep = np.append(-1, np.flatnonzero((b == _COMMA) | (b == _LF)))
+    at = np.flatnonzero(b[sep[1:]] == _LF) + 1
+    lf = sep[at]
     crlf = b[lf - 1] == _CR
     crlf[lf == 0] = False
     if np.count_nonzero(b < 0x20) != lf.size + np.count_nonzero(crlf):
         return None
     if block[-1] != _LF:  # the file's last line, with no newline
-        lf, crlf = np.append(lf, b.size), np.append(crlf, False)
+        sep, at = np.append(sep, b.size), np.append(at, sep.size)
+        lf, crlf = sep[at], np.append(crlf, False)
     width = np.diff(lf, prepend=-1) - 1 - crlf
-    widest = int(width.max())
-    if width.min() == 0 or widest > csv.field_size_limit():
+    if width.min() == 0 or width.max() > csv.field_size_limit():
         return None
-    return width.size, widest
+    # a line's first field ends at the separator after its start, or at its
+    # end; its last field starts after the separator before its end
+    end = lf - crlf
+    first = np.minimum(sep[np.append(0, at[:-1]) + 1], end) - (end - width)
+    last = end - 1 - sep[at - 1]
+    return width.size, max(1, int(first.max())), max(1, int(last.max()))
 
 
 def _user_labels(names, user, member, line) -> np.ndarray:

@@ -57,21 +57,6 @@ def hide_locations(trace: GridTrace, p_hide: float, rng) -> ObfuscatedTrace:
 # sequence reconstruction attack
 # ---------------------------------------------------------------------------
 
-class _ViterbiPrior:
-    """Log-space order-1 reduction of a Markov prior, one sparse view per
-    time bucket, built on first use."""
-
-    def __init__(self, prior: MarkovGenerator):
-        self.prior = prior
-        self.alphabet = prior.alphabet
-        self._views: dict[int, _BucketView] = {}
-
-    def view(self, bucket: int) -> "_BucketView":
-        if bucket not in self._views:
-            self._views[bucket] = _BucketView(self.prior, bucket)
-        return self._views[bucket]
-
-
 # an unseen context's score this close below the best one, relative to
 # their size, may still tie with it after adding a log probability
 _TIE_ULPS = 4 * np.finfo(float).eps
@@ -195,14 +180,10 @@ def _lookup(keys: np.ndarray, x: np.ndarray):
     return at, k[at]
 
 
-def _groups(vp: _ViterbiPrior, buckets: np.ndarray):
-    """(view, rows) for each time bucket in ``buckets``; rows is a slice
-    when there is one bucket."""
-    if buckets.min() == buckets.max():
-        yield vp.view(int(buckets[0])), slice(None)
-        return
+def _groups(views: dict, buckets: np.ndarray):
+    """(view, rows) for each time bucket in ``buckets``."""
     for b in np.unique(buckets):
-        yield vp.view(int(b)), np.flatnonzero(buckets == b)
+        yield views[int(b)], np.flatnonzero(buckets == b)
 
 
 # the memory a decode chunk may take: each run of length L holds L int32
@@ -218,12 +199,11 @@ def reconstruct_trace(obf: ObfuscatedTrace, prior: MarkovGenerator) -> np.ndarra
     Viterbi runs only over maximal hidden segments; observed points pin the
     state (observed cells unknown to the prior leave the step unconstrained).
     """
-    return _reconstruct(obf.cells, obf.timestamps, np.array([0, obf.cells.size]),
-                        _ViterbiPrior(prior))
+    return _reconstruct(obf.cells, obf.timestamps, np.array([0, obf.cells.size]), prior)
 
 
 def _reconstruct(cells: np.ndarray, timestamps: np.ndarray, offsets: np.ndarray,
-                 vp: _ViterbiPrior) -> np.ndarray:
+                 prior: MarkovGenerator) -> np.ndarray:
     """:func:`reconstruct_trace` of every trace, end to end, in one decode;
     trace k is rows ``offsets[k]:offsets[k + 1]`` of the columns ``cells``
     (observed cell or HIDDEN) and ``timestamps``, as in a Corpus.
@@ -233,15 +213,15 @@ def _reconstruct(cells: np.ndarray, timestamps: np.ndarray, offsets: np.ndarray,
     first, cut into chunks of about ``_CHUNK_BYTES``, and each chunk
     advanced one position at a time.  A repeated run copies the path.
     """
-    buckets = _bucket_of(timestamps, vp.prior.time_buckets)
+    buckets = _bucket_of(timestamps, prior.time_buckets)
     n = cells.size
     head = np.zeros(n + 1, dtype=bool)   # the first point of a trace, and n
     head[offsets] = True
     tail = head[1:]                      # the last point of a trace
     # state index of each point, -1 = free: hidden, or a cell the prior
     # does not know; decoding fills in the free ones
-    state = np.minimum(np.searchsorted(vp.alphabet, cells), vp.alphabet.size - 1)
-    state[(cells == HIDDEN) | (vp.alphabet[state] != cells)] = -1
+    state = np.minimum(np.searchsorted(prior.alphabet, cells), prior.alphabet.size - 1)
+    state[(cells == HIDDEN) | (prior.alphabet[state] != cells)] = -1
     free = state < 0
     # maximal free runs [lo, hi) within a trace, anchored at lo - 1 and hi
     # when those are pinned points of the same trace
@@ -254,23 +234,26 @@ def _reconstruct(cells: np.ndarray, timestamps: np.ndarray, offsets: np.ndarray,
     right = np.where(tail[hi - 1], -1, state[after])
     # the right anchor's bucket, or -1 when no anchor is pinned there
     right_bucket = np.where(right >= 0, buckets[after], -1)
+    # log-space order-1 views of the buckets the decode steps through
+    views = {int(b): _BucketView(prior, int(b))
+             for b in np.union1d(buckets[free], right_bucket[right >= 0])}
 
     length = hi - lo
     first = _first_of_same(buckets, lo, length, left, right, right_bucket)
     own = first == np.arange(lo.size)
     distinct = np.flatnonzero(own)
     order = distinct[np.lexsort((-length[distinct], buckets[lo[distinct]]))]
-    size = (4 * length[order] + 64) * vp.alphabet.size
+    size = (4 * length[order] + 64) * prior.alphabet.size
     chunk = (np.cumsum(size) - size) // _CHUNK_BYTES
     for runs in np.split(order, np.flatnonzero(np.diff(chunk)) + 1):
         runs = runs[np.argsort(-length[runs], kind="stable")]
-        _decode_chunk(vp, buckets, lo[runs], length[runs], left[runs], right[runs],
+        _decode_chunk(views, buckets, lo[runs], length[runs], left[runs], right[runs],
                       right_bucket[runs], state)
     # every other run takes the path of the first run of its problem
     copy = np.flatnonzero(~own)
     src = lo[first[copy]]
     state[_ranges(lo[copy], hi[copy])] = state[_ranges(src, src + length[copy])]
-    return vp.alphabet[state]
+    return prior.alphabet[state]
 
 
 def _first_of_same(buckets, lo, length, left, right, right_bucket) -> np.ndarray:
@@ -287,14 +270,14 @@ def _first_of_same(buckets, lo, length, left, right, right_bucket) -> np.ndarray
     return first
 
 
-def _decode_chunk(vp, buckets, lo, length, left, right, right_buckets, state) -> None:
+def _decode_chunk(views, buckets, lo, length, left, right, right_buckets, state) -> None:
     """Viterbi over K free runs in lock-step, writing their state indices
     into ``state``.  The runs come longest first, so those still running at
     position t are a prefix: the first ``running[t]``."""
     running = np.searchsorted(-length, -np.arange(length[0]))
-    v = vp.alphabet.size
+    v = next(iter(views.values())).log_p0.size
     score = np.empty((lo.size, v))
-    for view, rows in _groups(vp, buckets[lo]):
+    for view, rows in _groups(views, buckets[lo]):
         score[rows] = view.rows(left[rows])
     last = np.empty_like(score)   # each run's score at its last point
     backs = []
@@ -302,7 +285,7 @@ def _decode_chunk(vp, buckets, lo, length, left, right, right_buckets, state) ->
         k = running[t]
         last[k:running[t - 1]] = score[k:]
         best, back = np.empty((k, v)), np.empty((k, v), dtype=np.int32)
-        for view, rows in _groups(vp, buckets[lo[:k] + t]):
+        for view, rows in _groups(views, buckets[lo[:k] + t]):
             best[rows], back[rows] = view.step(score[:k][rows])
         score = best
         backs.append(back)
@@ -310,7 +293,7 @@ def _decode_chunk(vp, buckets, lo, length, left, right, right_buckets, state) ->
     # one more transition into the pinned right anchor
     pinned = np.flatnonzero(right >= 0)
     if pinned.size:
-        for view, rows in _groups(vp, right_buckets[pinned]):
+        for view, rows in _groups(views, right_buckets[pinned]):
             at = pinned[rows]
             last[at] += view.columns(right[at])
     cur = np.argmax(last, axis=1)
@@ -331,7 +314,7 @@ def sequence_attack(truth: Corpus, obfuscated: list[ObfuscatedTrace],
     hidden = cells == HIDDEN
     if not hidden.any():
         raise DomainError("nothing to attack: no hidden points in the corpus")
-    recovered = _reconstruct(cells, truth.timestamps, truth.offsets, _ViterbiPrior(prior))
+    recovered = _reconstruct(cells, truth.timestamps, truth.offsets, prior)
     return int(np.sum(recovered[hidden] == truth.cells[hidden])) / int(hidden.sum())
 
 

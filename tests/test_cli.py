@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1033,6 +1034,56 @@ print(json.dumps(codes))
 _EXTREME_INTS = ("-1", "0", str(10 ** 20), str(2 ** 63))
 _EXTREME_FLOATS = _EXTREME_INTS + ("nan", "inf", "1e-300")
 
+# the values each numeric field of a model file is set to in turn
+_FIELD_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300,
+                 1e300, -1e300, sys.float_info.max, -sys.float_info.max]
+_FIELD_INTS = [0, -1, 1, 2 ** 31, 2 ** 53, 2 ** 63 - 1, -2 ** 63, 10 ** 20]
+
+
+def _run_cases(cases, cwd, pythonpath):
+    """The exit code of each CLI case, run in turn by one child process whose
+    address space is capped at 2 GiB, under a 30 s alarm per case."""
+    env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop(cli.OUTDIR_ENV, None)
+    r = subprocess.run([sys.executable, "-c", _CASE_RUNNER], env=env, cwd=cwd,
+                       input=json.dumps([cases, 30, 2 << 30]), capture_output=True,
+                       text=True, timeout=900)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])  # after the commands' own lines
+
+
+def _field_variants(node):
+    """Each copy of the JSON tree ``node`` with one numeric leaf set to an
+    extreme: a scalar to each extreme of its type, and the first and the
+    last element of an encoded array to each extreme its dtype holds; every
+    ``format_version`` stays."""
+    if isinstance(node, dict) and {"dtype", "shape", "data"} <= node.keys():
+        a = dataio.decode_array(node)
+        if a.dtype.kind == "f":
+            values = _FIELD_FLOATS
+        else:
+            info = np.iinfo(a.dtype)
+            values = [v for v in _FIELD_INTS if info.min <= v <= info.max]
+        for at in sorted({0, a.size - 1}):
+            for v in values:
+                b = a.copy()
+                b.flat[at] = v
+                yield dataio.encode_array(b)
+    elif isinstance(node, (dict, list)):
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for k in keys:
+            if k == "format_version":
+                continue
+            for variant in _field_variants(node[k]):
+                copy = node.copy()
+                copy[k] = variant
+                yield copy
+    elif type(node) is float:
+        yield from _FIELD_FLOATS
+    elif type(node) is int:
+        yield from _FIELD_INTS
+
 
 class TestBoundedInputs:
     def test_every_numeric_option_at_extremes_exits_with_a_documented_code(
@@ -1083,14 +1134,40 @@ class TestBoundedInputs:
             for argv in argvs:  # a repeated option's last value wins
                 cases += [["--seed", "1", value, *argv] for value in extremes(parser)]
                 cases += [["--seed", "1", *argv, value] for value in extremes(commands[command])]
-        env = dict(os.environ, PYTHONPATH=subprocess_pythonpath, OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        env.pop(cli.OUTDIR_ENV, None)
-        r = subprocess.run([sys.executable, "-c", _CASE_RUNNER], env=env, cwd=tmp_path,
-                           input=json.dumps([cases, 30, 2 << 30]), capture_output=True,
-                           text=True, timeout=900)
-        assert r.returncode == 0, r.stderr
-        codes = json.loads(r.stdout.splitlines()[-1])  # after the commands' own lines
+        codes = _run_cases(cases, tmp_path, subprocess_pythonpath)
         bad = [(" ".join(case), code) for case, code in zip(cases, codes)
                if code not in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN)]
         assert len(codes) == len(cases) > 150 and not bad, bad
+
+    def test_every_model_field_at_extremes_exits_with_a_documented_code(
+            self, tmp_path, subprocess_pythonpath):
+        # a deterministic sweep: every numeric field of a vine and an order-2
+        # Markov model file at every extreme, each copy generated from once
+        assert run("--seed", "1", "simulate", "--out", str(tmp_path / "real.csv"), "--users",
+                   "6", "--steps", "120", "--hotspots", "20") == EXIT_OK
+        assert run("--seed", "2", "fit", "--corpus", str(tmp_path / "real.csv"),
+                   "--max-scores", "300", "--max-rows", "600",
+                   "--out", str(tmp_path / "vine.json")) == EXIT_OK
+        assert run("fit", "--corpus", str(tmp_path / "real.csv"), "--model-type", "markov",
+                   "--order", "2", "--out", str(tmp_path / "markov.json")) == EXIT_OK
+        (tmp_path / "out").mkdir()
+        models, cases = [], []
+        for name in ("vine.json", "markov.json"):
+            for envelope in _field_variants(json.loads((tmp_path / name).read_text())):
+                k = len(models)
+                (tmp_path / f"m{k}.json").write_text(json.dumps(envelope))
+                models.append(envelope)
+                cases.append(["--seed", "1", "generate", "--model", f"m{k}.json", "--out",
+                              f"out/s{k}.csv", "--n-traces", "3", "--trace-len", "30"])
+        codes = _run_cases(cases, tmp_path, subprocess_pythonpath)
+        assert len(codes) == len(cases) > 400
+        bad = [(k, code) for k, code in enumerate(codes)
+               if code not in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN)]
+        assert not bad, bad
+        for k in np.flatnonzero(np.array(codes) == EXIT_OK):
+            envelope, syn = models[k], dataio.load_corpus(tmp_path / "out" / f"s{k}.csv")
+            assert syn.n_points() == 90, k
+            if envelope["model_type"] == "markov":
+                assert np.isin(syn.cells, dataio.decode_array(envelope["payload"]["alphabet"])).all(), k
+            else:
+                assert ((syn.cells >= 0) & (syn.cells < syn.spec.n_cells)).all(), k

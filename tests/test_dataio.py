@@ -316,9 +316,9 @@ class TestColumnParserExactness:
         assert expected[0][0] == 3 and _run(_targets_reader, text, 600) == expected
 
     def test_a_field_that_widens_the_block_past_its_budget_leaves_it_to_the_per_row_reader(self):
-        # one 104-byte lat field sets the width of all 21 rows' lat column,
+        # one 104-byte user field sets the width of all 22 lines' user column,
         # so the block's S columns pass four times a budget of the file's size
-        rows = ["user_id,timestamp,lat,lon", "u1,0,46." + "0" * 100 + ",7.0"]
+        rows = ["user_id,timestamp,lat,lon", "u1" + " " * 102 + ",0,46.0,7.0"]
         rows += [f"u1,{600 * k},46.0,7.0" for k in range(1, 21)]
         text = "\n".join(rows) + "\n"
         assert dataio._parse_blocks(io.BytesIO(text.encode()), 4) is not None
@@ -327,6 +327,23 @@ class TestColumnParserExactness:
             got = _run(_bytes_reader, text, 600)
         assert got == _run(_per_row, text, 600)
         assert len(got[0][0][0][1]) == 21
+
+    def test_each_text_column_is_as_wide_as_its_widest_field(self):
+        # the user column's widest field is on one line, the label column's
+        # on another; a label cut to the user ids' width would read "yes"
+        label = "yes" + " " * 17 + "x"
+        text = ("user_id,timestamp,lat,lon,is_member\n"
+                "a_long_user_id,0,46.0,7.0,1\na_long_user_id,600,46.0,7.0,1\n"
+                f"u2,0,46.0,7.0,{label}\nu2,600,46.0,7.0,{label}\n")
+        assert dataio._plain_lines(text.encode()) == (5, 14, 21)
+        got = dataio._parse_blocks(io.BytesIO(text.encode()), 5)
+        lines = dataio.text_lines(io.BytesIO(text.encode()))
+        want = dataio._parse_rows(csv.reader(lines), 5)
+        assert got.names == want.names == ["a_long_user_id", "u2"]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
+        assert got.member.tolist() == [True, True, False, False]
+        assert _run(_targets_reader, text, 600) == _run(ref_load_targets, text, 600)
 
     def test_first_of_a_label_clash_and_a_bad_row_is_the_error(self):
         rows = ["u1,0,46.0,7.0,1", "u1,600,46.0,7.0,0", "u2,bad,46.0,7.0,0"]

@@ -39,20 +39,24 @@ def test_every_traced_entry_point_resolves():
     assert tracer.ENTRY_POINTS and missing == []
 
 
-def _importers(*packages):
-    """{package: the modules of mobsynth that import it}, for each of the
-    top-level ``packages`` one of them imports, at any depth of the code."""
-    owners = {}
+def _imports():
+    """(module of mobsynth, the absolute module it imports), for each
+    import statement at any depth of the code."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((path.stem, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            for top in {name.split(".")[0] for name in names} & set(packages):
-                owners.setdefault(top, set()).add(path.stem)
+                yield path.stem, node.module
+
+
+def _importers(*packages):
+    """{package: the modules of mobsynth that import it}, for each of the
+    top-level ``packages`` one of them imports."""
+    owners = {}
+    for module, name in _imports():
+        if name.split(".")[0] in packages:
+            owners.setdefault(name.split(".")[0], set()).add(module)
     return owners
 
 
@@ -108,6 +112,16 @@ def test_only_copula_imports_scipy():
     # one owner for the scipy dependency: a process that fits or loads no
     # vine never loads it (README, Install)
     assert _importers("scipy") == {"scipy": {"copula"}}
+
+
+def test_src_imports_only_scipy_special_and_scipy_optimize():
+    # the tests alone use scipy.stats; copula's h-inverse loads
+    # scipy.optimize lazily (README, Dependencies)
+    scipy = {}
+    for module, name in _imports():
+        if name.split(".")[0] == "scipy":
+            scipy.setdefault(name, set()).add(module)
+    assert scipy == {"scipy.special": {"copula"}, "scipy.optimize": {"copula"}}
 
 
 # the inputs of a pipeline run, in one interpreter; the targets file is

@@ -137,31 +137,23 @@ class TestSequenceAttack:
         assert peak < 16 * 2 ** 20
 
 
-class _DenseViterbiPrior:
-    """Reference: one dense V x V log transition matrix per bucket."""
-
-    def __init__(self, prior):
-        self.prior = prior
-        self.alphabet = prior.alphabet
-
-    def log_trans(self, bucket):
-        return np.log(self.prior.transition_matrix(bucket))
-
-    def log_init(self, bucket):
-        return np.log(self.prior.stationary_distribution(bucket))
+def _log_trans(prior, bucket):
+    """Reference: the dense V x V log transition matrix of one bucket."""
+    return np.log(prior.transition_matrix(int(bucket)))
 
 
-def _dense_viterbi_segment(vp, buckets, i, j, left, right):
+def _dense_viterbi_segment(prior, buckets, i, j, left, right):
     """Reference: Viterbi with a dense column argmax (lowest index on ties)."""
-    v = vp.alphabet.size
+    v = prior.alphabet.size
     length = j - i
-    score = vp.log_init(int(buckets[i])) if left is None else vp.log_trans(int(buckets[i]))[left]
+    score = (np.log(prior.stationary_distribution(int(buckets[i]))) if left is None
+             else _log_trans(prior, buckets[i])[left])
     back = np.empty((length, v), dtype=np.int64)
     for t in range(1, length):
-        cand = score[:, None] + vp.log_trans(int(buckets[i + t]))
+        cand = score[:, None] + _log_trans(prior, buckets[i + t])
         back[t] = np.argmax(cand, axis=0)
         score = cand[back[t], np.arange(v)]
-    final = score if right is None else score + vp.log_trans(int(buckets[j]))[:, right]
+    final = score if right is None else score + _log_trans(prior, buckets[j])[:, right]
     states = np.empty(length, dtype=np.int64)
     states[-1] = int(np.argmax(final))
     for t in range(length - 1, 0, -1):
@@ -169,18 +161,22 @@ def _dense_viterbi_segment(vp, buckets, i, j, left, right):
     return states
 
 
-def _sparse_viterbi_segment(vp, buckets, i, j, left, right):
+def _sparse_viterbi_segment(prior, buckets, i, j, left, right):
     """Reference: one segment at a time through the sparse bucket views,
     each step on a single score row."""
-    v = vp.alphabet.size
+    v = prior.alphabet.size
     length = j - i
-    score = vp.view(int(buckets[i])).rows(np.array([-1 if left is None else left]))
+
+    def view(bucket):
+        return privacy._BucketView(prior, int(bucket))
+
+    score = view(buckets[i]).rows(np.array([-1 if left is None else left]))
     back = np.empty((length, v), dtype=np.int64)
     for t in range(1, length):
-        score, back[t] = vp.view(int(buckets[i + t])).step(score)
+        score, back[t] = view(buckets[i + t]).step(score)
     final = score[0]
     if right is not None:
-        final = final + vp.view(int(buckets[j])).columns(np.array([right]))[0]
+        final = final + view(buckets[j]).columns(np.array([right]))[0]
     states = np.empty(length, dtype=np.int64)
     states[-1] = int(np.argmax(final))
     for t in range(length - 1, 0, -1):
@@ -188,12 +184,12 @@ def _sparse_viterbi_segment(vp, buckets, i, j, left, right):
     return states
 
 
-def _free_runs(obf, vp):
+def _free_runs(obf, prior):
     """Reference: each maximal run [i, j) of points that are hidden or that
     the prior does not know (a dict lookup), with its pinned anchors, None
     at an end of the trace."""
     n = len(obf.cells)
-    index = {int(c): i for i, c in enumerate(vp.alphabet)}
+    index = {int(c): i for i, c in enumerate(prior.alphabet)}
     known = [-1 if hidden else index.get(int(c), -1)
              for c, hidden in zip(obf.cells, obf.hidden_mask)]
     i = 0
@@ -208,23 +204,23 @@ def _free_runs(obf, vp):
         i = j
 
 
-def _segment_reconstruct(obf, vp, viterbi_segment):
+def _segment_reconstruct(obf, prior, viterbi_segment):
     """Reference: decode each run of free points on its own."""
-    buckets = _bucket_of(obf.timestamps, vp.prior.time_buckets)
+    buckets = _bucket_of(obf.timestamps, prior.time_buckets)
     out = obf.cells.copy()
-    for i, j, left, right in _free_runs(obf, vp):
-        states = viterbi_segment(vp, buckets, i, j, left=left, right=right)
-        out[i:j] = vp.alphabet[states]
+    for i, j, left, right in _free_runs(obf, prior):
+        states = viterbi_segment(prior, buckets, i, j, left=left, right=right)
+        out[i:j] = prior.alphabet[states]
     return out
 
 
-def _problems(obfuscated, vp):
+def _problems(obfuscated, prior):
     """Reference: the distinct Viterbi problems of the free runs, each the
     anchors, the bucket of every point and of a pinned right anchor."""
     keys = set()
     for obf in obfuscated:
-        buckets = _bucket_of(obf.timestamps, vp.prior.time_buckets).tolist()
-        for i, j, left, right in _free_runs(obf, vp):
+        buckets = _bucket_of(obf.timestamps, prior.time_buckets).tolist()
+        for i, j, left, right in _free_runs(obf, prior):
             keys.add((left, right, None if right is None else buckets[j],
                       tuple(buckets[i:j])))
     return keys
@@ -235,21 +231,21 @@ def _decode_counting_runs(obfuscated, prior):
     decoded = []
     decode_chunk = privacy._decode_chunk
 
-    def counting(vp, buckets, lo, *args):
+    def counting(views, buckets, lo, *args):
         decoded.append(lo.size)
-        return decode_chunk(vp, buckets, lo, *args)
+        return decode_chunk(views, buckets, lo, *args)
 
     offsets = np.cumsum([0] + [o.cells.size for o in obfuscated])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(privacy, "_decode_chunk", counting)
         got = privacy._reconstruct(np.concatenate([o.cells for o in obfuscated]),
                                    np.concatenate([o.timestamps for o in obfuscated]),
-                                   offsets, privacy._ViterbiPrior(prior))
+                                   offsets, prior)
     return got, sum(decoded)
 
 
 def _dense_reconstruct(obf, prior):
-    return _segment_reconstruct(obf, _DenseViterbiPrior(prior), _dense_viterbi_segment)
+    return _segment_reconstruct(obf, prior, _dense_viterbi_segment)
 
 
 def _obfuscated(cells, hours):
@@ -292,7 +288,7 @@ class TestSparseViterbiExactness:
         v = prior.alphabet.size
         bucket = data.draw(st.integers(0, prior.time_buckets - 1))
         dense = np.log(prior.transition_matrix(bucket))
-        view = privacy._ViterbiPrior(prior).view(bucket)
+        view = privacy._BucketView(prior, bucket)
         # every state, then some repeated and in any order; -1 (no context)
         # is the start row
         drawn = data.draw(st.lists(st.integers(0, v - 1), max_size=2 * v))
@@ -327,7 +323,7 @@ class TestSparseViterbiExactness:
         prior = MarkovGenerator(SPEC, 600, 1, 1, alpha, np.arange(10, 14), counts,
                                 np.array([1, 1, 2, 1]))
         dense = np.log(prior.transition_matrix(0))
-        view = privacy._ViterbiPrior(prior).view(0)
+        view = privacy._BucketView(prior, 0)
         score = np.array([[-9.0, 0.0, -9.0, -9.0],
                           [-0.5, 0.0, -0.5, -0.5],
                           [0.0, 0.0, 0.0, 0.0]])
@@ -378,8 +374,7 @@ class TestSparseViterbiExactness:
             ts = data.draw(st.integers(0, 86_400)) + step * np.arange(cells.size)
             truth.append(GridTrace(f"u{i}", cells, ts))
             obfuscated.append(ObfuscatedTrace(f"u{i}", np.where(hidden, HIDDEN, cells), ts))
-        vp = privacy._ViterbiPrior(prior)
-        want = [_segment_reconstruct(o, vp, _sparse_viterbi_segment) for o in obfuscated]
+        want = [_segment_reconstruct(o, prior, _sparse_viterbi_segment) for o in obfuscated]
         # a 1-byte budget gives each run a chunk of its own; at 100 or 300
         # bytes a state a chunk holds a few short runs, and a run of over 9
         # points overruns the smaller one
@@ -389,7 +384,7 @@ class TestSparseViterbiExactness:
             mp.setattr(privacy, "_CHUNK_BYTES", cap)
             got = privacy._reconstruct(np.concatenate([o.cells for o in obfuscated]),
                                        corpus.timestamps, corpus.offsets,
-                                       privacy._ViterbiPrior(prior))
+                                       prior)
             assert np.array_equal(got, np.concatenate(want))
             mask = np.concatenate([o.hidden_mask for o in obfuscated])
             if mask.any():
@@ -413,11 +408,10 @@ class TestSparseViterbiExactness:
             cells, hidden = (np.array(x) for x in zip(*points))
             ts = data.draw(st.sampled_from([0, 3600, 43_200])) + 3600 * np.arange(cells.size)
             obfuscated.append(ObfuscatedTrace("u", np.where(hidden, HIDDEN, cells), ts))
-        vp = privacy._ViterbiPrior(prior)
-        want = [_segment_reconstruct(o, vp, _sparse_viterbi_segment) for o in obfuscated]
+        want = [_segment_reconstruct(o, prior, _sparse_viterbi_segment) for o in obfuscated]
         got, decoded = _decode_counting_runs(obfuscated, prior)
         assert np.array_equal(got, np.concatenate(want))
-        assert decoded == len(_problems(obfuscated, vp))
+        assert decoded == len(_problems(obfuscated, prior))
 
     def test_runs_with_other_buckets_are_not_merged(self):
         # in bucket h every context moves to state h % 4, so a run's path
@@ -434,8 +428,7 @@ class TestSparseViterbiExactness:
         hours = [[0, 1, 2, 3, 4], [0, 1, 1.05, 1.1, 4], [0, 1, 2, 3, 5], [0, 1, 2, 3, 4]]
         obfuscated = [ObfuscatedTrace(f"u{i}", cells, (3600 * np.array(h)).astype(np.int64))
                       for i, h in enumerate(hours)]
-        vp = privacy._ViterbiPrior(prior)
-        want = [_segment_reconstruct(o, vp, _sparse_viterbi_segment) for o in obfuscated]
+        want = [_segment_reconstruct(o, prior, _sparse_viterbi_segment) for o in obfuscated]
         assert want[0][1:4].tolist() == [11, 12, 13] and want[1][1:4].tolist() == [11] * 3
         got, decoded = _decode_counting_runs(obfuscated, prior)
         assert np.array_equal(got, np.concatenate(want))
